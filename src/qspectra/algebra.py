@@ -4,15 +4,13 @@ The central type is FiniteCommAlgebra: a based algebra with full structure
 tensor, a cyclic grading by the Fano index, and a distinguished anticanonical
 vector in degree 1.  Algebras arrive three ways: direct construction
 (projective spaces), normal forms modulo a polynomial presentation
-(Jacobi rings and presentation cross-checks), and structure-constant data
-files (isotropic Grassmannians, regenerable in-repo).
+(Jacobi rings and isotropic Grassmannians), and a validated JSON
+serialisation of the structure tensor.
 """
 
 import json
-import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .exactlin import Matrix, _q
 
@@ -431,14 +429,10 @@ def _ig2_relations(n):
 def qh_ig2(n):
     """Quantum cohomology of the isotropic Grassmannian IG(2,2n) at q = 1.
 
-    Loads the checked-in structure constants when present and falls back to
-    eliminating the two-relation presentation in c1, c2.
+    Eliminates the two-relation presentation in c1, c2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    path = os.path.join(data_dir(), "ig2_%d.json" % (2 * n))
-    if os.path.exists(path):
-        return load_algebra(path)
     A = from_presentation(PolyPresentation(
         name="IG(2,%d)" % (2 * n),
         variables=(("c1", 1), ("c2", 2)),
@@ -501,15 +495,8 @@ def jacobi_ring(label):
 
 
 # ---------------------------------------------------------------------------
-# structure-constant files
-
-def data_dir():
-    """Directory holding algebra data files; QSPECTRA_DATA overrides."""
-    override = os.environ.get("QSPECTRA_DATA")
-    if override:
-        return override
-    return str(resources.files("qspectra").joinpath("data"))
-
+# JSON serialisation: upper-triangle structure constants as exact
+# fractions; reading validates the result unless told not to
 
 def _frac_pair(c):
     c = _q(c)

@@ -74,12 +74,13 @@ def _check_chunk(chunk, length, what):
 def _lr_restricted(a, b, rows):
     """Decompose S^a tensor S^b for GL(rows), entries possibly negative.
 
-    Shift both factors into partitions, expand, discard anything taller
-    than rows, unshift.  Equivariance under det twists makes the shift
-    harmless; a property test pins it.
+    Shift both factors into partitions with last entry 0, expand, discard
+    anything taller than rows, unshift.  Equivariance under det twists
+    makes the shift harmless; a property test pins it.  Shifting down as
+    well as up keeps the cost of a twist O(t) independent of t.
     """
-    sa = -min(a[-1], 0)
-    sb = -min(b[-1], 0)
+    sa = -a[-1]
+    sb = -b[-1]
     pa = Partition(tuple(x + sa for x in a))
     pb = Partition(tuple(x + sb for x in b))
     out = {}

@@ -2,9 +2,10 @@
 checks, and the cross-validation selftest.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal invariant
-violation (an AssertionError escaping the library).  JSON output is
-byte-identical across runs: it carries tool and version strings but no
-timestamps or timings; wall-clock numbers go to stderr only.
+violation (an AssertionError, or any other unexpected exception, escaping
+the library).  JSON output is byte-identical across runs: it carries tool
+and version strings but no timestamps or timings; wall-clock numbers go
+to stderr only.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import random
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -27,40 +29,26 @@ from .schur import qh_grassmannian
 from .spectrum import quantum_spectrum_report
 
 
-class VarietyDescriptor:
-    __slots__ = ("id", "display", "provider", "fano_index", "dim_X")
-
-    def __init__(self, id, display, provider, fano_index, dim_X):
-        self.id = id
-        self.display = display
-        self.provider = provider
-        self.fano_index = fano_index
-        self.dim_X = dim_X
+VarietyDescriptor = namedtuple("VarietyDescriptor", "id provider")
 
 
 def _build_registry():
     reg = {}
 
-    def add(id, display, provider, fano_index, dim_X):
+    def add(id, provider):
         assert id not in reg, "duplicate registry id"
-        reg[id] = VarietyDescriptor(id, display, provider, fano_index, dim_X)
+        reg[id] = VarietyDescriptor(id, provider)
 
     for n in range(1, 11):
-        add("P%d" % n, "projective space of dimension %d" % n,
-            (lambda n=n: qh_projective(n)), n + 1, n)
+        add("P%d" % n, lambda n=n: qh_projective(n))
     for k, n in ((2, 4), (2, 5), (2, 6), (3, 6)):
-        add("G(%d,%d)" % (k, n), "Grassmannian of %d-planes in %d-space"
-            % (k, n), (lambda k=k, n=n: qh_grassmannian(k, n)), n,
-            k * (n - k))
+        add("G(%d,%d)" % (k, n), lambda k=k, n=n: qh_grassmannian(k, n))
     for n in (2, 3, 4, 5):
-        add("IG(2,%d)" % (2 * n),
-            "isotropic Grassmannian of 2-planes in %d-space" % (2 * n),
-            (lambda n=n: qh_ig2(n)), 2 * n - 1, 4 * n - 5)
+        add("IG(2,%d)" % (2 * n), lambda n=n: qh_ig2(n))
     for label in (["A%d" % r for r in range(1, 9)]
                   + ["D%d" % r for r in (4, 5, 6)]
                   + ["E%d" % r for r in (6, 7, 8)]):
-        add(label, "Milnor algebra of the %s singularity" % label,
-            (lambda label=label: jacobi_ring(label)), 1, None)
+        add(label, lambda label=label: jacobi_ring(label))
     return reg
 
 
@@ -260,16 +248,19 @@ def _selftest_checks():
             assert report.ok, "%s: %s" % (desc.id,
                                           "; ".join(report.violations))
 
-    @add("algebra", "isotropic divisor operator matches the shipped ring")
+    @add("algebra", "isotropic divisor operator matches the presentation ring")
     def _():
         for n in (2, 3, 4, 5):
             A = qh_ig2(n)
             m = A.fano_index
             sigma1 = tuple(c / m for c in A.anticanonical)
-            D, _lengths = ig2_divisor_matrix(n)
+            D, lengths = ig2_divisor_matrix(n)
             got = charpoly(mult_matrix(A, sigma1))
             want = charpoly(D)
             assert got.coeffs == want.coeffs, "IG(2,%d) charpoly" % (2 * n)
+            # the Schubert cells' degrees reproduce the graded dimensions
+            assert sorted(A.degrees) == sorted(l % m for l in lengths), \
+                "IG(2,%d) graded dimensions" % (2 * n)
 
     @add("algebra", "grassmannian divisor operator matches the tableau ring")
     def _():
@@ -416,6 +407,10 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -211,12 +211,27 @@ def collection_from_json(obj):
     if missing:
         raise ValueError("collection file missing keys: %s"
                          % ", ".join(missing))
+    # the constructor coerces with int() and str(); a file gets no coercion
+    if not isinstance(obj["variety"], str):
+        raise ValueError("variety must be a string")
+    if not _is_int(obj["fano_index"]):
+        raise ValueError("fano_index must be an integer")
+    if not isinstance(obj["support"], list) \
+            or not all(_is_int(s) for s in obj["support"]):
+        raise ValueError("support must be a list of integers")
+    if not isinstance(obj["starting_block"], list) \
+            or not all(isinstance(e, str) for e in obj["starting_block"]):
+        raise ValueError("starting_block must be a list of strings")
     return LefschetzCollection(
         variety=obj["variety"],
         starting_block=obj["starting_block"],
         support=obj["support"],
         fano_index=obj["fano_index"],
     )
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_collection(path):

@@ -7,7 +7,6 @@ from qspectra.algebra import (
     PolyPresentation,
     algebra_from_json,
     algebra_to_json,
-    data_dir,
     from_presentation,
     jacobi_ring,
     load_algebra,
@@ -219,7 +218,7 @@ def test_jacobi_rejects_unknown():
             jacobi_ring(bad)
 
 
-# ---------------------------------------------------------------- data files
+# ---------------------------------------------------------------- JSON files
 
 def test_json_round_trip():
     for A in [qh_projective(3), jacobi_ring("D4"), qh_grassmannian(2, 4)]:
@@ -243,10 +242,3 @@ def test_load_rejects_corrupted_data():
     obj["triples"][0][3] += 1
     with pytest.raises(ValueError, match="invalid algebra data"):
         algebra_from_json(obj)
-
-
-def test_data_dir_override(monkeypatch):
-    monkeypatch.setenv("QSPECTRA_DATA", "/tmp/somewhere")
-    assert data_dir() == "/tmp/somewhere"
-    monkeypatch.delenv("QSPECTRA_DATA")
-    assert data_dir().endswith("data")

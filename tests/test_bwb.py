@@ -312,6 +312,14 @@ def test_backward_maps_vanish():
                      parse_bundle("U*", 2, 4)) == {}
 
 
+@pytest.mark.parametrize("t", [1, 5, 10**12])
+def test_twist_cost_independent_of_twist(t):
+    # sections of O(t) on the Pluecker quadric G(2,4); a huge t must not
+    # reach the Littlewood-Richardson expansion as a huge partition
+    want = (t + 1) * (t + 2) ** 2 * (t + 3) // 12
+    assert ext_table(O(2, 4), O(2, 4).twist(t)) == {0: want}
+
+
 @given(st.sampled_from([(2, 4), (2, 5)]), st.data())
 def test_serre_duality(kn, data):
     k, n = kn

@@ -1,11 +1,14 @@
 """Cross-validation between the coset-model route and the other constructions."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qspectra.algebra import mult_matrix, qh_ig2, qh_projective
+from qspectra.algebra import (algebra_to_json, mult_matrix, qh_ig2,
+                              qh_projective)
 from qspectra.chevalley import (
     _type_a,
     grassmann_divisor_matrix,
@@ -105,18 +108,21 @@ def test_ig2_betti_numbers_are_complete_intersection(n):
     assert sum(betti) == 2 * n * (n - 1)
 
 
-def test_ig2_presentation_path_matches_shipped_data(monkeypatch, tmp_path):
-    shipped = qh_ig2(3)
-    monkeypatch.setenv("QSPECTRA_DATA", str(tmp_path))
-    qh_ig2.cache_clear()
-    try:
-        rebuilt = qh_ig2(3)
-        assert rebuilt.structure == shipped.structure
-        assert rebuilt.degrees == shipped.degrees
-        assert rebuilt.unit == shipped.unit
-        assert rebuilt.anticanonical == shipped.anticanonical
-    finally:
-        qh_ig2.cache_clear()
+# sha256 of the structure-constant files once shipped for IG(2,2n); the
+# presentation must keep reproducing them byte for byte
+IG2_JSON_SHA256 = {
+    2: "4bca377b40f012618c8d1c076eb225749f16ba54760375c4b2fb126e92a1ca72",
+    3: "576d01e617882dde0d390ef9815866b32593a4e7a5cdf0cf56112ef388b5edd4",
+    4: "81a9f2cf8f4ec8ce37536b8df0cabe9e0d25db39b7c67d40187ef1ee735f4035",
+    5: "d9ae3e136f2fda0899f6dccf91b6d9e00807e1d05df5e390c2a55f02405600b8",
+}
+
+
+def test_ig2_presentation_matches_former_data_files():
+    for n, want in IG2_JSON_SHA256.items():
+        text = json.dumps(algebra_to_json(qh_ig2(n)), indent=2,
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, n
 
 
 def test_ig2_rejects_small_n():

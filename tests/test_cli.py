@@ -1,11 +1,10 @@
 import json
-import pathlib
-import shutil
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qspectra import cli
-from qspectra.algebra import data_dir, qh_ig2
+from qspectra.algebra import algebra_from_json, algebra_to_json
 from qspectra.cli import REGISTRY, RunReport, VarietyDescriptor, main
 from qspectra.lefschetz import builtin_collection, save_collection
 
@@ -85,7 +84,7 @@ def test_internal_violation_maps_to_exit_two(capsys, monkeypatch):
     def broken():
         raise AssertionError("boom")
     monkeypatch.setitem(REGISTRY, "BAD",
-                        VarietyDescriptor("BAD", "broken", broken, 1, None))
+                        VarietyDescriptor("BAD", broken))
     code, _, err = run(capsys, "report", "BAD")
     assert code == 2
     assert "internal invariant violation: boom" in err
@@ -183,6 +182,47 @@ def test_check_bwb_failure_gates_exit(capsys, tmp_path):
     assert "[fail]" in out
 
 
+_DESCRIPTOR = st.one_of(
+    st.builds("{}({})".format, st.sampled_from(["O", "U*", "S^(2,1) Q*"]),
+              st.integers(-10**12, 10**12)),
+    st.sampled_from(["O", "U*", "Q*", "S^2 U*", "U* * Q*"]),
+    st.text(alphabet="OUQS^*(),- 0123456789", max_size=12), st.integers())
+_JUNK = (st.none() | st.booleans() | st.floats(allow_nan=False)
+         | st.text(max_size=4))
+_COLLECTION = st.fixed_dictionaries({
+    "variety": st.sampled_from(["P2", "G(2,4)", "IG(2,4)", "A2", "Y"])
+    | st.integers() | _JUNK,
+    "fano_index": st.integers(-1, 6) | st.just("4") | _JUNK,
+    "starting_block": st.lists(_DESCRIPTOR, max_size=3) | _JUNK,
+    "support": st.lists(st.integers(-1, 3), max_size=5)
+    | st.lists(_JUNK, min_size=1, max_size=3) | _JUNK,
+})
+
+
+@given(doc=_COLLECTION, wrap=st.sampled_from(["object", "list", "truncated"]),
+       drop=st.sampled_from([None, "variety", "fano_index", "support",
+                             "starting_block"]))
+@example(doc={"variety": "IG(2,4)", "fano_index": 3, "support": [1, 1, 1],
+              "starting_block": ["O(99999999999)"]}, wrap="object", drop=None)
+@settings(suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_check_exit_contract_on_generated_files(tmp_path, doc, wrap, drop):
+    doc.pop(drop, None)
+    text = json.dumps([doc] if wrap == "list" else doc)
+    path = tmp_path / "generated.json"
+    path.write_text(text[:-1] if wrap == "truncated" else text)
+    assert main(["check", str(path), "--bwb"]) in (0, 1)
+
+
+def test_unexpected_exception_maps_to_exit_two(capsys, monkeypatch):
+    def broken():
+        raise KeyError("boom")
+    monkeypatch.setitem(REGISTRY, "BAD", VarietyDescriptor("BAD", broken))
+    code, _, err = run(capsys, "report", "BAD")
+    assert code == 2
+    assert err.strip() == "internal error: KeyError: 'boom'"
+
+
 # --- selftest -----------------------------------------------------------
 
 def test_selftest_filter_runs_subset(capsys):
@@ -198,26 +238,23 @@ def test_selftest_unknown_filter(capsys):
     assert "no selftest entries match" in err
 
 
-def test_selftest_catches_perturbed_data(capsys, tmp_path, monkeypatch):
-    # corrupt one shipped structure-constant file; every algebra check
-    # that touches it must surface the damage
-    override = tmp_path / "data"
-    override.mkdir()
-    source = pathlib.Path(data_dir())
-    doc = json.loads((source / "ig2_4.json").read_text())
-    assert doc["triples"][1][:3] == [0, 1, 1]
-    doc["triples"][1][3] += 1
-    (override / "ig2_4.json").write_text(json.dumps(doc))
-    for name in ("ig2_6.json", "ig2_8.json", "ig2_10.json"):
-        shutil.copy(source / name, override / name)
-    monkeypatch.setenv("QSPECTRA_DATA", str(override))
-    qh_ig2.cache_clear()
-    try:
-        code, out, _ = run(capsys, "selftest", "--filter", "algebra")
-        assert code == 2
-        assert "[fail] algebra: every registry provider validates" in out
-    finally:
-        qh_ig2.cache_clear()
+def test_selftest_catches_perturbed_data(capsys, monkeypatch):
+    # perturb one structure constant of IG(2,4) in memory; every algebra
+    # check that touches the ring must surface the damage
+    good = cli.qh_ig2
+
+    def perturbed(n):
+        if n != 2:
+            return good(n)
+        obj = algebra_to_json(good(2))
+        assert obj["triples"][1][:3] == [0, 1, 1]
+        obj["triples"][1][3] += 1
+        return algebra_from_json(obj, check=False)
+
+    monkeypatch.setattr(cli, "qh_ig2", perturbed)
+    code, out, _ = run(capsys, "selftest", "--filter", "algebra")
+    assert code == 2
+    assert "[fail] algebra: every registry provider validates" in out
 
 
 def test_run_report_wrapper_shape():

@@ -215,6 +215,17 @@ def test_collection_json_missing_keys():
                               "starting_block": ["O"]})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("variety", 7), ("fano_index", "4"), ("fano_index", True),
+    ("support", None), ("support", "1111"), ("support", [1, 1.0]),
+    ("starting_block", None), ("starting_block", [1, None])])
+def test_collection_json_rejects_wrong_types(key, value):
+    obj = collection_to_json(builtin_collection("minimal_g24"))
+    obj[key] = value
+    with pytest.raises(ValueError, match=key):
+        collection_from_json(obj)
+
+
 def test_collection_json_not_object():
     with pytest.raises(ValueError, match="JSON object"):
         collection_from_json(["O"])
