@@ -19,7 +19,6 @@ from .algebra import FiniteCommAlgebra, jacobi_ring, mult_matrix
 from .exactlin import (
     Matrix,
     Poly,
-    Solver,
     bezout_coprime,
     charpoly,
     kernel_basis,
@@ -73,22 +72,38 @@ def _empty_part(A, name):
 def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
     if not vectors:
         return _empty_part(A, name)
-    solver = Solver(Matrix.from_columns(vectors))
+    # the vectors are reduced echelon blocks with disjoint supports, one
+    # block per degree, so the coordinates of a vector in their span are
+    # its entries at the pivots
+    pivots = [next(i for i, x in enumerate(v) if x != 0) for v in vectors]
+    sparse = [[(i, x) for i, x in enumerate(v) if x != 0] for v in vectors]
+
+    def coords(w):
+        x = tuple(w[p] for p in pivots)
+        rebuilt = [_ZERO] * len(w)
+        for c, terms in zip(x, sparse):
+            if c != 0:
+                for i, y in terms:
+                    rebuilt[i] += c * y
+        if tuple(rebuilt) != tuple(w):
+            raise AssertionError("vector outside the span of the fiber basis")
+        return x
+
     k = len(vectors)
     structure = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            cell = solver.solve(A.product(vectors[i], vectors[j]))
+            cell = coords(A.product(vectors[i], vectors[j]))
             structure[i][j] = cell
             structure[j][i] = cell
     return FiniteCommAlgebra(
         name=name,
         basis_labels=["b%d" % i for i in range(k)],
         structure=structure,
-        unit=solver.solve(unit_vec),
+        unit=coords(unit_vec),
         degrees=degrees,
         fano_index=A.fano_index,
-        anticanonical=solver.solve(kappa_vec),
+        anticanonical=coords(kappa_vec),
         dim_X=A.dim_X,
     )
 
@@ -100,9 +115,12 @@ def kappa_split(A):
     anticanonical operator M factors as x^a * g with g(0) != 0; the
     nilpotency index b <= a is found by kernel stabilization, and the
     Bezout identity u x^b + v g = 1 makes e0 = (v g)(M) 1 the idempotent
-    projecting onto the zero fiber.  Both parts come back with induced
-    structure constants on degree-homogeneous bases, so they are valid
-    graded algebras in their own right.
+    projecting onto the zero fiber.  Since A is commutative, (v g)(M) is
+    multiplication by e0, so e0 comes from Horner on the unit vector and
+    the projector from the structure constants, with no matrix powers.
+    Both parts come back with induced structure constants on
+    degree-homogeneous bases, so they are valid graded algebras in their
+    own right.
     """
     M = mult_matrix(A, A.anticanonical)
     p = charpoly(M)
@@ -116,8 +134,10 @@ def kappa_split(A):
         P = P * M
         b += 1
     u, v = bezout_coprime(Poly.x_power(b), g)
-    proj = (v * g)(M)
-    e0 = proj.apply(A.unit)
+    e0 = (_ZERO,) * A.dim
+    for c in reversed((v * g).coeffs):
+        e0 = tuple(x + c * y for x, y in zip(M.apply(e0), A.unit))
+    proj = mult_matrix(A, e0)
     if A.product(e0, e0) != e0:
         raise AssertionError("splitting idempotent is not idempotent")
     # the two ideals are graded, so collect each fiber degree by degree;
