@@ -23,8 +23,8 @@ from .bwb import (BundleExpr, check_collection, check_collection_hyperplane,
                   collection_backend, ext_table)
 from .chevalley import grassmann_divisor_matrix, ig2_divisor_matrix
 from .exactlin import charpoly
-from .lefschetz import (builtin_collection, conjecture_numerology,
-                        lengths, load_collection)
+from .lefschetz import (builtin_collection, check_collection_json,
+                        collection_from_json, conjecture_numerology, lengths)
 from .schur import qh_grassmannian
 from .spectrum import quantum_spectrum_report
 
@@ -167,20 +167,34 @@ def _bwb_lines(verdict, backend):
 
 
 def cmd_check(args):
-    try:
-        coll = load_collection(args.file)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    def unreadable(e):
         print("cannot read collection %s: %s" % (args.file, e),
               file=sys.stderr)
         return 1
-    desc = REGISTRY.get(coll.variety)
+
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        check_collection_json(obj)
+    except (OSError, json.JSONDecodeError, ValueError) as e:
+        return unreadable(e)
+    desc = REGISTRY.get(obj["variety"])
     if desc is None:
-        print("collection names unknown variety %r" % coll.variety,
+        print("collection names unknown variety %r" % obj["variety"],
               file=sys.stderr)
         print(_registry_listing(), file=sys.stderr)
         return 1
     t0 = time.monotonic()
-    report = quantum_spectrum_report(desc.provider())
+    A = desc.provider()
+    # the support is padded to the file's Fano index: compare that first
+    if obj["fano_index"] != A.fano_index:
+        raise ValueError("Fano index mismatch: report %d, collection %d"
+                         % (A.fano_index, obj["fano_index"]))
+    try:
+        coll = collection_from_json(obj)
+    except ValueError as e:
+        return unreadable(e)
+    report = quantum_spectrum_report(A)
     verdict = conjecture_numerology(report, coll)
     sizes = lengths(coll)
     print("collection on %s: sigma = %r, starting block of %d"
@@ -280,16 +294,12 @@ def _selftest_checks():
             p = charpoly(M)
             assert p(M).is_zero(), vid
 
-    @add("spectrum", "rotation invariance of every registry charpoly")
+    @add("spectrum", "every registry charpoly is rotation-invariant and "
+         "its fiber dimensions are additive")
     def _():
         for desc in REGISTRY.values():
             r = quantum_spectrum_report(desc.provider())
             assert r.charpoly_rotation_invariant, desc.id
-
-    @add("spectrum", "fiber dimensions are additive")
-    def _():
-        for desc in REGISTRY.values():
-            r = quantum_spectrum_report(desc.provider())
             assert r.dim_zero_part + r.dim_nonzero_part == r.dim_total, \
                 desc.id
 

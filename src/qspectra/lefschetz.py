@@ -204,6 +204,18 @@ def collection_to_json(c):
 
 
 def collection_from_json(obj):
+    check_collection_json(obj)
+    return LefschetzCollection(
+        variety=obj["variety"],
+        starting_block=obj["starting_block"],
+        support=obj["support"],
+        fano_index=obj["fano_index"],
+    )
+
+
+def check_collection_json(obj):
+    """Reject missing keys and wrong-typed fields without building the
+    collection, which pads its support to the object's Fano index."""
     if not isinstance(obj, dict):
         raise ValueError("collection file must hold a JSON object")
     missing = [k for k in ("variety", "fano_index", "starting_block",
@@ -222,12 +234,6 @@ def collection_from_json(obj):
     if not isinstance(obj["starting_block"], list) \
             or not all(isinstance(e, str) for e in obj["starting_block"]):
         raise ValueError("starting_block must be a list of strings")
-    return LefschetzCollection(
-        variety=obj["variety"],
-        starting_block=obj["starting_block"],
-        support=obj["support"],
-        fano_index=obj["fano_index"],
-    )
 
 
 def _is_int(x):

@@ -23,7 +23,6 @@ from .exactlin import (
     charpoly,
     kernel_basis,
     poly_str,
-    rank,
     span_basis,
     split_at_zero,
 )
@@ -51,10 +50,6 @@ def nilradical(A):
                            _ZERO))
         rows.append(row)
     return kernel_basis(Matrix(rows))
-
-
-def semisimple(A):
-    return not nilradical(A)
 
 
 def point_count(A):
@@ -112,31 +107,25 @@ def kappa_split(A):
     """Split A into the fiber over kappa = 0 and its invertible complement.
 
     Returns (A_zero, A_nonzero).  The characteristic polynomial of the
-    anticanonical operator M factors as x^a * g with g(0) != 0; the
-    nilpotency index b <= a is found by kernel stabilization, and the
-    Bezout identity u x^b + v g = 1 makes e0 = (v g)(M) 1 the idempotent
-    projecting onto the zero fiber.  Since A is commutative, (v g)(M) is
-    multiplication by e0, so e0 comes from Horner on the unit vector and
-    the projector from the structure constants, with no matrix powers.
-    Both parts come back with induced structure constants on
-    degree-homogeneous bases, so they are valid graded algebras in their
-    own right.
+    anticanonical operator M factors as x^a * g with g(0) != 0, and the
+    Bezout identity u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent
+    projecting onto ker M^a along the invertible part.  Since A is
+    commutative, (v g)(M) is multiplication by e0, so e0 comes from Horner
+    on the unit vector with the algebra's own product, and the projector
+    from the structure constants, with no matrix powers.  Both parts come
+    back with induced structure constants on degree-homogeneous bases, so
+    they are valid graded algebras in their own right.
     """
-    M = mult_matrix(A, A.anticanonical)
-    p = charpoly(M)
-    a, g = split_at_zero(p)
+    a, g = split_at_zero(charpoly(mult_matrix(A, A.anticanonical)))
     if a == 0:
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:
         return A, _empty_part(A, "%s (invertible fiber)" % A.name)
-    b, P = 1, M
-    while rank(P) > A.dim - a:
-        P = P * M
-        b += 1
-    u, v = bezout_coprime(Poly.x_power(b), g)
+    u, v = bezout_coprime(Poly.x_power(a), g)
     e0 = (_ZERO,) * A.dim
     for c in reversed((v * g).coeffs):
-        e0 = tuple(x + c * y for x, y in zip(M.apply(e0), A.unit))
+        e0 = tuple(x + c * y for x, y in
+                   zip(A.product(A.anticanonical, e0), A.unit))
     proj = mult_matrix(A, e0)
     if A.product(e0, e0) != e0:
         raise AssertionError("splitting idempotent is not idempotent")
@@ -175,12 +164,14 @@ def orbit_analysis(A_nonzero, m):
 
     k_len divides the vector-space length, k_pts the geometric points;
     rotation_ok certifies eigenvalue invariance under multiplication by a
-    primitive m-th root via the support of the characteristic polynomial.
+    primitive m-th root via the support of the characteristic polynomial,
+    which comes back as "charpoly" next to the point count "points".
     """
     if m <= 0:
         raise ValueError("m must be positive")
+    points = point_count(A_nonzero)
     k_len = Fraction(A_nonzero.dim, m)
-    k_pts = Fraction(point_count(A_nonzero), m)
+    k_pts = Fraction(points, m)
     g = charpoly(mult_matrix(A_nonzero, A_nonzero.anticanonical))
     rotation_ok = all((g.degree - i) % m == 0
                       for i, c in enumerate(g.coeffs) if c != 0)
@@ -190,6 +181,8 @@ def orbit_analysis(A_nonzero, m):
         "k_pts": int(k_pts) if k_pts.denominator == 1 else k_pts,
         "k_pts_integral": k_pts.denominator == 1,
         "rotation_ok": rotation_ok,
+        "points": points,
+        "charpoly": g,
     }
 
 
@@ -290,8 +283,10 @@ def quantum_spectrum_report(A):
     A_zero, A_nonzero = kappa_split(A)
     if A_zero.dim + A_nonzero.dim != A.dim:
         raise AssertionError("fiber dimensions do not sum to the total")
-    p = charpoly(mult_matrix(A, A.anticanonical))
     orbits = orbit_analysis(A_nonzero, A.fano_index)
+    # A = A_zero x A_nonzero and kappa is nilpotent on A_zero, so the
+    # charpoly of kappa on A is x^dim(A_zero) times its charpoly on A_nonzero
+    p = Poly.x_power(A_zero.dim) * orbits["charpoly"]
     local = local_invariants(A_zero)
     if sum(local["hilbert_function"]) != A_zero.dim:
         raise AssertionError("Hilbert function does not sum to the fiber "
@@ -303,8 +298,8 @@ def quantum_spectrum_report(A):
         kappa_charpoly=p,
         dim_zero_part=A_zero.dim,
         dim_nonzero_part=A_nonzero.dim,
-        nonzero_semisimple=semisimple(A_nonzero),
-        nonzero_point_count=point_count(A_nonzero),
+        nonzero_semisimple=orbits["points"] == A_nonzero.dim,
+        nonzero_point_count=orbits["points"],
         orbit_count_by_length=orbits["k_len"],
         orbit_length_integral=orbits["k_len_integral"],
         orbit_count_by_points=orbits["k_pts"],

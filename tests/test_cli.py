@@ -155,6 +155,21 @@ def test_check_unknown_variety(capsys, tmp_path):
     assert "unknown variety" in err
 
 
+@pytest.mark.parametrize("variety, message", [
+    ("Y", "unknown variety"), ("P2", "Fano index mismatch")])
+def test_check_rejects_before_padding_to_fano_index(capsys, tmp_path,
+                                                    variety, message):
+    # the support is padded to the file's Fano index only after the
+    # variety and that index are checked against the registry
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "variety": variety, "fano_index": 10**12,
+        "starting_block": ["O"], "support": [1, 1]}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert message in err
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 1

@@ -1,10 +1,13 @@
 """Spectrum decomposition tests: splits, orbits, local data, reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+import qspectra.exactlin
+import qspectra.spectrum
 from qspectra.algebra import (
     PolyPresentation,
     from_presentation,
@@ -14,6 +17,7 @@ from qspectra.algebra import (
     qh_projective,
     validate_algebra,
 )
+from qspectra.cli import REGISTRY, RunReport
 from qspectra.exactlin import Matrix, charpoly, rank, split_at_zero, squarefree_part
 from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import (
@@ -24,7 +28,6 @@ from qspectra.spectrum import (
     orbit_analysis,
     point_count,
     quantum_spectrum_report,
-    semisimple,
 )
 
 
@@ -147,7 +150,7 @@ def test_idempotent_is_exact():
     # the embedded unit of the zero fiber, pushed back through mult by itself
     e0_sq = z.product(z.unit, z.unit)
     assert e0_sq == z.unit
-    assert semisimple(nz)
+    assert nilradical(nz) == []
 
 
 # --- orbit analysis --------------------------------------------------------
@@ -250,8 +253,8 @@ def test_semisimple_iff_squarefree_minimal_polynomials(make):
     # squarefree charpoly is too strong (the unit always has (x-1)^dim);
     # the right certificate is the squarefree part annihilating the operator
     A = make()
-    ss = semisimple(A)
-    assert ss == (len(nilradical(A)) == 0)
+    ss = nilradical(A) == []
+    assert ss == (point_count(A) == A.dim)
     diagonalizable = True
     for i in range(A.dim):
         M = mult_matrix(A, A.basis_vector(i))
@@ -307,3 +310,107 @@ def test_conjecture_consistency_ig(n):
     assert r.orbit_count_by_length == r.orbit_count_by_points == n - 1
     assert r.orbit_length_integral and r.orbit_points_integral
     assert r.nonzero_point_count == (n - 1) * (2 * n - 1)
+
+
+def test_report_computes_each_invariant_once(monkeypatch):
+    calls = {"charpoly": 0, "nilradical": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("charpoly", "nilradical"):
+        monkeypatch.setattr(qspectra.spectrum, name,
+                            counted(name, getattr(qspectra.spectrum, name)))
+    # one counter under both names, so a call through either counts once
+    rank_counter = counted("rank", qspectra.exactlin.rank)
+    monkeypatch.setattr(qspectra.exactlin, "rank", rank_counter)
+    monkeypatch.setattr(qspectra.spectrum, "rank", rank_counter,
+                        raising=False)
+    quantum_spectrum_report(qh_ig2(3))
+    # one charpoly per operator (the whole ring, then the invertible
+    # fiber) and one nilradical per fiber
+    assert calls == {"charpoly": 2, "nilradical": 2, "rank": 0}
+
+
+# sha256 of every registry report JSON, as written by `report --json`,
+# taken from the reference reports before the single-pass report
+REPORT_SHA256 = {
+    "P1":
+        "6c67a5b961bc93493f3bcddb07c16e52473c7dd6217b46a645d64e617b27e0e9",
+    "P2":
+        "e0f1a5d618a939d94221d95888ce55005c34ac17b9d29c622714f402fd60a7fa",
+    "P3":
+        "5ac0c60cc7433bdfba7b38824fcafae73ac66f36572d68464b8d0db583dd10cc",
+    "P4":
+        "ff5a96c0beb8d8b406379ba94fed9f139c1f100e9d211dedd53f6f95f633174d",
+    "P5":
+        "3f2742a313822c46dfaf42a09e0b3d794f714a774a38a3a66d63d0db70b85646",
+    "P6":
+        "2617da0e79722ff4517a2cebadbb27f89506be2f0232026d14aac9233503f9f3",
+    "P7":
+        "0f16293d735c5921440891406c9d8703de9fd025097c2ee2a5f8b491ba45f389",
+    "P8":
+        "2bf30a090ed5c2031c309bdd293a0a60034b5efae24d13fff7c6eaa2fd8130bd",
+    "P9":
+        "9d88a1f7bdaa0ada3c3c1fcb2e8524fbb1665fedd8e562961617f95c139e5e2b",
+    "P10":
+        "1507566afe9fd70b284c10001f162e474bfa0f146b0b59fcc21798fbbc66dad6",
+    "G(2,4)":
+        "75fbc4725f8c885ad0c079186e668683483c05f90ab4d7839a226b00e88362ea",
+    "G(2,5)":
+        "6e1dcd6dcd9bde0af84bafcb5a1f86fe346612672a943d631e8b25c0efc0f274",
+    "G(2,6)":
+        "3e04e9f5a87f9c1790f1db81a2eb85d20e8f3d5e0899c150ccfa7c6726213262",
+    "G(3,6)":
+        "6f50712da107b513d0eef13d7d12978270b8a65bfe76857d7f8b278135d54b6d",
+    "IG(2,4)":
+        "c7973e701203ecdc088deb02e662230678522f87ba6e26d2489ddd7d8a36e024",
+    "IG(2,6)":
+        "75aea42e34d76994bdbbb22c08db09b86419d621952e4ce9a6fe3e7e8e2b0af4",
+    "IG(2,8)":
+        "55c6d1a7c1efad6d77dbb55f439e50762ffd17f6a2006197eb6c3227de54e111",
+    "IG(2,10)":
+        "09225a50514363c31d8abe7aa482f403a692fb30c978a1d3274f8554cfe37017",
+    "A1":
+        "c4a03d92bc709aafbfd3978a33f400fc086280bbfe9f922a0be0c94737aace59",
+    "A2":
+        "acb1c71c331e729f4a4b4cdd9e1d5b52c9a71d9f0fae607720aeee8f263db883",
+    "A3":
+        "b7abccafd0afbd1f9a7a91a2682d2fa92fc94438e7e94041508b10925c74955b",
+    "A4":
+        "90b2ef51a7d9c06c91b8b1b69283debc7f77f72c888f25b328d100d593c4be72",
+    "A5":
+        "c4b191016e68326ba684a45f06aecc2bee4b43d58cac25f6abc3a5c375deae62",
+    "A6":
+        "53655c9512b07d7d2600165ecc159b5737b454407e759d7d9b6306e39e7e4cdb",
+    "A7":
+        "a7338dc02b1327f1523c4294940807774f5b6892624c44e6b225c87a7c8977a4",
+    "A8":
+        "b342385e05b63b04573fc4184c31a151e29498cf1db458be95bdba37d36e739e",
+    "D4":
+        "99e94a25b3ff7557c31155d4f795daea009cac9c66d350d22da01be495b85c22",
+    "D5":
+        "48cc8bc931e87b91e567b65568d470af42900d002b83ad2ff3be963e5d5f4959",
+    "D6":
+        "584db5b4419eca7c67316db0393fd6e9baf3a73890fae27151dea20f7d8198f2",
+    "E6":
+        "996e0fc7adf21572d1cb034da185a5b085d877acb753e632cc9687a4e1ddabf9",
+    "E7":
+        "5673a656e330d7603c037964ff37aca577ed697bd25f09ee18f45f21bbf6cc13",
+    "E8":
+        "1326355dd272082eab32ead1ca9de83579a5e0f7cf9613c3185ee4a2c585c18e",
+}
+
+
+def test_report_digests_cover_the_registry():
+    assert list(REPORT_SHA256) == list(REGISTRY)
+
+
+@pytest.mark.parametrize("vid", list(REGISTRY))
+def test_report_json_is_byte_stable(vid):
+    run = RunReport(spectrum=quantum_spectrum_report(REGISTRY[vid].provider()))
+    text = json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[vid]
