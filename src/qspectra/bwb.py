@@ -320,26 +320,15 @@ def parse_bundle(text, k, n):
     return expr
 
 
-def hom_bundle(E, F, k=None):
+def hom_bundle(E, F):
     """Decomposition of E* tensor F into irreducibles."""
     E._same_ambient(F)
-    if k is not None and k != E.k:
-        raise ValueError("mismatched ambient Grassmannian: k=%d vs %d"
-                         % (E.k, k))
     return E.dual().tensor(F)
 
 
-def ext_table(E, F, k=None, n=None):
-    """Ext table {i: dim} between E and F, summing the cohomology of
-    every summand of hom_bundle(E, F)."""
-    E._same_ambient(F)
-    if k is not None and k != E.k:
-        raise ValueError("mismatched ambient Grassmannian: k=%d vs %d"
-                         % (E.k, k))
-    if n is not None and n != E.n:
-        raise ValueError("mismatched ambient Grassmannian: n=%d vs %d"
-                         % (E.n, n))
-    H = hom_bundle(E, F)
+def _cohomology(H):
+    """Cohomology table {i: dim} of a formal sum of irreducible bundles,
+    summing the Bott table of every summand."""
     top = H.k * (H.n - H.k)
     table = {}
     for (lam, mu), mult in H.terms.items():
@@ -349,41 +338,41 @@ def ext_table(E, F, k=None, n=None):
     return table
 
 
+def ext_table(E, F):
+    """Ext table {i: dim} between E and F: the cohomology of
+    hom_bundle(E, F)."""
+    return _cohomology(hom_bundle(E, F))
+
+
 def euler_char(table):
     return sum(d if deg % 2 == 0 else -d for deg, d in table.items())
 
 
-def _grassmannian_of(variety):
-    m = re.fullmatch(r"P(\d+)", variety)
-    if m:
-        return 1, int(m.group(1)) + 1
-    m = re.fullmatch(r"G\((\d+),(\d+)\)", variety)
-    if m:
-        return int(m.group(1)), int(m.group(2))
-    raise ValueError("no cohomology backend for variety %r" % (variety,))
+_AMBIENT = re.compile(r"P(\d+)|G\((\d+),(\d+)\)|IG\(2,(\d+)\)")
 
 
-def _isotropic_of(variety):
-    m = re.fullmatch(r"IG\(2,(\d+)\)", variety)
-    if m and int(m.group(1)) % 2 == 0 and int(m.group(1)) >= 4:
-        return int(m.group(1)) // 2
-    raise ValueError("no hyperplane-section backend for variety %r"
-                     % (variety,))
+def _ambient(variety):
+    """(backend, k, n) for a variety id: ("grassmannian", k, n) for G(k,n)
+    and Pn = G(1,n+1), ("hyperplane", 2, 2n) for IG(2,2n) with n >= 2,
+    which sits in G(2,2n); None when no backend covers the id."""
+    m = _AMBIENT.fullmatch(variety)
+    if m is None:
+        return None
+    p, k, n, isotropic = m.groups()
+    if p is not None:
+        return "grassmannian", 1, int(p) + 1
+    if k is not None:
+        return "grassmannian", int(k), int(n)
+    if int(isotropic) % 2 == 0 and int(isotropic) >= 4:
+        return "hyperplane", 2, int(isotropic)
+    return None
 
 
 def collection_backend(variety):
     """Which Ext backend covers a variety id: "grassmannian" for G(k,n)
     and Pn, "hyperplane" for IG(2,2n), None otherwise."""
-    try:
-        _grassmannian_of(variety)
-        return "grassmannian"
-    except ValueError:
-        pass
-    try:
-        _isotropic_of(variety)
-        return "hyperplane"
-    except ValueError:
-        return None
+    found = _ambient(variety)
+    return None if found is None else found[0]
 
 
 class CollectionVerdict:
@@ -417,51 +406,62 @@ class CollectionVerdict:
         return "CollectionVerdict(%r, %s)" % (self.variety, state)
 
 
-def _object_labels(c):
-    return ["%s (%d)" % (desc, t) if t else desc
-            for desc, t in twisted_objects(c)]
+_NO_BACKEND = {"grassmannian": "no cohomology backend for variety %r",
+               "hyperplane": "no hyperplane-section backend for variety %r"}
+
+
+def _check(c, backend, ext):
+    """The pair loop of both routes.  ext(E, F) returns (table, ambient),
+    table None when the route cannot decide the pair.  Every object must
+    have table {0: 1} and every strictly-later-to-earlier table must be
+    empty; undecided pairs are recorded with their ambient data."""
+    found = _ambient(c.variety)
+    if found is None or found[0] != backend:
+        raise ValueError(_NO_BACKEND[backend] % (c.variety,))
+    _, k, n = found
+    objects = twisted_objects(c)
+    exprs = [parse_bundle(desc, k, n).twist(t) for desc, t in objects]
+    labels = ["%s (%d)" % (desc, t) if t else desc for desc, t in objects]
+    pairs = [({"kind": "exceptional", "object": labels[a]}, E, E, {0: 1})
+             for a, E in enumerate(exprs)]
+    pairs += [({"kind": "semiorthogonal", "source": labels[b],
+                "target": labels[a]}, exprs[b], exprs[a], {})
+              for b in range(len(exprs)) for a in range(b)]
+    failures = []
+    inconclusive = []
+    for record, E, F, want in pairs:
+        table, ambient = ext(E, F)
+        if table is None:
+            inconclusive.append(dict(record, ambient=ambient))
+        elif table != want:
+            failures.append(dict(record, table=table))
+    return CollectionVerdict(c.variety, labels, failures, inconclusive)
 
 
 def check_collection(c):
     """Exceptionality of a collection on a Grassmannian or projective
-    space: every object must have ext table {0: 1} and every
-    strictly-later-to-earlier table must be empty."""
-    k, n = _grassmannian_of(c.variety)
-    exprs = [parse_bundle(desc, k, n).twist(t)
-             for desc, t in twisted_objects(c)]
-    labels = _object_labels(c)
-    failures = []
-    for a, E in enumerate(exprs):
-        t = ext_table(E, E)
-        if t != {0: 1}:
-            failures.append({"kind": "exceptional", "object": labels[a],
-                             "table": t})
-    for b in range(len(exprs)):
-        for a in range(b):
-            t = ext_table(exprs[b], exprs[a])
-            if t:
-                failures.append({"kind": "semiorthogonal",
-                                 "source": labels[b], "target": labels[a],
-                                 "table": t})
-    return CollectionVerdict(c.variety, labels, failures)
+    space, from the Ext tables on the variety itself; no pair is left
+    undecided."""
+    return _check(c, "grassmannian", lambda E, F: (ext_table(E, F), None))
 
 
-def ext_hyperplane(E, F, n=None):
+def ext_hyperplane(E, F):
     """Ext between restrictions to the isotropic Grassmannian inside
     G(2,2n), by the hyperplane-section long exact sequence.
 
     With T0 = ext(E,F) and T1 = ext(E,F(-1)) on the ambient space, the
     restricted Ext in degree i is T0[i] + T1[i+1] whenever no degree
     carries both tables at once; any overlap leaves a connecting map
-    undetermined and the verdict is inconclusive.
+    undetermined and the verdict is inconclusive.  Both tables come from
+    one decomposition of Hom(E, F).
     """
     E._same_ambient(F)
     if E.k != 2 or E.n % 2 != 0 or E.n < 4:
         raise ValueError("hyperplane reduction needs ambient G(2,2n)")
-    if n is not None and E.n != 2 * n:
-        raise ValueError("ambient G(2,%d) does not match n=%r" % (E.n, n))
-    t0 = ext_table(E, F)
-    t1 = ext_table(E, F.twist(-1))
+    H = hom_bundle(E, F)
+    t0 = _cohomology(H)
+    # Hom(E, F(-1)) = Hom(E, F)(-1): tensor commutes with det twists
+    t1 = _cohomology(H.twist(-1))
     overlap = sorted(set(t0) & set(t1))
     if overlap:
         return {"verdict": "inconclusive", "table": None,
@@ -480,32 +480,10 @@ def ext_hyperplane(E, F, n=None):
 
 
 def check_collection_hyperplane(c):
-    """Exceptionality of a collection on IG(2,2n) via the ambient
-    G(2,2n) tables; undetermined pairs are reported, never passed."""
-    n = _isotropic_of(c.variety)
-    exprs = [parse_bundle(desc, 2, 2 * n).twist(t)
-             for desc, t in twisted_objects(c)]
-    labels = _object_labels(c)
-    failures = []
-    inconclusive = []
-    for a, E in enumerate(exprs):
-        r = ext_hyperplane(E, E)
-        if r["verdict"] == "inconclusive":
-            inconclusive.append({"kind": "exceptional", "object": labels[a],
-                                 "ambient": r["ambient"]})
-        elif r["table"] != {0: 1}:
-            failures.append({"kind": "exceptional", "object": labels[a],
-                             "table": r["table"]})
-    for b in range(len(exprs)):
-        for a in range(b):
-            r = ext_hyperplane(exprs[b], exprs[a])
-            if r["verdict"] == "inconclusive":
-                inconclusive.append({"kind": "semiorthogonal",
-                                     "source": labels[b],
-                                     "target": labels[a],
-                                     "ambient": r["ambient"]})
-            elif r["verdict"] != "vanishes":
-                failures.append({"kind": "semiorthogonal",
-                                 "source": labels[b], "target": labels[a],
-                                 "table": r["table"]})
-    return CollectionVerdict(c.variety, labels, failures, inconclusive)
+    """Exceptionality of a collection on IG(2,2n), from ext_hyperplane
+    on the ambient G(2,2n); a pair whose connecting map the tables leave
+    open is reported as inconclusive, never passed."""
+    def ext(E, F):
+        r = ext_hyperplane(E, F)
+        return r["table"], r["ambient"]
+    return _check(c, "hyperplane", ext)

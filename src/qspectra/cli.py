@@ -56,25 +56,19 @@ REGISTRY = _build_registry()
 
 
 class RunReport:
-    """Everything one command run produced: the spectrum report plus
-    optional numerology and exceptionality verdicts, and tool metadata."""
+    """What ``report --json`` writes: the spectrum report and tool
+    metadata."""
 
-    __slots__ = ("spectrum", "numerology", "bwb", "meta")
+    __slots__ = ("spectrum", "meta")
 
-    def __init__(self, spectrum=None, numerology=None, bwb=None):
+    def __init__(self, spectrum=None):
         self.spectrum = spectrum
-        self.numerology = numerology
-        self.bwb = bwb
         self.meta = {"tool": "qspectra", "version": __version__}
 
     def to_dict(self):
         out = {"meta": dict(self.meta)}
         if self.spectrum is not None:
             out["spectrum"] = self.spectrum.to_dict()
-        if self.numerology is not None:
-            out["numerology"] = self.numerology.to_dict()
-        if self.bwb is not None:
-            out["bwb"] = self.bwb.to_dict()
         return out
 
 
@@ -207,17 +201,14 @@ def cmd_check(args):
     # shape disagreement is information about the collection, not an
     # error: a full collection need not be of the conjectured shape
     code = 0
-    bwb_verdict = None
     if args.bwb:
         backend = collection_backend(coll.variety)
         if backend is None:
             print("warning: no cohomology backend for %r; numerology only"
                   % coll.variety, file=sys.stderr)
         else:
-            if backend == "grassmannian":
-                bwb_verdict = check_collection(coll)
-            else:
-                bwb_verdict = check_collection_hyperplane(coll)
+            bwb_verdict = (check_collection if backend == "grassmannian"
+                           else check_collection_hyperplane)(coll)
             for line in _bwb_lines(bwb_verdict, backend):
                 print(line)
             if not bwb_verdict.ok:

@@ -32,11 +32,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, u):
-    c = _q(c)
-    return tuple(c * a for a in u)
-
-
 def zero_vec(n):
     return (_ZERO,) * n
 
@@ -128,20 +123,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, e):
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            raise ValueError("negative power")
-        result = Matrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def apply(self, v):
         """Matrix times column vector, as a tuple."""

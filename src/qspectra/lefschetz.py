@@ -88,17 +88,6 @@ class NumerologyVerdict:
     def ok(self):
         return all(c["ok"] for c in self.checks.values())
 
-    def to_dict(self):
-        return {
-            "variety": self.variety,
-            "total_length": self.total_length,
-            "rect_length": self.rect_length,
-            "residual_expected": self.residual_expected,
-            "k_required": self.k_required,
-            "checks": self.checks,
-            "ok": self.ok,
-        }
-
     def __repr__(self):
         state = "ok" if self.ok else "FAIL"
         return "NumerologyVerdict(%r, %s)" % (self.variety, state)

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           check_collection, check_collection_hyperplane,
-                          ext_hyperplane, ext_table, euler_char, hom_bundle,
-                          parse_bundle, weyl_dim)
+                          collection_backend, ext_hyperplane, ext_table,
+                          euler_char, hom_bundle, parse_bundle, weyl_dim)
 from qspectra.lefschetz import LefschetzCollection, builtin_collection
 from qspectra.schur import Partition
 
@@ -133,7 +133,7 @@ def test_mismatched_ambient_rejected():
     with pytest.raises(ValueError, match="mismatched ambient"):
         O(2, 4).tensor(O(2, 5))
     with pytest.raises(ValueError, match="mismatched ambient"):
-        ext_table(O(2, 4), O(2, 4), k=2, n=5)
+        ext_table(O(2, 4), O(2, 5))
 
 
 def test_multiplicities_positive():
@@ -247,7 +247,7 @@ def test_hom_into_hyperplane_bundle():
 
 def test_endomorphisms_of_standard_dual():
     U = parse_bundle("U*", 2, 4)
-    H = hom_bundle(U, U, k=2)
+    H = hom_bundle(U, U)
     assert H.terms == {((0, 0), (0, 0)): 1, ((1, -1), (0, 0)): 1}
 
 
@@ -374,6 +374,42 @@ def test_decomposable_object_fails_exceptionality():
     assert any(f["kind"] == "exceptional" for f in v.failures)
 
 
+def test_grassmannian_verdict_is_pinned():
+    # the records, their list order and their key order are the output
+    # format of check --bwb and of CollectionVerdict.to_dict
+    c = LefschetzCollection("G(2,4)", ("O", "U* * U*", "O"), (3, 1),
+                            fano_index=4)
+    d = check_collection(c).to_dict()
+    assert d == {
+        "variety": "G(2,4)",
+        "objects": ["O", "U* * U*", "O", "O (1)"],
+        "failures": [
+            {"kind": "exceptional", "object": "U* * U*", "table": {0: 2}},
+            {"kind": "semiorthogonal", "source": "O", "target": "O",
+             "table": {0: 1}},
+            {"kind": "semiorthogonal", "source": "O", "target": "U* * U*",
+             "table": {0: 16}},
+            {"kind": "semiorthogonal", "source": "O (1)",
+             "target": "U* * U*", "table": {0: 1}},
+        ],
+        "inconclusive": [],
+        "ok": False,
+    }
+    assert [list(f) for f in d["failures"]] == [
+        ["kind", "object", "table"]] + [
+        ["kind", "source", "target", "table"]] * 3
+
+
+@pytest.mark.parametrize("variety,backend", [
+    ("P1", "grassmannian"), ("P10", "grassmannian"),
+    ("G(2,4)", "grassmannian"), ("G(3,7)", "grassmannian"),
+    ("IG(2,4)", "hyperplane"), ("IG(2,10)", "hyperplane"),
+    ("IG(2,5)", None), ("IG(2,2)", None), ("IG(3,6)", None),
+    ("A3", None), ("P", None), ("G(2,4) ", None)])
+def test_collection_backend(variety, backend):
+    assert collection_backend(variety) == backend
+
+
 def test_unsupported_variety():
     c = builtin_collection("kuznetsov_ig2", 3)
     with pytest.raises(ValueError, match="no cohomology backend"):
@@ -383,7 +419,7 @@ def test_unsupported_variety():
 # --- hyperplane restriction ---------------------------------------------
 
 def test_restricted_structure_sheaf():
-    r = ext_hyperplane(O(2, 6), O(2, 6), n=3)
+    r = ext_hyperplane(O(2, 6), O(2, 6))
     assert r["verdict"] == "dims"
     assert r["table"] == {0: 1}
     assert r["ambient"]["hom_twisted"] == {}
@@ -409,8 +445,6 @@ def test_inconclusive_pair_is_reported():
 def test_hyperplane_needs_even_ambient():
     with pytest.raises(ValueError, match="ambient G\\(2,2n\\)"):
         ext_hyperplane(O(2, 5), O(2, 5))
-    with pytest.raises(ValueError, match="ambient G\\(3,6\\)|does not match"):
-        ext_hyperplane(O(2, 6), O(2, 6), n=4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -418,6 +452,43 @@ def test_isotropic_collections_conclusive_and_pass(n):
     v = check_collection_hyperplane(builtin_collection("kuznetsov_ig2", n))
     assert v.ok
     assert not v.inconclusive
+
+
+def test_hyperplane_verdict_is_pinned():
+    # the records, their list order and their key order are the output
+    # format of check --bwb and of CollectionVerdict.to_dict
+    c = LefschetzCollection("IG(2,4)", ("O(2)", "O(-2)", "O(2)"), (3,),
+                            fano_index=3)
+    d = check_collection_hyperplane(c).to_dict()
+    assert d == {
+        "variety": "IG(2,4)",
+        "objects": ["O(2)", "O(-2)", "O(2)"],
+        "failures": [
+            {"kind": "semiorthogonal", "source": "O(2)", "target": "O(2)",
+             "table": {0: 1}},
+        ],
+        "inconclusive": [
+            {"kind": "semiorthogonal", "source": "O(-2)", "target": "O(2)",
+             "ambient": {"hom": {0: 105}, "hom_twisted": {0: 50}}},
+            {"kind": "semiorthogonal", "source": "O(2)", "target": "O(-2)",
+             "ambient": {"hom": {4: 1}, "hom_twisted": {4: 6}}},
+        ],
+        "ok": False,
+    }
+    assert list(d["failures"][0]) == ["kind", "source", "target", "table"]
+    assert [list(f) for f in d["inconclusive"]] == [
+        ["kind", "source", "target", "ambient"]] * 2
+
+
+@given(st.sampled_from([(2, 4), (2, 6)]), st.data())
+def test_hyperplane_ambient_tables_match_two_ext_tables(kn, data):
+    # ext_hyperplane twists one hom decomposition instead of decomposing
+    # Hom(E, F(-1)) again
+    k, n = kn
+    E = _small_expr(data, k, n)
+    F = _small_expr(data, k, n)
+    assert ext_hyperplane(E, F)["ambient"] == {
+        "hom": ext_table(E, F), "hom_twisted": ext_table(E, F.twist(-1))}
 
 
 def test_hyperplane_backend_rejects_plain_grassmannian():

@@ -247,6 +247,14 @@ def test_selftest_filter_runs_subset(capsys):
     assert "selftest: 1 passed, 0 failed" in out
 
 
+def test_selftest_runs_every_row(capsys):
+    # the whole cross-validation suite, including the bwb rows that run
+    # Kuznetsov's IG(2,6) collection through the hyperplane checker
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert "selftest: 10 passed, 0 failed" in out
+
+
 def test_selftest_unknown_filter(capsys):
     code, _, err = run(capsys, "selftest", "--filter", "nosuchmodule")
     assert code == 1
