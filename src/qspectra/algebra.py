@@ -11,6 +11,7 @@ serialisation of the structure tensor.
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactlin import Matrix, _q
 
@@ -108,34 +109,57 @@ class ValidationReport:
         return "ValidationReport(%d violations)" % len(self.violations)
 
 
+def _common_denominator(values):
+    d = 1
+    for c in values:
+        if c.denominator != 1:
+            d = lcm(d, c.denominator)
+    return d
+
+
 def validate_algebra(A):
     """Check commutativity, unit, associativity and the cyclic grading.
 
     Returns a report listing every violated invariant; empty means valid.
+
+    The sweeps run over the integers.  With D the least common denominator
+    of the structure constants, D * c is an integer for every constant c,
+    and scaling by D changes no zero pattern, so commutativity, grading and
+    the unit identity read the same on the scaled table (the unit vector is
+    cleared by its own denominator E, and b_i must come back as D * E * b_i).
+    Both sides of an associativity test are products of two structure
+    constants, so both scale by D^2 and one side equals the other exactly
+    when it does before scaling.
     """
     out = []
     m = A.fano_index
     n = A.dim
-    # sparse rows keep the associativity sweep near-linear in practice
-    sparse = [[tuple((k, c) for k, c in enumerate(A.structure[i][j]) if c != 0)
-               for j in range(n)] for i in range(n)]
+    D = _common_denominator(c for row in A.structure for cell in row
+                            for c in cell)
+    # sparse integer rows keep the associativity sweep near-linear in
+    # practice
+    sparse = [[tuple((k, c.numerator * (D // c.denominator))
+                     for k, c in enumerate(cell) if c)
+               for cell in row] for row in A.structure]
 
     for i in range(n):
         for j in range(i, n):
-            if A.structure[i][j] != A.structure[j][i]:
+            if sparse[i][j] != sparse[j][i]:
                 out.append("commutativity fails at (%d, %d)" % (i, j))
-
-    for i in range(n):
-        ui = A.product(A.unit, A.basis_vector(i))
-        if ui != A.basis_vector(i):
-            out.append("unit fails on basis element %d" % i)
 
     def right_mult(vec_sparse, l):
         acc = {}
         for k, c in vec_sparse:
             for t, s in sparse[k][l]:
-                acc[t] = acc.get(t, _ZERO) + c * s
-        return {t: c for t, c in acc.items() if c != 0}
+                acc[t] = acc.get(t, 0) + c * s
+        return {t: c for t, c in acc.items() if c}
+
+    E = _common_denominator(A.unit)
+    unit = [(l, c.numerator * (E // c.denominator))
+            for l, c in enumerate(A.unit) if c]
+    for i in range(n):
+        if right_mult(unit, i) != {i: D * E}:
+            out.append("unit fails on basis element %d" % i)
 
     for i in range(n):
         for j in range(i, n):
@@ -149,8 +173,8 @@ def validate_algebra(A):
     for i in range(n):
         for j in range(i, n):
             want = (A.degrees[i] + A.degrees[j]) % m
-            for k, c in enumerate(A.structure[i][j]):
-                if c != 0 and A.degrees[k] != want:
+            for k, _c in sparse[i][j]:
+                if A.degrees[k] != want:
                     out.append(
                         "grading fails: b%d*b%d hits b%d (degree %d, want %d)"
                         % (i, j, k, A.degrees[k], want))

@@ -58,6 +58,10 @@ def point_count(A):
     return A.dim - len(nilradical(A))
 
 
+def _kappa_charpoly(A):
+    return charpoly(mult_matrix(A, A.anticanonical))
+
+
 def _empty_part(A, name):
     return FiniteCommAlgebra(
         name=name, basis_labels=(), structure=(), unit=(), degrees=(),
@@ -103,11 +107,12 @@ def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
     )
 
 
-def kappa_split(A):
+def kappa_split(A, p=None):
     """Split A into the fiber over kappa = 0 and its invertible complement.
 
-    Returns (A_zero, A_nonzero).  The characteristic polynomial of the
-    anticanonical operator M factors as x^a * g with g(0) != 0, and the
+    Returns (A_zero, A_nonzero); p, if the caller already has it, is the
+    characteristic polynomial of the anticanonical operator M on A, and is
+    computed here otherwise.  It factors as x^a * g with g(0) != 0, and the
     Bezout identity u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent
     projecting onto ker M^a along the invertible part.  Since A is
     commutative, (v g)(M) is multiplication by e0, so e0 comes from Horner
@@ -116,7 +121,9 @@ def kappa_split(A):
     back with induced structure constants on degree-homogeneous bases, so
     they are valid graded algebras in their own right.
     """
-    a, g = split_at_zero(charpoly(mult_matrix(A, A.anticanonical)))
+    if p is None:
+        p = _kappa_charpoly(A)
+    a, g = split_at_zero(p)
     if a == 0:
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:
@@ -159,20 +166,22 @@ def kappa_split(A):
     return A_zero, A_nonzero
 
 
-def orbit_analysis(A_nonzero, m):
+def orbit_analysis(A_nonzero, m, g=None):
     """Orbit counts for the root-of-unity action on the invertible fiber.
 
     k_len divides the vector-space length, k_pts the geometric points;
     rotation_ok certifies eigenvalue invariance under multiplication by a
-    primitive m-th root via the support of the characteristic polynomial,
-    which comes back as "charpoly" next to the point count "points".
+    primitive m-th root via the support of the characteristic polynomial
+    g of kappa on the fiber (computed unless given), which comes back as
+    "charpoly" next to the point count "points".
     """
     if m <= 0:
         raise ValueError("m must be positive")
     points = point_count(A_nonzero)
     k_len = Fraction(A_nonzero.dim, m)
     k_pts = Fraction(points, m)
-    g = charpoly(mult_matrix(A_nonzero, A_nonzero.anticanonical))
+    if g is None:
+        g = _kappa_charpoly(A_nonzero)
     rotation_ok = all((g.degree - i) % m == 0
                       for i, c in enumerate(g.coeffs) if c != 0)
     return {
@@ -280,13 +289,13 @@ class SpectrumReport:
 
 def quantum_spectrum_report(A):
     """Compose the split, orbit, and local analyses into one report."""
-    A_zero, A_nonzero = kappa_split(A)
+    p = _kappa_charpoly(A)
+    A_zero, A_nonzero = kappa_split(A, p)
     if A_zero.dim + A_nonzero.dim != A.dim:
         raise AssertionError("fiber dimensions do not sum to the total")
-    orbits = orbit_analysis(A_nonzero, A.fano_index)
-    # A = A_zero x A_nonzero and kappa is nilpotent on A_zero, so the
-    # charpoly of kappa on A is x^dim(A_zero) times its charpoly on A_nonzero
-    p = Poly.x_power(A_zero.dim) * orbits["charpoly"]
+    # with an empty zero fiber the invertible fiber is A itself
+    orbits = orbit_analysis(A_nonzero, A.fano_index,
+                            p if A_zero.dim == 0 else None)
     local = local_invariants(A_zero)
     if sum(local["hilbert_function"]) != A_zero.dim:
         raise AssertionError("Hilbert function does not sum to the fiber "

@@ -188,7 +188,10 @@ def test_criterion_7_property_suites():
         p = charpoly(M)
         a, g = split_at_zero(p)
         _u, v = bezout_coprime(Poly.x_power(a), g)
-        e0 = (v * g)(M).apply(A.unit)
+        # Horner on the unit vector: e0 = (v g)(M) 1
+        e0 = (Fraction(0),) * A.dim
+        for c in reversed((v * g).coeffs):
+            e0 = tuple(x + c * y for x, y in zip(M.apply(e0), A.unit))
         assert A.product(e0, e0) == e0, desc.id
         kappa_split(A)
     _announce(7, "Cayley-Hamilton, structure-constant nonnegativity, "

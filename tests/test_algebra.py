@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qspectra.algebra import (
     jacobi_ring,
     load_algebra,
     mult_matrix,
+    qh_ig2,
     qh_projective,
     save_algebra,
     validate_algebra,
@@ -50,11 +52,13 @@ def test_projective_validates():
 
 # ---------------------------------------------------------------- validation
 
-def _perturbed_projective():
-    A = qh_projective(2)
+def _perturbed(A, i, j, k, delta):
+    """A with the structure constant of b_k in b_i*b_j (and b_j*b_i)
+    shifted by delta."""
     structure = [[list(cell) for cell in row] for row in A.structure]
-    structure[1][1][0] += 1
-    structure[1][1] = tuple(structure[1][1])
+    structure[i][j][k] += delta
+    if i != j:
+        structure[j][i][k] += delta
     return FiniteCommAlgebra(
         name=A.name, basis_labels=A.basis_labels, structure=structure,
         unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
@@ -62,10 +66,43 @@ def _perturbed_projective():
 
 
 def test_validation_catches_perturbation():
-    report = validate_algebra(_perturbed_projective())
+    report = validate_algebra(_perturbed(qh_projective(2), 1, 1, 0, 1))
     assert not report.ok
     assert any("associativity" in v for v in report.violations)
     assert any("grading" in v for v in report.violations)
+
+
+# sha256 of repr() of the list of violation tuples, one per perturbation
+# (i <= j, then k, ascending), as the Fraction sweep gave them
+D5_SWEEP_SHA256 = \
+    "7c61ec024eed2827e3eb20b2dd9370f60ba2b9e944967a8785eb012d8da04f20"
+
+
+def test_validation_of_perturbed_d5_is_pinned():
+    # D5 has a constant -1/4, and +1/3 makes denominators 12
+    A = jacobi_ring("D5")
+    found = [validate_algebra(_perturbed(A, i, j, k, F(1, 3))).violations
+             for i in range(A.dim) for j in range(i, A.dim)
+             for k in range(A.dim)]
+    assert (len(found), sum(1 for v in found if v)) == (75, 69)
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == D5_SWEEP_SHA256
+    assert validate_algebra(_perturbed(A, 0, 3, 2, F(1, 3))).violations == (
+        "unit fails on basis element 3",
+        "associativity fails at (0, 0, 3)",
+        "associativity fails at (0, 1, 1)",
+        "associativity fails at (0, 2, 3)",
+        "associativity fails at (0, 2, 4)",
+        "associativity fails at (0, 3, 4)",
+    )
+
+
+def test_validation_catches_integral_associativity_failure():
+    # c2 * c2 in IG(2,8) picks up one more c2^2; the grading still holds
+    A = _perturbed(qh_ig2(4), 2, 2, 6, 1)
+    assert A.basis_labels[2] == "c2" and A.basis_labels[6] == "c2^2"
+    assert validate_algebra(A).violations == (
+        ("associativity fails at (1, 2, 2)",)
+        + tuple("associativity fails at (2, 2, %d)" % l for l in range(3, 24)))
 
 
 def test_validation_catches_asymmetry():

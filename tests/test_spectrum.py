@@ -312,7 +312,7 @@ def test_conjecture_consistency_ig(n):
     assert r.nonzero_point_count == (n - 1) * (2 * n - 1)
 
 
-def test_report_computes_each_invariant_once(monkeypatch):
+def _invariant_calls(monkeypatch, A):
     calls = {"charpoly": 0, "nilradical": 0, "rank": 0}
 
     def counted(name, fn):
@@ -329,10 +329,22 @@ def test_report_computes_each_invariant_once(monkeypatch):
     monkeypatch.setattr(qspectra.exactlin, "rank", rank_counter)
     monkeypatch.setattr(qspectra.spectrum, "rank", rank_counter,
                         raising=False)
-    quantum_spectrum_report(qh_ig2(3))
+    quantum_spectrum_report(A)
+    return calls
+
+
+def test_report_computes_each_invariant_once(monkeypatch):
+    calls = _invariant_calls(monkeypatch, qh_ig2(3))
     # one charpoly per operator (the whole ring, then the invertible
     # fiber) and one nilradical per fiber
     assert calls == {"charpoly": 2, "nilradical": 2, "rank": 0}
+
+
+def test_report_with_empty_zero_fiber_reuses_the_charpoly(monkeypatch):
+    calls = _invariant_calls(monkeypatch, qh_projective(3))
+    # the invertible fiber is the whole ring, so its charpoly is the ring's,
+    # and the empty zero fiber has no nilradical to compute
+    assert calls == {"charpoly": 1, "nilradical": 1, "rank": 0}
 
 
 # sha256 of every registry report JSON, as written by `report --json`,
