@@ -310,7 +310,15 @@ def _groebner(relations, key):
 
 
 def from_presentation(P):
-    """Quotient by the relation ideal, with basis the standard monomials."""
+    """Quotient by the relation ideal, with basis the standard monomials.
+
+    Only products x * b_j of a variable with a basis monomial are reduced
+    to normal form, which gives each variable's multiplication operator.
+    The standard monomials form an order ideal, so every basis monomial
+    but 1 is x * b_i' for a variable x and a basis monomial b_i' of lower
+    weight; the row of b_i is x's operator applied to the row of b_i', and
+    the upper triangle fills in basis order.
+    """
     nv = len(P.variables)
     weights = tuple(d for _, d in P.variables)
     key = _order_key(weights)
@@ -342,20 +350,47 @@ def from_presentation(P):
     if not basis:
         raise ValueError("presentation collapses to the zero ring")
     index = {e: i for i, e in enumerate(basis)}
+    d = len(basis)
 
-    def to_vector(poly):
-        v = [_ZERO] * len(basis)
-        for e, c in _nf(poly, G, key).items():
-            v[index[e]] += c
+    def reduce(poly):
+        return {index[e]: c for e, c in _nf(poly, G, key).items()}
+
+    def dense(sparse):
+        v = [_ZERO] * d
+        for k, c in sparse.items():
+            v[k] = c
         return tuple(v)
 
-    structure = [[None] * len(basis) for _ in range(len(basis))]
-    for i, ei in enumerate(basis):
-        for j in range(i, len(basis)):
-            prod = {tuple(a + b for a, b in zip(ei, basis[j])): _ONE}
-            vecij = to_vector(prod)
-            structure[i][j] = vecij
-            structure[j][i] = vecij
+    def shift(e, t, by):
+        return e[:t] + (e[t] + by,) + e[t + 1:]
+
+    def column(mono):
+        # a product that is itself standard needs no reduction
+        if mono in index:
+            return ((index[mono], _ONE),)
+        return tuple(reduce({mono: _ONE}).items())
+
+    # ops[t][j]: normal form of x_t * b_j as (index, coefficient) pairs
+    ops = [[column(shift(e, t, 1)) for e in basis] for t in range(nv)]
+
+    # rows[i][j] is b_i * b_j as a sparse map; b_0 = 1 and b_i' precedes
+    # b_i, so its row is filled from the diagonal of b_i onwards
+    rows = [[{j: _ONE} for j in range(d)]]
+    structure = [[dense(cell) for cell in rows[0]]]
+    for i in range(1, d):
+        t = next(t for t, x in enumerate(basis[i]) if x)
+        src = rows[index[shift(basis[i], t, -1)]]
+        op = ops[t]
+        row = [None] * d
+        for j in range(i, d):
+            acc = {}
+            for k, c in src[j].items():
+                for l, s in op[k]:
+                    acc[l] = acc.get(l, _ZERO) + c * s
+            row[j] = {l: c for l, c in acc.items() if c}
+        rows.append(row)
+        structure.append([structure[j][i] if j < i else dense(row[j])
+                          for j in range(d)])
 
     names = [v for v, _ in P.variables]
 
@@ -370,14 +405,13 @@ def from_presentation(P):
 
     m = P.fano_index
     degrees = [sum(w * x for w, x in zip(weights, e)) % m for e in basis]
-    anticanonical = to_vector(
-        {tuple(int(x) for x in e): _q(c) for e, c in P.anticanonical.items()}) \
-        if P.anticanonical else (_ZERO,) * len(basis)
+    anticanonical = dense(reduce(
+        {tuple(int(x) for x in e): _q(c) for e, c in P.anticanonical.items()}))
     return FiniteCommAlgebra(
         name=P.name,
         basis_labels=[label(e) for e in basis],
         structure=structure,
-        unit=to_vector({(0,) * nv: _ONE}),
+        unit=dense({0: _ONE}),
         degrees=degrees,
         fano_index=m,
         anticanonical=anticanonical,
@@ -449,22 +483,26 @@ def _ig2_relations(n):
     return prev, top
 
 
-@lru_cache(maxsize=None)
-def qh_ig2(n):
-    """Quantum cohomology of the isotropic Grassmannian IG(2,2n) at q = 1.
-
-    Eliminates the two-relation presentation in c1, c2.
-    """
+def _ig2_presentation(n):
     if n < 2:
         raise ValueError("n must be at least 2")
-    A = from_presentation(PolyPresentation(
+    return PolyPresentation(
         name="IG(2,%d)" % (2 * n),
         variables=(("c1", 1), ("c2", 2)),
         relations=_ig2_relations(n),
         fano_index=2 * n - 1,
         anticanonical={(1, 0): 2 * n - 1},
         dim_X=4 * n - 5,
-    ))
+    )
+
+
+@lru_cache(maxsize=None)
+def qh_ig2(n):
+    """Quantum cohomology of the isotropic Grassmannian IG(2,2n) at q = 1.
+
+    Eliminates the two-relation presentation in c1, c2.
+    """
+    A = from_presentation(_ig2_presentation(n))
     if A.dim != 2 * n * (n - 1):
         raise AssertionError("dimension mismatch for IG(2,%d): got %d"
                              % (2 * n, A.dim))
@@ -483,13 +521,7 @@ _JACOBI_POTENTIALS = {
 }
 
 
-def jacobi_ring(label):
-    """Milnor algebra of the plane singularity named by an ADE label.
-
-    Accepts 'A1', 'A2', ..., 'D4', 'D5', ..., 'E6', 'E7', 'E8'.  The result
-    is local of dimension equal to the rank, graded trivially (index 1, no
-    anticanonical direction): its spectrum is a single fat point at the origin.
-    """
+def _jacobi_presentation(label):
     label = str(label).strip()
     letter, rank = label[:1], label[1:]
     if letter not in "ADE" or not rank.isdigit():
@@ -505,16 +537,29 @@ def jacobi_ring(label):
         raise ValueError("unsupported singularity type %r" % (label,))
     fx = {(a - 1, b): a * _q(c) for (a, b), c in f.items() if a > 0}
     fy = {(a, b - 1): b * _q(c) for (a, b), c in f.items() if b > 0}
-    A = from_presentation(PolyPresentation(
+    return PolyPresentation(
         name=label,
         variables=(("x", 1), ("y", 1)),
         relations=(fx, fy),
         fano_index=1,
         anticanonical=None,
         dim_X=0,
-    ))
+    )
+
+
+def jacobi_ring(label):
+    """Milnor algebra of the plane singularity named by an ADE label.
+
+    Accepts 'A1', 'A2', ..., 'D4', 'D5', ..., 'E6', 'E7', 'E8'.  The result
+    is local of dimension equal to the rank, graded trivially (index 1, no
+    anticanonical direction): its spectrum is a single fat point at the origin.
+    """
+    P = _jacobi_presentation(label)
+    A = from_presentation(P)
+    r = int(P.name[1:])
     if A.dim != r:
-        raise AssertionError("Milnor number mismatch for %s: got %d" % (label, A.dim))
+        raise AssertionError("Milnor number mismatch for %s: got %d"
+                             % (P.name, A.dim))
     return A
 
 

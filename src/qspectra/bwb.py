@@ -74,20 +74,18 @@ def _check_chunk(chunk, length, what):
 def _lr_restricted(a, b, rows):
     """Decompose S^a tensor S^b for GL(rows), entries possibly negative.
 
-    Shift both factors into partitions with last entry 0, expand, discard
-    anything taller than rows, unshift.  Equivariance under det twists
-    makes the shift harmless; a property test pins it.  Shifting down as
-    well as up keeps the cost of a twist O(t) independent of t.
+    Shift both factors into partitions with last entry 0, expand with at
+    most rows parts, unshift.  Equivariance under det twists makes the
+    shift harmless; a property test pins it.  Shifting down as well as up
+    keeps the cost of a twist O(t) independent of t.
     """
     sa = -a[-1]
     sb = -b[-1]
     pa = Partition(tuple(x + sa for x in a))
     pb = Partition(tuple(x + sb for x in b))
     out = {}
-    for nu, c in lr_coeffs(pa, pb).items():
+    for nu, c in lr_coeffs(pa, pb, rows).items():
         parts = nu.parts
-        if len(parts) > rows:
-            continue
         full = parts + (0,) * (rows - len(parts))
         out[tuple(x - sa - sb for x in full)] = c
     return out
@@ -204,6 +202,14 @@ class BundleExpr:
 #   atom   := "O" | "U*" | "Q*" | "S^" exps ("U*" | "Q*")
 #   exps   := int | "(" int ("," int)* ")"
 #   twist  := "(" int ")"
+#
+# The weight spread of a factor is first minus last entry of its U* weight
+# plus the same of its Q* weight; a twist shifts every entry alike and
+# leaves it unchanged.  Spreads add under tensor product (the Cartan
+# component adds the weights), and the Littlewood-Richardson cost grows
+# with them, so a descriptor's total spread is bounded.
+
+MAX_SPREAD = 256
 
 _TOKEN = re.compile(r"(U\*|Q\*|S\^|O|\(|\)|,|\*|-?\d+)")
 
@@ -308,15 +314,26 @@ def _parse_factor(cur, k, n):
 
 def parse_bundle(text, k, n):
     """Parse a bundle descriptor on G(k,n): O, O(t), U*, Q*, S^a U*,
-    S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t)."""
+    S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t).  The
+    total weight spread may not exceed MAX_SPREAD; twists are unbounded."""
     cur = _Cursor(_tokenize(text), text)
-    expr = _parse_factor(cur, k, n)
+    factors = [_parse_factor(cur, k, n)]
     while cur.peek() == "*":
         cur.take("*")
-        expr = expr.tensor(_parse_factor(cur, k, n))
+        factors.append(_parse_factor(cur, k, n))
     if cur.peek() is not None:
         raise ValueError("parse error at position %d: trailing %r"
                          % (cur.pos(), cur.peek()))
+    spread = 0
+    for f in factors:
+        (lam, mu), = f.terms
+        spread += lam[0] - lam[-1] + mu[0] - mu[-1]
+    if spread > MAX_SPREAD:
+        raise ValueError("descriptor %r has weight spread %d, more than %d"
+                         % (text, spread, MAX_SPREAD))
+    expr = factors[0]
+    for f in factors[1:]:
+        expr = expr.tensor(f)
     return expr
 
 

@@ -137,9 +137,13 @@ def _trim(shape):
 
 
 @lru_cache(maxsize=None)
-def _lr_table(lam, mu):
-    # sorted tuple of (nu, coefficient); cache-safe because immutable
-    R = max(1, len(lam) + len(mu))
+def _lr_table(lam, mu, rows):
+    # sorted tuple of (nu, coefficient) over nu with at most `rows` parts;
+    # cache-safe because immutable.  Strips only add cells, so a tableau
+    # of a shape that fits is built entirely on the first `rows` rows
+    if len(lam) > rows or len(mu) > rows:
+        return ()
+    R = max(1, rows)
     start = lam + (0,) * (R - len(lam))
     states = {(start, None): 1}
     for part in mu:
@@ -155,12 +159,18 @@ def _lr_table(lam, mu):
     return tuple(sorted(table.items()))
 
 
-def lr_coeffs(lam, mu):
+def lr_coeffs(lam, mu, rows=None):
     """Littlewood-Richardson expansion of the product of two Schur classes.
 
-    Returns {nu: c} over all nu of weight |lam| + |mu| with c > 0.
+    Returns {nu: c} over all nu of weight |lam| + |mu| with c > 0 and, if
+    rows is given, at most rows parts.
     """
-    return {Partition(nu): c for nu, c in _lr_table(lam.parts, mu.parts)}
+    lam, mu = lam.parts, mu.parts
+    # no nu has more than len(lam) + len(mu) parts; capping there keeps
+    # one cache entry for every rows beyond it
+    full = len(lam) + len(mu)
+    cap = full if rows is None else min(rows, full)
+    return {Partition(nu): c for nu, c in _lr_table(lam, mu, cap)}
 
 
 def rim_hook_reduce(nu, k, n):
@@ -197,17 +207,16 @@ def rim_hook_reduce(nu, k, n):
 def quantum_product(lam, mu):
     """Structure constants of the two box classes at q = 1.
 
-    Classical expansion truncated to at most k rows, then folded; the
-    aggregated coefficients are three-point counts and must be nonnegative.
+    Classical expansion capped at k rows, then folded; the aggregated
+    coefficients are three-point counts and must be nonnegative.
     """
     if (lam.k, lam.n) != (mu.k, mu.n):
         raise ValueError("mismatched Grassmannians: (%d,%d) vs (%d,%d)"
                          % (lam.k, lam.n, mu.k, mu.n))
     k, n = lam.k, lam.n
+    rows = min(k, len(lam.parts) + len(mu.parts))
     out = {}
-    for nu, c in _lr_table(lam.parts, mu.parts):
-        if len(nu) > k:
-            continue
+    for nu, c in _lr_table(lam.parts, mu.parts, rows):
         red = rim_hook_reduce(Partition(nu), k, n)
         if red is None:
             continue

@@ -293,9 +293,9 @@ def quantum_spectrum_report(A):
     A_zero, A_nonzero = kappa_split(A, p)
     if A_zero.dim + A_nonzero.dim != A.dim:
         raise AssertionError("fiber dimensions do not sum to the total")
-    # with an empty zero fiber the invertible fiber is A itself
-    orbits = orbit_analysis(A_nonzero, A.fano_index,
-                            p if A_zero.dim == 0 else None)
+    # kappa is nilpotent on the zero fiber and invertible on the other, so
+    # the invertible fiber's charpoly is p with its factor x^a removed
+    orbits = orbit_analysis(A_nonzero, A.fano_index, split_at_zero(p)[1])
     local = local_invariants(A_zero)
     if sum(local["hilbert_function"]) != A_zero.dim:
         raise AssertionError("Hilbert function does not sum to the fiber "

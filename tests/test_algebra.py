@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from qspectra import algebra
 from qspectra.algebra import (
     FiniteCommAlgebra,
     PolyPresentation,
@@ -218,6 +220,52 @@ def test_presentation_rejects_unit_ideal():
             name="empty", variables=(("x", 1),),
             relations=({(1,): 1, (0,): 1}, {(0,): 1, (1,): -1}),
             fano_index=1))
+
+
+def _pairwise_normal_forms(P):
+    """Structure tensor, unit and anticanonical vector with one normal form
+    per basis pair: the former route of from_presentation, kept here as
+    the reference for the operator walk."""
+    key = algebra._order_key(tuple(d for _, d in P.variables))
+    G = algebra._groebner(P.relations, key)
+    lead = [lm for _, lm, _ in G]
+    bounds = [min(lm[i] for lm in lead
+                  if all(e == 0 for t, e in enumerate(lm) if t != i))
+              for i in range(len(P.variables))]
+    basis = sorted((e for e in itertools.product(*map(range, bounds))
+                    if not any(algebra._divides(lm, e) for lm in lead)),
+                   key=key)
+    index = {e: i for i, e in enumerate(basis)}
+
+    def to_vector(poly):
+        v = [F(0)] * len(basis)
+        for e, c in algebra._nf(poly, G, key).items():
+            v[index[e]] += c
+        return tuple(v)
+
+    structure = [[None] * len(basis) for _ in basis]
+    for i, ei in enumerate(basis):
+        for j in range(i, len(basis)):
+            prod = {tuple(a + b for a, b in zip(ei, basis[j])): F(1)}
+            structure[i][j] = structure[j][i] = to_vector(prod)
+    return (structure, to_vector({(0,) * len(P.variables): F(1)}),
+            to_vector(P.anticanonical))
+
+
+ADE_LABELS = (["A%d" % r for r in range(1, 9)] + ["D4", "D5", "D6"]
+              + ["E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("P", (
+    [algebra._jacobi_presentation(label) for label in ADE_LABELS]
+    + [algebra._ig2_presentation(n) for n in range(2, 7)]),
+    ids=lambda P: P.name)
+def test_operator_walk_matches_pairwise_normal_forms(P):
+    A = from_presentation(P)
+    structure, unit, anticanonical = _pairwise_normal_forms(P)
+    assert [list(row) for row in A.structure] == structure
+    assert A.unit == unit
+    assert A.anticanonical == anticanonical
 
 
 # ---------------------------------------------------------------- Jacobi rings

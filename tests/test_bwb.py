@@ -231,6 +231,20 @@ def test_parse_errors_carry_positions():
         parse_bundle("S^2 O", 2, 4)
 
 
+def test_parse_bounds_the_weight_spread():
+    # spreads add over the factors of a tensor product; twists shift every
+    # entry alike and are not bounded
+    assert parse_bundle("S^256 U*", 2, 4) == BundleExpr.schur_u_dual((256,), 2, 4)
+    assert parse_bundle("S^(9,9) U*(-10) * S^(200,-40) U*", 2, 4).terms == {
+        ((199, -41), (0, 0)): 1}
+    assert parse_bundle("S^(10,4) U*(1000000000000)", 2, 4).terms == {
+        ((10**12 + 10, 10**12 + 4), (0, 0)): 1}
+    for text in ("S^257 U*", "U* * S^256 U*", "S^(300,0) Q*",
+                 "S^200 U* * S^(57,0) Q*", "S^(0,-257) U*"):
+        with pytest.raises(ValueError, match="weight spread"):
+            parse_bundle(text, 2, 4)
+
+
 def test_parse_case_sensitive():
     with pytest.raises(ValueError):
         parse_bundle("o", 2, 4)

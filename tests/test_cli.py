@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -195,6 +196,18 @@ def test_check_bwb_failure_gates_exit(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--bwb")
     assert code == 1
     assert "[fail]" in out
+
+
+def test_check_bwb_rejects_a_wide_schur_power_at_once(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "variety": "G(2,4)", "fano_index": 4,
+        "starting_block": ["O", "S^100000 U*"], "support": [2, 2]}))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "weight spread 100000" in err
 
 
 _DESCRIPTOR = st.one_of(

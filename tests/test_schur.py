@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -19,61 +20,48 @@ P = Partition
 
 
 # ---------------------------------------------------------------- oracle
-# Schur polynomials by explicit semistandard-tableau enumeration; products
-# expanded and peeled off lex-largest monomial first.  Entirely independent
-# of the strip-batch enumeration under test.
+# Jacobi-Trudi: s_lam = det(h_{lam_i - i + j}) with h_0 = 1 and h_r = 0 for
+# r < 0, a polynomial in the algebraically independent complete classes
+# h_1, h_2, ...; a monomial in them is written as the partition of its
+# indices.  s_nu is h_nu plus monomials that dominate nu, hence are
+# lex-larger, so a product peels into Schur classes lex-smallest monomial
+# first.  Entirely independent of the strip-batch enumeration under test.
 
 @lru_cache(maxsize=None)
-def schur_monomials(lam, nvars):
-    if len(lam) > nvars:
-        return {}
+def jacobi_trudi(lam):
+    n = len(lam)
     out = {}
-
-    def fill(row, col, prev_row, cur_row, counts):
-        if row == len(lam):
-            e = tuple(counts)
-            out[e] = out.get(e, 0) + 1
-            return
-        if col == lam[row]:
-            fill(row + 1, 0, cur_row, [], counts)
-            return
-        lo = 1 if row == 0 else prev_row[col] + 1
-        if col > 0:
-            lo = max(lo, cur_row[col - 1])
-        for v in range(lo, nvars + 1):
-            cur_row.append(v)
-            counts[v - 1] += 1
-            fill(row, col + 1, prev_row, cur_row, counts)
-            counts[v - 1] -= 1
-            cur_row.pop()
-
-    fill(0, 0, [], [], [0] * nvars)
-    return out
+    for perm in itertools.permutations(range(n)):
+        idx = [lam[i] - i + perm[i] for i in range(n)]
+        if min(idx, default=0) < 0:
+            continue
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        mono = tuple(sorted((x for x in idx if x > 0), reverse=True))
+        out[mono] = out.get(mono, 0) + (-1) ** inversions
+    return {m: c for m, c in out.items() if c != 0}
 
 
-def poly_mult(f, g):
+def h_mult(f, g):
     out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(sorted(m1 + m2, reverse=True))
+            out[m] = out.get(m, 0) + c1 * c2
     return out
 
 
 def lr_oracle(lam, mu):
-    nvars = max(1, len(lam) + len(mu))
-    prod = poly_mult(schur_monomials(lam, nvars), schur_monomials(mu, nvars))
-    prod = {e: c for e, c in prod.items() if c != 0}
+    prod = h_mult(jacobi_trudi(lam), jacobi_trudi(mu))
+    prod = {m: c for m, c in prod.items() if c != 0}
     coeffs = {}
     while prod:
-        top = max(prod)
-        assert all(top[i] >= top[i + 1] for i in range(len(top) - 1))
-        c = prod[top]
-        nu = tuple(x for x in top if x > 0)
+        nu = min(prod)
+        c = prod[nu]
         coeffs[nu] = c
-        for e, s in schur_monomials(nu, nvars).items():
-            prod[e] = prod.get(e, 0) - c * s
-        prod = {e: v for e, v in prod.items() if v != 0}
+        for m, s in jacobi_trudi(nu).items():
+            prod[m] = prod.get(m, 0) - c * s
+        prod = {m: v for m, v in prod.items() if v != 0}
     return coeffs
 
 
@@ -124,6 +112,13 @@ small_partitions = st.lists(
 def test_lr_matches_tableau_oracle(lam, mu):
     got = {nu.parts: c for nu, c in lr_coeffs(P(lam), P(mu)).items()}
     assert got == lr_oracle(lam, mu)
+
+
+@given(small_partitions, small_partitions, st.integers(min_value=1, max_value=4))
+def test_lr_row_cap_filters_the_full_expansion(lam, mu, rows):
+    full = lr_coeffs(P(lam), P(mu))
+    assert lr_coeffs(P(lam), P(mu), rows) == {
+        nu: c for nu, c in full.items() if len(nu) <= rows}
 
 
 @given(small_partitions, small_partitions)

@@ -312,6 +312,26 @@ def test_conjecture_consistency_ig(n):
     assert r.nonzero_point_count == (n - 1) * (2 * n - 1)
 
 
+def test_ig2_12_zero_fiber_is_one_point_of_length_five():
+    # IG(2,12) is outside the registry; the paper predicts n - 1 = 5 orbits
+    # and a zero fiber that is one point of length 5
+    A = qh_ig2(6)
+    assert validate_algebra(A).ok
+    r = quantum_spectrum_report(A)
+    assert r.orbit_count_by_length == r.orbit_count_by_points == 5
+    assert r.zero_part == {"dim": 5, "geometric_point_count": 1,
+                           "is_single_point": True,
+                           "hilbert_function": (1,) * 5, "socle_dim": 1}
+
+
+@pytest.mark.parametrize("make", PROVIDERS)
+def test_invertible_fiber_charpoly_is_the_cofactor_of_x_power(make):
+    A = make()
+    p = charpoly(mult_matrix(A, A.anticanonical))
+    _, nz = kappa_split(A, p)
+    assert charpoly(mult_matrix(nz, nz.anticanonical)) == split_at_zero(p)[1]
+
+
 def _invariant_calls(monkeypatch, A):
     calls = {"charpoly": 0, "nilradical": 0, "rank": 0}
 
@@ -335,9 +355,9 @@ def _invariant_calls(monkeypatch, A):
 
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = _invariant_calls(monkeypatch, qh_ig2(3))
-    # one charpoly per operator (the whole ring, then the invertible
-    # fiber) and one nilradical per fiber
-    assert calls == {"charpoly": 2, "nilradical": 2, "rank": 0}
+    # one charpoly (the whole ring's, which also gives the invertible
+    # fiber's) and one nilradical per fiber
+    assert calls == {"charpoly": 1, "nilradical": 2, "rank": 0}
 
 
 def test_report_with_empty_zero_fiber_reuses_the_charpoly(monkeypatch):
