@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .lefschetz import twisted_objects
 from .schur import Partition, lr_coeffs
+from .varieties import parse_variety
 
 
 def _rho(n):
@@ -207,9 +208,16 @@ class BundleExpr:
 # plus the same of its Q* weight; a twist shifts every entry alike and
 # leaves it unchanged.  Spreads add under tensor product (the Cartan
 # component adds the weights), and the Littlewood-Richardson cost grows
-# with them, so a descriptor's total spread is bounded.
+# with them, so a descriptor's total spread is bounded.  A small spread
+# still allows a long product of small factors, whose summands multiply
+# (Q* to the m-th power on P10 has one per partition of m into at most
+# 10 parts), so the running product's summands are bounded too.  The
+# pair loop of a collection check is quadratic in its objects, so their
+# number is bounded as well.
 
 MAX_SPREAD = 256
+MAX_TERMS = 64
+MAX_OBJECTS = 128
 
 _TOKEN = re.compile(r"(U\*|Q\*|S\^|O|\(|\)|,|\*|-?\d+)")
 
@@ -315,7 +323,8 @@ def _parse_factor(cur, k, n):
 def parse_bundle(text, k, n):
     """Parse a bundle descriptor on G(k,n): O, O(t), U*, Q*, S^a U*,
     S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t).  The
-    total weight spread may not exceed MAX_SPREAD; twists are unbounded."""
+    total weight spread may not exceed MAX_SPREAD, nor the summands of
+    the product MAX_TERMS; twists are unbounded."""
     cur = _Cursor(_tokenize(text), text)
     factors = [_parse_factor(cur, k, n)]
     while cur.peek() == "*":
@@ -334,6 +343,9 @@ def parse_bundle(text, k, n):
     expr = factors[0]
     for f in factors[1:]:
         expr = expr.tensor(f)
+        if len(expr.terms) > MAX_TERMS:
+            raise ValueError("descriptor %r has more than %d summands"
+                             % (text, MAX_TERMS))
     return expr
 
 
@@ -365,31 +377,11 @@ def euler_char(table):
     return sum(d if deg % 2 == 0 else -d for deg, d in table.items())
 
 
-_AMBIENT = re.compile(r"P(\d+)|G\((\d+),(\d+)\)|IG\(2,(\d+)\)")
-
-
-def _ambient(variety):
-    """(backend, k, n) for a variety id: ("grassmannian", k, n) for G(k,n)
-    and Pn = G(1,n+1), ("hyperplane", 2, 2n) for IG(2,2n) with n >= 2,
-    which sits in G(2,2n); None when no backend covers the id."""
-    m = _AMBIENT.fullmatch(variety)
-    if m is None:
-        return None
-    p, k, n, isotropic = m.groups()
-    if p is not None:
-        return "grassmannian", 1, int(p) + 1
-    if k is not None:
-        return "grassmannian", int(k), int(n)
-    if int(isotropic) % 2 == 0 and int(isotropic) >= 4:
-        return "hyperplane", 2, int(isotropic)
-    return None
-
-
 def collection_backend(variety):
     """Which Ext backend covers a variety id: "grassmannian" for G(k,n)
     and Pn, "hyperplane" for IG(2,2n), None otherwise."""
-    found = _ambient(variety)
-    return None if found is None else found[0]
+    found = parse_variety(variety)
+    return None if found is None else found.backend
 
 
 class CollectionVerdict:
@@ -432,12 +424,15 @@ def _check(c, backend, ext):
     table None when the route cannot decide the pair.  Every object must
     have table {0: 1} and every strictly-later-to-earlier table must be
     empty; undecided pairs are recorded with their ambient data."""
-    found = _ambient(c.variety)
-    if found is None or found[0] != backend:
+    found = parse_variety(c.variety)
+    if found is None or found.backend != backend:
         raise ValueError(_NO_BACKEND[backend] % (c.variety,))
-    _, k, n = found
     objects = twisted_objects(c)
-    exprs = [parse_bundle(desc, k, n).twist(t) for desc, t in objects]
+    if len(objects) > MAX_OBJECTS:
+        raise ValueError("collection has %d objects, more than %d"
+                         % (len(objects), MAX_OBJECTS))
+    exprs = [parse_bundle(desc, found.k, found.n).twist(t)
+             for desc, t in objects]
     labels = ["%s (%d)" % (desc, t) if t else desc for desc, t in objects]
     pairs = [({"kind": "exceptional", "object": labels[a]}, E, E, {0: 1})
              for a, E in enumerate(exprs)]

@@ -13,46 +13,19 @@ import json
 import random
 import sys
 import time
-from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (jacobi_ring, mult_matrix, qh_ig2, qh_projective,
-                      validate_algebra)
+from .algebra import mult_matrix, qh_ig2, qh_projective, validate_algebra
 from .bwb import (BundleExpr, check_collection, check_collection_hyperplane,
-                  collection_backend, ext_table)
+                  ext_table)
 from .chevalley import grassmann_divisor_matrix, ig2_divisor_matrix
 from .exactlin import charpoly
 from .lefschetz import (builtin_collection, check_collection_json,
                         collection_from_json, conjecture_numerology, lengths)
 from .schur import qh_grassmannian
 from .spectrum import quantum_spectrum_report
-
-
-VarietyDescriptor = namedtuple("VarietyDescriptor", "id provider")
-
-
-def _build_registry():
-    reg = {}
-
-    def add(id, provider):
-        assert id not in reg, "duplicate registry id"
-        reg[id] = VarietyDescriptor(id, provider)
-
-    for n in range(1, 11):
-        add("P%d" % n, lambda n=n: qh_projective(n))
-    for k, n in ((2, 4), (2, 5), (2, 6), (3, 6)):
-        add("G(%d,%d)" % (k, n), lambda k=k, n=n: qh_grassmannian(k, n))
-    for n in (2, 3, 4, 5):
-        add("IG(2,%d)" % (2 * n), lambda n=n: qh_ig2(n))
-    for label in (["A%d" % r for r in range(1, 9)]
-                  + ["D%d" % r for r in (4, 5, 6)]
-                  + ["E%d" % r for r in (6, 7, 8)]):
-        add(label, lambda label=label: jacobi_ring(label))
-    return reg
-
-
-REGISTRY = _build_registry()
+from .varieties import REGISTRY
 
 
 class RunReport:
@@ -202,7 +175,7 @@ def cmd_check(args):
     # error: a full collection need not be of the conjectured shape
     code = 0
     if args.bwb:
-        backend = collection_backend(coll.variety)
+        backend = desc.backend
         if backend is None:
             print("warning: no cohomology backend for %r; numerology only"
                   % coll.variety, file=sys.stderr)
@@ -323,16 +296,15 @@ def _selftest_checks():
 
     @add("lefschetz", "builtin numerology pairs agree with the spectra")
     def _():
-        pairs = [("P%d" % n, builtin_collection("beilinson", n))
-                 for n in range(1, 11)]
-        pairs.append(("G(2,4)", builtin_collection("minimal_g24")))
-        pairs += [("IG(2,%d)" % (2 * n), builtin_collection("kuznetsov_ig2", n))
-                  for n in (3, 4, 5)]
-        for vid, coll in pairs:
-            r = quantum_spectrum_report(REGISTRY[vid].provider())
+        colls = [builtin_collection("beilinson", n) for n in range(1, 11)]
+        colls.append(builtin_collection("minimal_g24"))
+        colls += [builtin_collection("kuznetsov_ig2", n) for n in (3, 4, 5)]
+        for coll in colls:
+            r = quantum_spectrum_report(REGISTRY[coll.variety].provider())
             v = conjecture_numerology(r, coll)
-            assert v.ok, "%s: %r" % (vid, {k: c for k, c in v.checks.items()
-                                           if not c["ok"]})
+            assert v.ok, "%s: %r" % (coll.variety,
+                                     {k: c for k, c in v.checks.items()
+                                      if not c["ok"]})
 
     return checks
 

@@ -32,14 +32,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def zero_vec(n):
-    return (_ZERO,) * n
-
-
-def unit_vec(n, i):
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
 class Matrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
@@ -199,23 +191,6 @@ def kernel_basis(M):
         lead = next(x for x in v if x != 0)
         basis.append(tuple(x / lead for x in v))
     return basis
-
-
-def solve(M, b):
-    """One solution of M x = b (free coordinates set to 0), or None."""
-    if len(b) != M.rows:
-        raise ValueError("length mismatch")
-    rows = [list(row) + [_q(x)] for row, x in zip(M.data, b)]
-    if not rows:
-        return zero_vec(M.cols)
-    pivots = _rref(rows, M.cols)
-    for r in range(len(pivots), len(rows)):
-        if rows[r][M.cols] != 0:
-            return None
-    x = [_ZERO] * M.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][M.cols]
-    return tuple(x)
 
 
 def span_basis(vectors):

@@ -9,6 +9,7 @@ from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           euler_char, hom_bundle, parse_bundle, weyl_dim)
 from qspectra.lefschetz import LefschetzCollection, builtin_collection
 from qspectra.schur import Partition
+from qspectra.varieties import REGISTRY
 
 
 def O(k, n):
@@ -422,6 +423,11 @@ def test_grassmannian_verdict_is_pinned():
     ("A3", None), ("P", None), ("G(2,4) ", None)])
 def test_collection_backend(variety, backend):
     assert collection_backend(variety) == backend
+
+
+@pytest.mark.parametrize("vid", list(REGISTRY))
+def test_collection_backend_matches_the_registry(vid):
+    assert collection_backend(vid) == REGISTRY[vid].backend
 
 
 def test_unsupported_variety():

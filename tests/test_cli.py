@@ -4,9 +4,10 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qspectra import cli
+from qspectra import cli, varieties
 from qspectra.algebra import algebra_from_json, algebra_to_json
-from qspectra.cli import REGISTRY, RunReport, VarietyDescriptor, main
+from qspectra.cli import REGISTRY, RunReport, main
+from qspectra.varieties import Variety
 from qspectra.lefschetz import builtin_collection, save_collection
 
 
@@ -55,10 +56,12 @@ def test_report_jacobi_target(capsys):
 
 
 def test_report_unknown_id(capsys):
-    code, _, err = run(capsys, "report", "X17")
-    assert code == 1
-    assert "unknown variety id" in err
-    assert "G(3,6)" in err and "E8" in err
+    # G(3,7) and IG(2,12) parse, but only catalogue ids are accepted
+    for vid in ("X17", "G(3,7)", "IG(2,12)"):
+        code, _, err = run(capsys, "report", vid)
+        assert code == 1, vid
+        assert "unknown variety id" in err
+        assert "G(3,6)" in err and "E8" in err
 
 
 def test_report_json_deterministic(capsys, tmp_path):
@@ -85,7 +88,7 @@ def test_internal_violation_maps_to_exit_two(capsys, monkeypatch):
     def broken():
         raise AssertionError("boom")
     monkeypatch.setitem(REGISTRY, "BAD",
-                        VarietyDescriptor("BAD", broken))
+                        Variety("BAD", broken, None, None, None))
     code, _, err = run(capsys, "report", "BAD")
     assert code == 2
     assert "internal invariant violation: boom" in err
@@ -148,12 +151,13 @@ def test_check_increasing_support_rejected(capsys, tmp_path):
 
 def test_check_unknown_variety(capsys, tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({
-        "variety": "Y", "fano_index": 2,
-        "starting_block": ["O"], "support": [1, 1]}))
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 1
-    assert "unknown variety" in err
+    for variety in ("Y", "G(3,7)", "IG(2,12)"):
+        path.write_text(json.dumps({
+            "variety": variety, "fano_index": 2,
+            "starting_block": ["O"], "support": [1, 1]}))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 1, variety
+        assert "unknown variety" in err
 
 
 @pytest.mark.parametrize("variety, message", [
@@ -210,6 +214,30 @@ def test_check_bwb_rejects_a_wide_schur_power_at_once(capsys, tmp_path):
     assert "weight spread 100000" in err
 
 
+def test_check_bwb_rejects_a_long_tensor_power_at_once(capsys, tmp_path):
+    # spread 40 passes MAX_SPREAD, but the summands of Q*^m on P10 grow
+    # like the partitions of m
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "variety": "P10", "fano_index": 11,
+        "starting_block": [" * ".join(["Q*"] * 40)], "support": [1]}))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "more than 64 summands" in err
+
+
+def test_check_bwb_rejects_too_many_objects(capsys, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({
+        "variety": "P10", "fano_index": 11,
+        "starting_block": ["O"] * 12, "support": [12] * 11}))
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert code == 1
+    assert "collection has 132 objects, more than 128" in err
+
+
 _DESCRIPTOR = st.one_of(
     st.builds("{}({})".format, st.sampled_from(["O", "U*", "S^(2,1) Q*"]),
               st.integers(-10**12, 10**12)),
@@ -245,7 +273,8 @@ def test_check_exit_contract_on_generated_files(tmp_path, doc, wrap, drop):
 def test_unexpected_exception_maps_to_exit_two(capsys, monkeypatch):
     def broken():
         raise KeyError("boom")
-    monkeypatch.setitem(REGISTRY, "BAD", VarietyDescriptor("BAD", broken))
+    monkeypatch.setitem(REGISTRY, "BAD",
+                        Variety("BAD", broken, None, None, None))
     code, _, err = run(capsys, "report", "BAD")
     assert code == 2
     assert err.strip() == "internal error: KeyError: 'boom'"
@@ -277,7 +306,7 @@ def test_selftest_unknown_filter(capsys):
 def test_selftest_catches_perturbed_data(capsys, monkeypatch):
     # perturb one structure constant of IG(2,4) in memory; every algebra
     # check that touches the ring must surface the damage
-    good = cli.qh_ig2
+    good = varieties.qh_ig2
 
     def perturbed(n):
         if n != 2:
@@ -287,7 +316,7 @@ def test_selftest_catches_perturbed_data(capsys, monkeypatch):
         obj["triples"][1][3] += 1
         return algebra_from_json(obj, check=False)
 
-    monkeypatch.setattr(cli, "qh_ig2", perturbed)
+    monkeypatch.setattr(varieties, "qh_ig2", perturbed)
     code, out, _ = run(capsys, "selftest", "--filter", "algebra")
     assert code == 2
     assert "[fail] algebra: every registry provider validates" in out

@@ -14,7 +14,6 @@ from qspectra.exactlin import (
     poly_gcd,
     poly_str,
     rank,
-    solve,
     span_basis,
     split_at_zero,
     squarefree_part,
@@ -122,20 +121,6 @@ def test_kernel_vectors_annihilated_and_counted(M):
 @given(matrices())
 def test_rank_equals_rank_of_transpose(M):
     assert rank(M) == rank(M.transpose())
-
-
-@given(matrices(max_dim=4))
-def test_solve_recovers_a_solution(M):
-    x = tuple(F(i + 1, 2) for i in range(M.cols))
-    b = M.apply(x)
-    y = solve(M, b)
-    assert y is not None
-    assert M.apply(y) == b
-
-
-def test_solve_detects_inconsistency():
-    M = Matrix([[1, 1], [1, 1]])
-    assert solve(M, (F(0), F(1))) is None
 
 
 def test_solver_round_trip():

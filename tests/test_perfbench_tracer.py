@@ -1,0 +1,38 @@
+"""The traced benchmark run patches qspectra names from outside the
+program (perfbench/tracer.py).  This test installs that tracer on a small
+run, so a refactor that drops or reshapes a name it looks up fails here
+rather than only in the traced benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import qspectra.cli  # noqa: F401  (imports every module the tracer patches)
+from qspectra import algebra, spectrum, varieties
+from qspectra.varieties import REGISTRY
+
+_TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_providers_and_split():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        REGISTRY["IG(2,4)"].provider()
+        parts = spectrum.kappa_split(REGISTRY["IG(2,6)"].provider())
+    finally:
+        tracer.uninstall()
+    assert varieties.qh_ig2 is algebra.qh_ig2
+    calls, _incl, _self = tracer.per_name()["algebra.provider.qh_ig2"]
+    assert calls == 2
+    assert tracer.outermost_time(tracing.PROVIDERS) > 0
+    assert tracer.split_parts == [parts]
+    assert tracing.max_bits(tracer) > 0
