@@ -2,10 +2,10 @@
 
 The central type is FiniteCommAlgebra: a based algebra with full structure
 tensor, a cyclic grading by the Fano index, and a distinguished anticanonical
-vector in degree 1.  Algebras arrive three ways: direct construction
-(projective spaces), normal forms modulo a polynomial presentation
-(Jacobi rings and isotropic Grassmannians), and a validated JSON
-serialisation of the structure tensor.
+vector in degree 1.  Algebras arrive two ways: normal forms modulo a
+polynomial presentation (projective spaces, Jacobi rings and isotropic
+Grassmannians), and a validated JSON serialisation of the structure
+tensor.
 """
 
 import json
@@ -426,26 +426,13 @@ def from_presentation(P):
 def qh_projective(n):
     """Quantum cohomology of n-dimensional projective space at q = 1.
 
-    One relation h^(n+1) = 1; the table is cyclic and needs no elimination.
+    One relation h^(n+1) = 1, eliminated like every other presentation.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    dim = n + 1
-    structure = [[tuple(_ONE if k == (i + j) % dim else _ZERO
-                        for k in range(dim))
-                  for j in range(dim)] for i in range(dim)]
-    return FiniteCommAlgebra(
-        name="P%d" % n,
-        basis_labels=["1"] + ["h" if i == 1 else "h^%d" % i
-                              for i in range(1, dim)],
-        structure=structure,
-        unit=tuple(_ONE if k == 0 else _ZERO for k in range(dim)),
-        degrees=list(range(dim)),
-        fano_index=dim,
-        anticanonical=tuple(Fraction(dim) if k == 1 else _ZERO
-                            for k in range(dim)),
-        dim_X=n,
-    )
+    return from_presentation(PolyPresentation(
+        "P%d" % n, (("h", 1),), ({(n + 1,): 1, (0,): -1},), n + 1,
+        {(1,): n + 1}, n))
 
 
 def _poly_mul2(a, b):

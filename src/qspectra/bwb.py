@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .lefschetz import twisted_objects
-from .schur import Partition, lr_coeffs
+from .schur import lr_coeffs
 from .varieties import parse_variety
 
 
@@ -82,12 +82,13 @@ def _lr_restricted(a, b, rows):
     """
     sa = -a[-1]
     sb = -b[-1]
-    pa = Partition(tuple(x + sa for x in a))
-    pb = Partition(tuple(x + sb for x in b))
+    # the shifted entries are nonnegative and weakly decreasing, so
+    # dropping the zeros trims them to partitions
+    pa = tuple(x + sa for x in a if x + sa)
+    pb = tuple(x + sb for x in b if x + sb)
     out = {}
-    for nu, c in lr_coeffs(pa, pb, rows).items():
-        parts = nu.parts
-        full = parts + (0,) * (rows - len(parts))
+    for nu, c in lr_coeffs(pa, pb, rows):
+        full = nu + (0,) * (rows - len(nu))
         out[tuple(x - sa - sb for x in full)] = c
     return out
 
@@ -213,7 +214,10 @@ class BundleExpr:
 # (Q* to the m-th power on P10 has one per partition of m into at most
 # 10 parts), so the running product's summands are bounded too.  The
 # pair loop of a collection check is quadratic in its objects, so their
-# number is bounded as well.
+# number is bounded as well.  So is the work of the loop itself: every
+# pair it decides costs the product of the two objects' summands, which
+# may not exceed MAX_TERMS, and their sum over all pairs may not exceed
+# what MAX_OBJECTS irreducible objects need.
 
 MAX_SPREAD = 256
 MAX_TERMS = 64
@@ -434,6 +438,19 @@ def _check(c, backend, ext):
     exprs = [parse_bundle(desc, found.k, found.n).twist(t)
              for desc, t in objects]
     labels = ["%s (%d)" % (desc, t) if t else desc for desc, t in objects]
+    # the Ext of a pair costs the product of the two sides' summands; an
+    # object with itself is the dearest pair it takes part in
+    sizes = [len(E.terms) for E in exprs]
+    for label, s in zip(labels, sizes):
+        if s * s > MAX_TERMS:
+            raise ValueError("object %s has %d summands, so its Ext with "
+                             "itself needs %d summand pairs, more than %d"
+                             % (label, s, s * s, MAX_TERMS))
+    work = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
+    budget = MAX_OBJECTS * (MAX_OBJECTS + 1) // 2
+    if work > budget:
+        raise ValueError("collection needs %d summand pairs, more than %d"
+                         % (work, budget))
     pairs = [({"kind": "exceptional", "object": labels[a]}, E, E, {0: 1})
              for a, E in enumerate(exprs)]
     pairs += [({"kind": "semiorthogonal", "source": labels[b],

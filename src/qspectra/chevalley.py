@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .algebra import FiniteCommAlgebra, validate_algebra
-from .exactlin import Matrix, Solver, rank
+from .exactlin import Matrix, Solver
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -187,11 +187,12 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
     for _ in range(n - 1):
         powers.append(M.apply(powers[-1]))
     S = Matrix.from_columns(powers)
-    if rank(S) != n:
+    try:
+        solver = Solver(S)
+    except ValueError:
         raise AssertionError(
             "divisor class does not generate %s; table not reconstructible"
-            % name)
-    solver = Solver(S)
+            % name) from None
     in_krylov = [solver.solve(tuple(_ONE if i == j else _ZERO
                                     for i in range(n)))
                  for j in range(n)]
@@ -236,17 +237,24 @@ def _grassmann_partition(w, k):
     return tuple(x - (i + 1) for i, x in enumerate(a))[::-1]
 
 
+def _grassmann_reps(k, n):
+    """Type A coset model of G(k,n) and its minimal representatives,
+    ordered like the box model: by length, then by partition."""
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    model = _type_a(n, k)
+    reps = [w for w in model.weyl if model.is_minimal(w)]
+    reps.sort(key=lambda w: (model.length(w), _grassmann_partition(w, k)))
+    return model, reps
+
+
 def grassmannian_algebra(k, n):
     """G(k,n) at q = 1 via type A cosets; basis ordered like the box model.
 
     Independent of the tableau route: same ring, different construction,
     used to cross-validate both.
     """
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    model = _type_a(n, k)
-    reps = [w for w in model.weyl if model.is_minimal(w)]
-    reps.sort(key=lambda w: (model.length(w), _grassmann_partition(w, k)))
+    model, reps = _grassmann_reps(k, n)
     labels = []
     for w in reps:
         parts = tuple(p for p in _grassmann_partition(w, k) if p > 0)
@@ -267,11 +275,7 @@ def grassmann_divisor_matrix(k, n):
     Same basis order as grassmannian_algebra, but no ring reconstruction,
     so this works in the non-cyclic cases too (G(2,4) for one).
     """
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    model = _type_a(n, k)
-    reps = [w for w in model.weyl if model.is_minimal(w)]
-    reps.sort(key=lambda w: (model.length(w), _grassmann_partition(w, k)))
+    model, reps = _grassmann_reps(k, n)
     M = _divisor_matrix(model, reps, n)
     return M, [model.length(w) for w in reps]
 

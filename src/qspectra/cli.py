@@ -246,9 +246,9 @@ def _selftest_checks():
             A = qh_grassmannian(k, n)
             sigma1 = tuple(c / n for c in A.anticanonical)
             D, _lengths = grassmann_divisor_matrix(k, n)
-            got = charpoly(mult_matrix(A, sigma1))
-            want = charpoly(D)
-            assert got.coeffs == want.coeffs, "G(%d,%d) charpoly" % (k, n)
+            # both routes order the Schubert basis by weight, then by
+            # partition, so the operators agree entry by entry
+            assert mult_matrix(A, sigma1) == D, "G(%d,%d) operator" % (k, n)
 
     @add("exactlin", "Cayley-Hamilton for anticanonical operators")
     def _():

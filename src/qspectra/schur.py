@@ -4,6 +4,8 @@ of the quantum cohomology of G(k,n) at q = 1.
 Products are computed classically by tableau enumeration and then folded
 into the k x (n-k) box by removing rim hooks of size n; the fold sign is
 pinned by the nonnegativity of the resulting structure constants.
+A partition is a plain tuple of positive, weakly decreasing ints with
+no trailing zeros.
 """
 
 from fractions import Fraction
@@ -11,83 +13,6 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import FiniteCommAlgebra
-
-
-class Partition:
-    """Weakly decreasing positive parts; trailing zeros are dropped."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        ps = tuple(int(p) for p in parts)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        if any(p <= 0 for p in ps):
-            raise ValueError("parts must be positive")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        self.parts = ps
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    def conjugate(self):
-        if not self.parts:
-            return Partition()
-        return Partition(tuple(sum(1 for p in self.parts if p > c)
-                               for c in range(self.parts[0])))
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
-
-
-class BoxPartition:
-    """A partition confined to the k x (n-k) box of a fixed Grassmannian."""
-
-    __slots__ = ("partition", "k", "n")
-
-    def __init__(self, parts, k, n):
-        if not 0 < k < n:
-            raise ValueError("need 0 < k < n")
-        p = parts if isinstance(parts, Partition) else Partition(parts)
-        if len(p) > k:
-            raise ValueError("more than k parts")
-        if p.parts and p.parts[0] > n - k:
-            raise ValueError("part exceeds n - k")
-        self.partition = p
-        self.k = k
-        self.n = n
-
-    @property
-    def parts(self):
-        return self.partition.parts
-
-    @property
-    def weight(self):
-        return self.partition.weight
-
-    def __eq__(self, other):
-        return isinstance(other, BoxPartition) and self.parts == other.parts \
-            and self.k == other.k and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.parts, self.k, self.n))
-
-    def __repr__(self):
-        return "BoxPartition(%r, %d, %d)" % (self.parts, self.k, self.n)
 
 
 def _strips(shape, size, prev_cum):
@@ -159,28 +84,26 @@ def _lr_table(lam, mu, rows):
     return tuple(sorted(table.items()))
 
 
-def lr_coeffs(lam, mu, rows=None):
+def lr_coeffs(lam, mu, rows):
     """Littlewood-Richardson expansion of the product of two Schur classes.
 
-    Returns {nu: c} over all nu of weight |lam| + |mu| with c > 0 and, if
-    rows is given, at most rows parts.
+    Partitions are tuples of positive, weakly decreasing ints.  Returns
+    the sorted (nu, c) pairs over all nu of weight |lam| + |mu| with
+    c > 0 and at most rows parts.
     """
-    lam, mu = lam.parts, mu.parts
     # no nu has more than len(lam) + len(mu) parts; capping there keeps
     # one cache entry for every rows beyond it
-    full = len(lam) + len(mu)
-    cap = full if rows is None else min(rows, full)
-    return {Partition(nu): c for nu, c in _lr_table(lam, mu, cap)}
+    return _lr_table(lam, mu, min(rows, len(lam) + len(mu)))
 
 
-def rim_hook_reduce(nu, k, n):
+def rim_hook_reduce(parts, k, n):
     """Fold a partition with at most k parts into the k x (n-k) box.
 
     Removes rim hooks of n cells until the class fits, tracking the sign
-    and the number of removals; returns None when the class collapses to
-    zero, and raises on more than k parts.
+    and the number of removals; returns (box partition, sign, removals),
+    None when the class collapses to zero, and raises on more than k
+    parts.
     """
-    parts = nu.parts
     if len(parts) > k:
         raise ValueError("partition has more than %d parts" % k)
     beta = [parts[i] if i < len(parts) else 0 for i in range(k)]
@@ -200,24 +123,19 @@ def rim_hook_reduce(nu, k, n):
         beta[beta.index(b)] = t
         d += 1
     beta.sort(reverse=True)
-    folded = Partition(tuple(x - (k - 1 - i) for i, x in enumerate(beta)))
-    return BoxPartition(folded, k, n), sign, d
+    box = _trim(tuple(x - (k - 1 - i) for i, x in enumerate(beta)))
+    return box, sign, d
 
 
-def quantum_product(lam, mu):
-    """Structure constants of the two box classes at q = 1.
+def quantum_product(lam, mu, k, n):
+    """Structure constants of two box classes of G(k,n) at q = 1.
 
     Classical expansion capped at k rows, then folded; the aggregated
     coefficients are three-point counts and must be nonnegative.
     """
-    if (lam.k, lam.n) != (mu.k, mu.n):
-        raise ValueError("mismatched Grassmannians: (%d,%d) vs (%d,%d)"
-                         % (lam.k, lam.n, mu.k, mu.n))
-    k, n = lam.k, lam.n
-    rows = min(k, len(lam.parts) + len(mu.parts))
     out = {}
-    for nu, c in _lr_table(lam.parts, mu.parts, rows):
-        red = rim_hook_reduce(Partition(nu), k, n)
+    for nu, c in lr_coeffs(lam, mu, k):
+        red = rim_hook_reduce(nu, k, n)
         if red is None:
             continue
         box, sign, _ = red
@@ -257,16 +175,15 @@ def qh_grassmannian(k, n):
     shapes = sorted(_box_shapes(k, n - k), key=lambda p: (sum(p), p))
     if len(shapes) != comb(n, k):
         raise AssertionError("box enumeration does not match C(n,k)")
-    boxes = [BoxPartition(p, k, n) for p in shapes]
-    index = {b.parts: i for i, b in enumerate(boxes)}
-    dim = len(boxes)
+    index = {p: i for i, p in enumerate(shapes)}
+    dim = len(shapes)
 
     structure = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             vec = [Fraction(0)] * dim
-            for box, c in quantum_product(boxes[i], boxes[j]).items():
-                vec[index[box.parts]] = Fraction(c)
+            for box, c in quantum_product(shapes[i], shapes[j], k, n).items():
+                vec[index[box]] = Fraction(c)
             vec = tuple(vec)
             structure[i][j] = vec
             structure[j][i] = vec
@@ -274,10 +191,10 @@ def qh_grassmannian(k, n):
     one = Fraction(1)
     return FiniteCommAlgebra(
         name="G(%d,%d)" % (k, n),
-        basis_labels=[_label(b.parts) for b in boxes],
+        basis_labels=[_label(p) for p in shapes],
         structure=structure,
         unit=tuple(one if i == index[()] else Fraction(0) for i in range(dim)),
-        degrees=[b.weight % n for b in boxes],
+        degrees=[sum(p) % n for p in shapes],
         fano_index=n,
         anticanonical=tuple(Fraction(n) if i == index[(1,)] else Fraction(0)
                             for i in range(dim)),

@@ -8,7 +8,6 @@ from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           collection_backend, ext_hyperplane, ext_table,
                           euler_char, hom_bundle, parse_bundle, weyl_dim)
 from qspectra.lefschetz import LefschetzCollection, builtin_collection
-from qspectra.schur import Partition
 from qspectra.varieties import REGISTRY
 
 

@@ -75,6 +75,8 @@ def test_divisor_operator_matches_tableau_route(k, n):
     A = qh_grassmannian(k, n)
     assert poly_str(charpoly(mult_matrix(A, A.basis_vector(1)))) \
         == DIVISOR_CHARPOLY[("G", k, n)]
+    # same Schubert basis order on both routes: the operators are equal
+    assert mult_matrix(A, A.basis_vector(1)) == M
     assert sorted(l % A.fano_index for l in lengths) == sorted(A.degrees)
     assert len(lengths) == A.dim
 

@@ -228,6 +228,33 @@ def test_check_bwb_rejects_a_long_tensor_power_at_once(capsys, tmp_path):
     assert "more than 64 summands" in err
 
 
+def test_check_bwb_rejects_a_costly_pair_at_once(capsys, tmp_path):
+    # Q*^11 on P10 has 55 summands, under MAX_TERMS, but its Ext with
+    # itself would decompose 55 x 55 summand pairs
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps({
+        "variety": "P10", "fano_index": 11,
+        "starting_block": [" * ".join(["Q*"] * 11)], "support": [1]}))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "has 55 summands" in err
+    assert "3025 summand pairs, more than 64" in err
+
+
+def test_check_bwb_rejects_too_much_pair_work(capsys, tmp_path):
+    # 128 objects pass the object bound, but each has 2 summands, so the
+    # pair loop would need (256^2 + 128 * 4) / 2 summand pairs
+    path = tmp_path / "work.json"
+    path.write_text(json.dumps({
+        "variety": "P10", "fano_index": 11,
+        "starting_block": ["Q* * Q*"] * 128, "support": [128]}))
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert code == 1
+    assert "collection needs 33024 summand pairs, more than 8256" in err
+
+
 def test_check_bwb_rejects_too_many_objects(capsys, tmp_path):
     path = tmp_path / "many.json"
     path.write_text(json.dumps({

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import qspectra.cli  # noqa: F401  (imports every module the tracer patches)
 from qspectra import algebra, spectrum, varieties
+from qspectra.schur import qh_grassmannian
 from qspectra.varieties import REGISTRY
 
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -36,3 +37,16 @@ def test_tracer_sees_providers_and_split():
     assert tracer.outermost_time(tracing.PROVIDERS) > 0
     assert tracer.split_parts == [parts]
     assert tracing.max_bits(tracer) > 0
+
+
+def test_tracer_sees_the_tableau_route_through_lr_coeffs():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        A = qh_grassmannian.__wrapped__(2, 4)
+    finally:
+        tracer.uninstall()
+    # one product, hence one LR expansion, per pair of the 6 basis classes
+    calls, _incl, _self = tracer.per_name()["schur.lr_coeffs"]
+    assert calls == A.dim * (A.dim + 1) // 2 == 21
