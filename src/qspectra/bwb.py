@@ -39,7 +39,8 @@ def weyl_dim(delta):
             num *= delta[i] - delta[j] + j - i
             den *= j - i
     d = Fraction(num, den)
-    assert d.denominator == 1 and d > 0, "Weyl dimension must be a positive integer"
+    if d.denominator != 1 or d <= 0:
+        raise AssertionError("Weyl dimension must be a positive integer")
     return int(d)
 
 
@@ -189,9 +190,6 @@ class BundleExpr:
         return (isinstance(other, BundleExpr)
                 and (self.k, self.n) == (other.k, other.n)
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.k, self.n, tuple(self.terms.items())))
 
     def __repr__(self):
         return "BundleExpr(k=%d, n=%d, %r)" % (self.k, self.n, self.terms)
@@ -366,7 +364,8 @@ def _cohomology(H):
     table = {}
     for (lam, mu), mult in H.terms.items():
         for deg, d in bott(lam + mu, H.k, H.n).items():
-            assert 0 <= deg <= top, "degree outside [0, dim]"
+            if not 0 <= deg <= top:
+                raise AssertionError("degree outside [0, dim]")
             table[deg] = table.get(deg, 0) + mult * d
     return table
 
@@ -498,7 +497,8 @@ def ext_hyperplane(E, F):
                 "overlap_degrees": overlap}
     # with disjoint supports the twisted table cannot sit in degree 0:
     # it would inject into an empty group
-    assert 0 not in t1, "twisted Ext in degree 0 contradicts exactness"
+    if 0 in t1:
+        raise AssertionError("twisted Ext in degree 0 contradicts exactness")
     table = dict(t0)
     for deg, d in t1.items():
         table[deg - 1] = table.get(deg - 1, 0) + d

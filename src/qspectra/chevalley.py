@@ -1,19 +1,21 @@
 """Divisor multiplication on coset spaces from the Chevalley formula.
 
 Works over minimal-length coset representatives for a maximal parabolic in
-Weyl groups of types A and C.  When the divisor operator has a full Krylov
-space, every basis class is a polynomial in the divisor applied to the
-unit, and one matrix rebuilds the complete multiplication table; that is
-how grassmannian_algebra recovers the cyclic cases such as G(2,5) and the
-projective spaces G(1,n).  The divisor does not always generate (on
-IG(2,2n) with n >= 3 it annihilates the whole nilpotent summand), but its
-matrix is exact regardless, so the operators here double as independent
-oracles for rings built by other routes: characteristic polynomials are
-basis independent and can be compared directly.
+Weyl groups of types A and C, grown from the identity by the simple
+reflections; each root's reflection and pairing is computed once.  When
+the divisor operator has a full Krylov space, every basis class is a
+polynomial in the divisor applied to the unit, and one matrix rebuilds the
+complete multiplication table; that is how grassmannian_algebra recovers
+the cyclic cases such as G(2,5) and the projective spaces G(1,n).  The
+divisor does not always generate (on IG(2,2n) with n >= 3 it annihilates
+the whole nilpotent summand), but its matrix is exact regardless, so the
+operators here double as independent oracles for rings built by other
+routes: characteristic polynomials are basis independent and can be
+compared directly.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from math import comb
 
 from .algebra import FiniteCommAlgebra, validate_algebra
 from .exactlin import Matrix, Solver
@@ -58,21 +60,43 @@ def _act(w, vec):
 
 
 class _CosetModel:
-    """Root data plus the crossed node; caches lengths on demand."""
+    """Root data of one crossed node, built once: the minimal coset
+    representatives and, per positive root outside the Levi, its reflection
+    and its pairing with the crossed fundamental weight.  Lengths are
+    cached on demand."""
 
-    __slots__ = ("rank", "positive", "pos_set", "simples", "weyl", "k",
-                 "levi", "_lengths")
+    __slots__ = ("positive", "pos_set", "levi", "roots", "reps", "_lengths")
 
-    def __init__(self, rank, positive, simples, weyl, k):
-        self.rank = rank
+    def __init__(self, positive, simples, k):
         self.positive = tuple(positive)
         self.pos_set = frozenset(self.positive)
-        self.simples = tuple(simples)
-        self.weyl = tuple(weyl)
-        self.k = k
-        self.levi = tuple((root, _reflection(root))
-                          for i, root in enumerate(simples) if i != k - 1)
+        refls = [_reflection(root) for root in simples]
+        self.levi = tuple((root, refl) for i, (root, refl)
+                          in enumerate(zip(simples, refls)) if i != k - 1)
         self._lengths = {}
+        roots = []
+        for alpha in self.positive:
+            twice, norm = 2 * sum(alpha[:k]), sum(a * a for a in alpha)
+            if twice % norm:
+                raise AssertionError("non-integral pairing")
+            if twice:
+                roots.append((_reflection(alpha), twice // norm))
+        self.roots = tuple(roots)
+        # removing a left descent from a minimal representative leaves a
+        # minimal one, so each length layer grows from the one before
+        layer = [tuple(range(1, len(self.positive[0]) + 1))]
+        reps = []
+        while layer:
+            reps.extend(layer)
+            grown = {}
+            for w in layer:
+                lw = self.length(w)
+                for refl in refls:
+                    u = _compose(refl, w)
+                    if self.length(u) == lw + 1 and self.is_minimal(u):
+                        grown[u] = None
+            layer = list(grown)
+        self.reps = tuple(reps)
 
     def is_negative(self, vec):
         return tuple(-x for x in vec) in self.pos_set
@@ -97,76 +121,40 @@ class _CosetModel:
             else:
                 return w
 
-    def outside_levi(self, alpha):
-        return sum(alpha[: self.k]) != 0
 
-    def coroot(self, alpha):
-        norm = sum(a * a for a in alpha)
-        return tuple(Fraction(2 * a, norm) for a in alpha)
+def _root(n, i, j, sign):
+    # e_i + sign * e_j; with i == j and sign 1 this is 2 e_i
+    v = [0] * n
+    v[i] += 1
+    v[j] += sign
+    return tuple(v)
+
+
+def _a_roots(n):
+    positive = [_root(n, i, j, -1) for i in range(n) for j in range(i + 1, n)]
+    simples = [_root(n, i, i + 1, -1) for i in range(n - 1)]
+    return positive, simples
 
 
 def _type_a(n, k):
-    positive = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            positive.append(tuple(v))
-    simples = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simples.append(tuple(v))
-    weyl = [tuple(p) for p in permutations(range(1, n + 1))]
-    return _CosetModel(n, positive, simples, weyl, k)
+    return _CosetModel(*_a_roots(n), k)
 
 
 def _type_c(n, k):
-    positive = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            positive.append(tuple(v))
-            v = [0] * n
-            v[i], v[j] = 1, 1
-            positive.append(tuple(v))
-    for i in range(n):
-        v = [0] * n
-        v[i] = 2
-        positive.append(tuple(v))
-    simples = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simples.append(tuple(v))
-    v = [0] * n
-    v[n - 1] = 2
-    simples.append(tuple(v))
-    weyl = []
-    for p in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            weyl.append(tuple(s * x for s, x in zip(signs, p)))
-    return _CosetModel(n, positive, simples, weyl, k)
+    positive, simples = _a_roots(n)
+    positive += [_root(n, i, j, 1) for i in range(n) for j in range(i, n)]
+    return _CosetModel(positive, simples + [_root(n, n - 1, n - 1, 1)], k)
 
 
 def _divisor_matrix(model, reps, m):
     """Multiplication by the degree-1 coset class, columns over reps."""
     idx = {w: i for i, w in enumerate(reps)}
-    k = model.k
     cols = []
     for w in reps:
         lw = model.length(w)
         col = [0] * len(reps)
-        for alpha in model.positive:
-            if not model.outside_levi(alpha):
-                continue
-            co = model.coroot(alpha)
-            c = sum(co[:k])
-            if c.denominator != 1:
-                raise AssertionError("non-integral pairing")
-            c = c.numerator
-            u = _compose(w, _reflection(alpha))
+        for refl, c in model.roots:
+            u = _compose(w, refl)
             if model.length(u) == lw + 1 and model.is_minimal(u):
                 col[idx[u]] += c
             else:
@@ -174,36 +162,31 @@ def _divisor_matrix(model, reps, m):
                 if model.length(v) == lw + 1 - m * c:
                     col[idx[v]] += c
         cols.append(col)
-    return Matrix([[cols[j][i] for j in range(len(reps))]
-                   for i in range(len(reps))])
+    return Matrix.from_columns(cols)
 
 
 def _ring_from_divisor(name, model, reps, m, dim_X, labels):
     """Rebuild the full product table from the divisor operator alone."""
     n = len(reps)
     M = _divisor_matrix(model, reps, m)
-    unit = tuple(_ONE if i == 0 else _ZERO for i in range(n))
-    powers = [unit]
-    for _ in range(n - 1):
-        powers.append(M.apply(powers[-1]))
-    S = Matrix.from_columns(powers)
-    try:
-        solver = Solver(S)
-    except ValueError:
-        raise AssertionError(
-            "divisor class does not generate %s; table not reconstructible"
-            % name) from None
-    in_krylov = [solver.solve(tuple(_ONE if i == j else _ZERO
-                                    for i in range(n)))
-                 for j in range(n)]
-    # iterated images M^l b_j, reused across all rows
+    basis = [tuple(_ONE if i == j else _ZERO for i in range(n))
+             for j in range(n)]
+    unit = basis[0]
+    # iterated images M^l b_j, reused across all rows; those of the unit
+    # span the Krylov space
     images = []
-    for j in range(n):
-        b = tuple(_ONE if i == j else _ZERO for i in range(n))
+    for b in basis:
         seq = [b]
         for _ in range(n - 1):
             seq.append(M.apply(seq[-1]))
         images.append(seq)
+    try:
+        solver = Solver(Matrix.from_columns(images[0]))
+    except ValueError:
+        raise AssertionError(
+            "divisor class does not generate %s; table not reconstructible"
+            % name) from None
+    in_krylov = [solver.solve(b) for b in basis]
     structure = [[None] * n for _ in range(n)]
     for i in range(n):
         pi = in_krylov[i]
@@ -243,8 +226,10 @@ def _grassmann_reps(k, n):
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
     model = _type_a(n, k)
-    reps = [w for w in model.weyl if model.is_minimal(w)]
-    reps.sort(key=lambda w: (model.length(w), _grassmann_partition(w, k)))
+    reps = sorted(model.reps,
+                  key=lambda w: (model.length(w), _grassmann_partition(w, k)))
+    if len(reps) != comb(n, k):
+        raise AssertionError("coset count mismatch for G(%d,%d)" % (k, n))
     return model, reps
 
 
@@ -292,8 +277,7 @@ def ig2_divisor_matrix(n):
     if n < 2:
         raise ValueError("n must be at least 2")
     model = _type_c(n, 2)
-    reps = [w for w in model.weyl if model.is_minimal(w)]
-    reps.sort(key=lambda w: (model.length(w), w))
+    reps = sorted(model.reps, key=lambda w: (model.length(w), w))
     if len(reps) != 2 * n * (n - 1):
         raise AssertionError("coset count mismatch for IG(2,%d)" % (2 * n))
     M = _divisor_matrix(model, reps, 2 * n - 1)

@@ -190,6 +190,12 @@ def cmd_check(args):
     return code
 
 
+def _require(ok, *reason):
+    # an explicit check, unlike assert, survives python -O
+    if not ok:
+        raise AssertionError(*reason)
+
+
 def _selftest_checks():
     """The cross-validation suite, as (module, description, thunk) rows.
 
@@ -210,21 +216,21 @@ def _selftest_checks():
         from .chevalley import grassmannian_algebra
         A = qh_grassmannian(2, 5)
         B = grassmannian_algebra(2, 5)
-        assert A.structure == B.structure, "structure constants differ"
-        assert A.anticanonical == B.anticanonical
+        _require(A.structure == B.structure, "structure constants differ")
+        _require(A.anticanonical == B.anticanonical)
 
     @add("schur", "rim-hook ring matches polynomial presentation on P4")
     def _():
         A = qh_grassmannian(1, 5)
         B = qh_projective(4)
-        assert A.structure == B.structure, "structure constants differ"
+        _require(A.structure == B.structure, "structure constants differ")
 
     @add("algebra", "every registry provider validates")
     def _():
         for desc in REGISTRY.values():
             report = validate_algebra(desc.provider())
-            assert report.ok, "%s: %s" % (desc.id,
-                                          "; ".join(report.violations))
+            _require(report.ok, "%s: %s" % (desc.id,
+                                            "; ".join(report.violations)))
 
     @add("algebra", "isotropic divisor operator matches the presentation ring")
     def _():
@@ -235,10 +241,10 @@ def _selftest_checks():
             D, lengths = ig2_divisor_matrix(n)
             got = charpoly(mult_matrix(A, sigma1))
             want = charpoly(D)
-            assert got.coeffs == want.coeffs, "IG(2,%d) charpoly" % (2 * n)
+            _require(got.coeffs == want.coeffs, "IG(2,%d) charpoly" % (2 * n))
             # the Schubert cells' degrees reproduce the graded dimensions
-            assert sorted(A.degrees) == sorted(l % m for l in lengths), \
-                "IG(2,%d) graded dimensions" % (2 * n)
+            _require(sorted(A.degrees) == sorted(l % m for l in lengths),
+                     "IG(2,%d) graded dimensions" % (2 * n))
 
     @add("algebra", "grassmannian divisor operator matches the tableau ring")
     def _():
@@ -248,7 +254,7 @@ def _selftest_checks():
             D, _lengths = grassmann_divisor_matrix(k, n)
             # both routes order the Schubert basis by weight, then by
             # partition, so the operators agree entry by entry
-            assert mult_matrix(A, sigma1) == D, "G(%d,%d) operator" % (k, n)
+            _require(mult_matrix(A, sigma1) == D, "G(%d,%d) operator" % (k, n))
 
     @add("exactlin", "Cayley-Hamilton for anticanonical operators")
     def _():
@@ -256,16 +262,16 @@ def _selftest_checks():
             A = REGISTRY[vid].provider()
             M = mult_matrix(A, A.anticanonical)
             p = charpoly(M)
-            assert p(M).is_zero(), vid
+            _require(p(M).is_zero(), vid)
 
     @add("spectrum", "every registry charpoly is rotation-invariant and "
          "its fiber dimensions are additive")
     def _():
         for desc in REGISTRY.values():
             r = quantum_spectrum_report(desc.provider())
-            assert r.charpoly_rotation_invariant, desc.id
-            assert r.dim_zero_part + r.dim_nonzero_part == r.dim_total, \
-                desc.id
+            _require(r.charpoly_rotation_invariant, desc.id)
+            _require(r.dim_zero_part + r.dim_nonzero_part == r.dim_total,
+                     desc.id)
 
     @add("bwb", "Serre duality on seeded random pairs")
     def _():
@@ -281,7 +287,7 @@ def _selftest_checks():
                 F = BundleExpr.structure_sheaf(k, n).twist(rng.randint(-2, 2))
                 lhs = ext_table(E, F)
                 rhs = ext_table(F, E.twist(-n))
-                assert lhs == {top - i: d for i, d in rhs.items()}, (k, n)
+                _require(lhs == {top - i: d for i, d in rhs.items()}, (k, n))
 
     @add("bwb", "builtin collections are exceptional")
     def _():
@@ -290,9 +296,9 @@ def _selftest_checks():
             c = (builtin_collection(name, arg) if arg is not None
                  else builtin_collection(name))
             v = check_collection(c)
-            assert v.ok, "%s: %r" % (name, v.failures)
+            _require(v.ok, "%s: %r" % (name, v.failures))
         v = check_collection_hyperplane(builtin_collection("kuznetsov_ig2", 3))
-        assert v.ok and not v.inconclusive, repr(v)
+        _require(v.ok and not v.inconclusive, repr(v))
 
     @add("lefschetz", "builtin numerology pairs agree with the spectra")
     def _():
@@ -302,9 +308,9 @@ def _selftest_checks():
         for coll in colls:
             r = quantum_spectrum_report(REGISTRY[coll.variety].provider())
             v = conjecture_numerology(r, coll)
-            assert v.ok, "%s: %r" % (coll.variety,
-                                     {k: c for k, c in v.checks.items()
-                                      if not c["ok"]})
+            _require(v.ok, "%s: %r" % (coll.variety,
+                                       {k: c for k, c in v.checks.items()
+                                        if not c["ok"]}))
 
     return checks
 

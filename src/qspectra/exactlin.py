@@ -28,10 +28,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 class Matrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
@@ -66,13 +62,6 @@ class Matrix:
             height = 0
         return cls([[c[i] for c in columns] for i in range(height)], cols=len(columns))
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -83,23 +72,11 @@ class Matrix:
         return isinstance(other, Matrix) and self.data == other.data \
             and self.cols == other.cols
 
-    def __hash__(self):
-        return hash((self.cols, self.data))
-
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         return Matrix([vec_add(a, b) for a, b in zip(self.data, other.data)],
                       cols=self.cols)
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix([vec_sub(a, b) for a, b in zip(self.data, other.data)],
-                      cols=self.cols)
-
-    def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.data], cols=self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -257,9 +234,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def lc(self):
-        return self.coeffs[-1] if self.coeffs else _ZERO
-
     def monic(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no monic form")
@@ -270,9 +244,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -285,9 +256,6 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
@@ -295,9 +263,6 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly([other])
         return self + (-other)
-
-    def __rsub__(self, other):
-        return Poly([other]) - self
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -336,9 +301,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 rem[i - d + j] -= f * b
         return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -25,11 +25,46 @@ DIVISOR_CHARPOLY = {
     ("G", 2, 5): "x^10 - 11*x^5 - 1",
     ("G", 2, 6): "x^15 - 26*x^9 - 27*x^3",
     ("G", 3, 6): "x^20 - 66*x^14 + 129*x^8 - 64*x^2",
+    ("G", 3, 7): "x^35 - 302*x^28 + 3828*x^21 - 36250*x^14 - 7309*x^7 + 128",
+    ("G", 4, 8): "x^70 - 2416*x^62 + 536416*x^54 - 22398208*x^46"
+                 " - 1083260672*x^38 - 7894294528*x^30 + 21265186816*x^22"
+                 " - 4672454656*x^14 + 268435456*x^6",
     ("IG", 2, 4): "x^4 - 4*x",
     ("IG", 2, 6): "x^12 - 26*x^7 - 27*x^2",
     ("IG", 2, 8): "x^24 - 120*x^17 - 2160*x^10 + 256*x^3",
     ("IG", 2, 10): "x^40 - 502*x^31 - 73749*x^22 + 383750*x^13 + 3125*x^4",
+    ("IG", 2, 12): "x^60 - 2036*x^49 - 1845522*x^38 + 124221692*x^27"
+                   " + 126018521*x^16 - 46656*x^5",
+    ("IG", 2, 14): "x^84 - 8178*x^71 - 39859401*x^58 + 21957517156*x^45"
+                   " + 498666568799*x^32 - 68871018706*x^19 - 823543*x^6",
 }
+
+# sha256 of repr((matrix, lengths)) of the divisor operators, taken when
+# every representative was still found by listing the whole Weyl group
+IG2_DIVISOR_SHA256 = {
+    2: "4c52c57e7104c185069003d5caddfc9d65f0561f915b1212746e2efde16bf98a",
+    3: "23fda51b5ad226c9528df5d72a254dcf9e0d630137e2d86b3c486d7e97266dd7",
+    4: "08e400e1dcff71fc3e5d0408d1cf3a72efd83426bad4353f62739e5398f38bcb",
+    5: "65688b685f605ab683a70505e85fc7ff2e24907134443c7c21e23d90c23a9c7e",
+    6: "78882ee515c3bc90cb2b92dd7660e5da7202da910ad2fa64310cbb5cfb08d1d4",
+    7: "024aee1faeca523f73db324b3c3460fb894803a7fc79cb35db677f796c4cb70f",
+}
+GRASSMANN_DIVISOR_SHA256 = {
+    (1, 2): "6ad8953693c8375d4444c5e38c65239a1db40d9f131246c084da5915a6041d51",
+    (1, 4): "2b7bbeaa024bb4192518345fc6f79e8b13bdab05500460fa99255e4c625ecb18",
+    (1, 6): "c85a953fb84fbcb4f64020aa5951a4c8946e0fdad41fdf7eee3891bf6145063e",
+    (2, 4): "8fb0044a923383020cea2586b23b7e93b4461b667c461ab20f788448894b8655",
+    (2, 5): "852b088a5325f28b89a7903d2b25aaf37bb31b8ead48b437616e1c538703eb37",
+    (2, 6): "9d715fc3890bafc107a2089648a8a5f6ca1b738d90766bbbb67f38bfb86b251c",
+    (3, 6): "3fc8aa9a356b80e47ca381c3edbfb8a1a53d7f555a68b97348b8973c530fc433",
+    (2, 7): "b6f884678257f5c43fa113b7a58be8ab299c5889109fa5d5fddcea4955ab67b4",
+    (3, 7): "7aa5cf1207a1d87819f4e4db72e5602fbedde468c4a32a27b9c92bd6fcafe2cb",
+    (4, 8): "ad5a5ba07fe1e1155fb7ab7267aaedebe70eee5444db401ef5367f6496925d2f",
+}
+
+
+def _sha256_repr(obj):
+    return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
 
 
 def sigma1_vector(A):
@@ -63,12 +98,24 @@ def test_grassmannian_cross_check_projective():
     assert A.degrees == B.degrees
 
 
+@pytest.mark.parametrize("n", sorted(IG2_DIVISOR_SHA256))
+def test_ig2_divisor_matrix_is_pinned(n):
+    assert _sha256_repr(ig2_divisor_matrix(n)) == IG2_DIVISOR_SHA256[n]
+
+
+@pytest.mark.parametrize("k,n", sorted(GRASSMANN_DIVISOR_SHA256))
+def test_grassmann_divisor_matrix_is_pinned(k, n):
+    assert _sha256_repr(grassmann_divisor_matrix(k, n)) \
+        == GRASSMANN_DIVISOR_SHA256[(k, n)]
+
+
 def test_non_cyclic_case_raises():
     with pytest.raises(AssertionError, match="does not generate"):
         grassmannian_algebra(2, 4)
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6)])
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7),
+                                 (4, 8)])
 def test_divisor_operator_matches_tableau_route(k, n):
     M, lengths = grassmann_divisor_matrix(k, n)
     assert poly_str(charpoly(M)) == DIVISOR_CHARPOLY[("G", k, n)]
@@ -81,7 +128,7 @@ def test_divisor_operator_matches_tableau_route(k, n):
     assert len(lengths) == A.dim
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_ig2_matches_divisor_operator(n):
     A = qh_ig2(n)
     assert A.dim == 2 * n * (n - 1)
@@ -93,7 +140,7 @@ def test_ig2_matches_divisor_operator(n):
     assert len(lengths) == A.dim
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_ig2_betti_numbers_are_complete_intersection(n):
     # graded dimensions of Q[c1,c2]/(degrees 2n-2, 2n), c1 in degree 1
     top = 4 * n - 5

@@ -1,14 +1,22 @@
+import ast
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import qspectra
 from qspectra import cli, varieties
 from qspectra.algebra import algebra_from_json, algebra_to_json
 from qspectra.cli import REGISTRY, RunReport, main
 from qspectra.varieties import Variety
 from qspectra.lefschetz import builtin_collection, save_collection
+from qspectra.spectrum import quantum_spectrum_report
 
 
 def run(capsys, *argv):
@@ -347,6 +355,67 @@ def test_selftest_catches_perturbed_data(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--filter", "algebra")
     assert code == 2
     assert "[fail] algebra: every registry provider validates" in out
+
+
+# the same perturbation in a fresh interpreter, for runs under python -O
+_PERTURBED_SELFTEST = """
+import sys
+from qspectra import cli, varieties
+from qspectra.algebra import algebra_from_json, algebra_to_json
+
+good = varieties.qh_ig2
+
+
+def perturbed(n):
+    if n != 2:
+        return good(n)
+    obj = algebra_to_json(good(2))
+    if obj["triples"][1][:3] != [0, 1, 1]:
+        sys.exit(3)
+    obj["triples"][1][3] += 1
+    return algebra_from_json(obj, check=False)
+
+
+varieties.qh_ig2 = perturbed
+sys.exit(cli.main(["selftest", "--filter", "algebra"]))
+"""
+
+
+def test_selftest_catches_perturbed_data_under_optimize():
+    # python -O strips assert statements; the selftest checks must not be
+    # among them
+    src = str(pathlib.Path(qspectra.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _PERTURBED_SELFTEST],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "[fail] algebra: every registry provider validates" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # invariant checks raise AssertionError explicitly so that python -O
+    # keeps them; the tests may assert freely
+    found = []
+    for path in sorted(pathlib.Path(qspectra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_non_integral_orbit_counts_serialize_as_pairs():
+    report = quantum_spectrum_report(REGISTRY["P2"].provider())
+    report.orbit_count_by_length = Fraction(3, 2)
+    report.orbit_count_by_points = Fraction(3, 2)
+    d = report.to_dict()
+    assert d["orbit_count_by_length"] == [3, 2]
+    assert d["orbit_count_by_points"] == [3, 2]
+    table = cli._report_markdown(report)
+    assert "| orbits by length (k) | 3/2 |" in table
+    assert "| orbits by points | 3/2 |" in table
 
 
 def test_run_report_wrapper_shape():
