@@ -13,84 +13,135 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exactlin import Matrix, _q
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .exactlin import _ONE, _ZERO, Matrix, _q, clear_denominators, vec
 
 
 class FiniteCommAlgebra:
     """Commutative algebra with chosen basis and full multiplication table.
 
-    structure[i][j] is the coefficient vector of b_i * b_j.  degrees grade
+    The table is held as sparse integer rows over one denominator:
+    rows[i][j] lists the (k, c) pairs with c != 0, and b_i * b_j is the sum
+    of (c / den) b_k over them.  structure[i][j] is the same product as a
+    dense vector of Fractions, a view built on first access.  degrees grade
     the basis modulo fano_index; anticanonical is a degree-1 vector whose
     multiplication operator drives the spectrum decomposition.
     """
 
-    __slots__ = ("name", "basis_labels", "dim", "structure", "unit",
-                 "degrees", "fano_index", "anticanonical", "dim_X")
+    __slots__ = ("name", "basis_labels", "dim", "rows", "den", "unit",
+                 "degrees", "fano_index", "anticanonical", "dim_X",
+                 "_structure")
 
     def __init__(self, name, basis_labels, structure, unit, degrees,
                  fano_index, anticanonical, dim_X):
         dim = len(basis_labels)
-        table = tuple(tuple(tuple(_q(c) for c in cell) for cell in row)
-                      for row in structure)
-        if len(table) != dim or any(len(row) != dim for row in table) \
-                or any(len(cell) != dim for row in table for cell in row):
+        if len(structure) != dim or any(len(row) != dim for row in structure):
             raise ValueError("structure tensor shape mismatch")
+        # one pass over the dense table; a cell object shared by b_i * b_j
+        # and b_j * b_i is read once, and entries that are the shared _ZERO
+        # are skipped unread (every other entry goes through _q)
+        cells = {}
+        den = 1
+        for row in structure:
+            for cell in row:
+                key = id(cell)
+                if key in cells:
+                    continue
+                if len(cell) != dim:
+                    raise ValueError("structure tensor shape mismatch")
+                nonzero = [(k, c) for k, c in enumerate(cell)
+                           if c is not _ZERO and _q(c)]
+                for _k, c in nonzero:
+                    if c.denominator != 1:
+                        den = lcm(den, c.denominator)
+                # holding the cell keeps its id from being reused
+                cells[key] = (cell, nonzero)
         if len(unit) != dim or len(anticanonical) != dim or len(degrees) != dim:
             raise ValueError("vector length mismatch")
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
+        scaled = {key: tuple([(k, c.numerator * (den // c.denominator))
+                              for k, c in nonzero])
+                  for key, (_cell, nonzero) in cells.items()}
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = dim
-        self.structure = table
-        self.unit = tuple(_q(c) for c in unit)
+        self.rows = tuple([tuple(map(scaled.__getitem__, map(id, row)))
+                           for row in structure])
+        self.den = den
+        self.unit = vec(unit)
         self.degrees = tuple(d % fano_index for d in degrees)
         self.fano_index = fano_index
-        self.anticanonical = tuple(_q(c) for c in anticanonical)
+        self.anticanonical = vec(anticanonical)
         self.dim_X = dim_X
+        self._structure = None
+
+    @property
+    def structure(self):
+        """Dense view: structure[i][j] is the Fraction vector of b_i * b_j."""
+        if self._structure is None:
+            zero = [_ZERO] * self.dim
+            dense = {}
+            for row in self.rows:
+                for cell in row:
+                    if id(cell) not in dense:
+                        v = list(zero)
+                        for k, c in cell:
+                            v[k] = Fraction(c, self.den)
+                        dense[id(cell)] = tuple(v)
+            self._structure = tuple(tuple(dense[id(cell)] for cell in row)
+                                    for row in self.rows)
+        return self._structure
 
     def basis_vector(self, i):
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
+    def sparse_product(self, u, v):
+        """den times the product of two integer vectors, each given by its
+        nonzero (index, value) pairs; a dense list of integers."""
+        out = [0] * self.dim
+        rows = self.rows
+        for i, a in u:
+            row = rows[i]
+            for j, b in v:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return out
+
     def product(self, u, v):
         """Coefficient vector of the product of two coefficient vectors."""
-        out = [_ZERO] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.structure[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in enumerate(row[j]):
-                    if c != 0:
-                        out[k] += ab * c
-        return tuple(out)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("vector length mismatch")
+        iu, du = clear_denominators(u)
+        iv, dv = clear_denominators(v)
+        out = self.sparse_product(_nonzero(iu), _nonzero(iv))
+        scale = du * dv * self.den
+        return tuple(Fraction(x, scale) if x else _ZERO for x in out)
 
     def __repr__(self):
         return "FiniteCommAlgebra(%r, dim=%d, m=%d)" % (
             self.name, self.dim, self.fano_index)
 
 
+def _nonzero(v):
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
 def mult_matrix(A, v):
     """Matrix of multiplication by the vector v in the basis of A."""
     if len(v) != A.dim:
         raise ValueError("vector length mismatch")
-    cols = []
-    for j in range(A.dim):
-        col = [_ZERO] * A.dim
-        for l, c in enumerate(v):
-            if c == 0:
-                continue
-            for k, s in enumerate(A.structure[l][j]):
-                if s != 0:
-                    col[k] += c * s
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(A.dim)] for i in range(A.dim)])
+    iv, dv = clear_denominators(v)
+    terms = _nonzero(iv)
+    scale = dv * A.den
+    n = A.dim
+    out = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for l, c in terms:
+            for k, s in A.rows[l][j]:
+                out[k][j] += c * s
+    return Matrix([[Fraction(x, scale) if x else _ZERO for x in row]
+                   for row in out])
 
 
 class ValidationReport:
@@ -109,38 +160,25 @@ class ValidationReport:
         return "ValidationReport(%d violations)" % len(self.violations)
 
 
-def _common_denominator(values):
-    d = 1
-    for c in values:
-        if c.denominator != 1:
-            d = lcm(d, c.denominator)
-    return d
-
-
 def validate_algebra(A):
     """Check commutativity, unit, associativity and the cyclic grading.
 
     Returns a report listing every violated invariant; empty means valid.
 
-    The sweeps run over the integers.  With D the least common denominator
-    of the structure constants, D * c is an integer for every constant c,
-    and scaling by D changes no zero pattern, so commutativity, grading and
-    the unit identity read the same on the scaled table (the unit vector is
-    cleared by its own denominator E, and b_i must come back as D * E * b_i).
-    Both sides of an associativity test are products of two structure
+    The sweeps run over the algebra's integer rows, which hold D times each
+    structure constant for the common denominator D = A.den.  Scaling by D
+    changes no zero pattern, so commutativity, grading and the unit
+    identity read the same on the scaled table (the unit vector is cleared
+    by its own denominator E, and b_i must come back as D * E * b_i).  Both
+    sides of an associativity test are products of two structure
     constants, so both scale by D^2 and one side equals the other exactly
     when it does before scaling.
     """
     out = []
     m = A.fano_index
     n = A.dim
-    D = _common_denominator(c for row in A.structure for cell in row
-                            for c in cell)
-    # sparse integer rows keep the associativity sweep near-linear in
-    # practice
-    sparse = [[tuple((k, c.numerator * (D // c.denominator))
-                     for k, c in enumerate(cell) if c)
-               for cell in row] for row in A.structure]
+    D = A.den
+    sparse = A.rows
 
     for i in range(n):
         for j in range(i, n):
@@ -154,9 +192,8 @@ def validate_algebra(A):
                 acc[t] = acc.get(t, 0) + c * s
         return {t: c for t, c in acc.items() if c}
 
-    E = _common_denominator(A.unit)
-    unit = [(l, c.numerator * (E // c.denominator))
-            for l, c in enumerate(A.unit) if c]
+    unit, E = clear_denominators(A.unit)
+    unit = _nonzero(unit)
     for i in range(n):
         if right_mult(unit, i) != {i: D * E}:
             out.append("unit fails on basis element %d" % i)
@@ -563,9 +600,9 @@ def algebra_to_json(A):
     triples = []
     for i in range(A.dim):
         for j in range(i, A.dim):
-            for k, c in enumerate(A.structure[i][j]):
-                if c != 0:
-                    triples.append([i, j, k, c.numerator, c.denominator])
+            for k, c in A.rows[i][j]:
+                c = Fraction(c, A.den)
+                triples.append([i, j, k, c.numerator, c.denominator])
     triples.sort()
     return {
         "name": A.name,

@@ -18,10 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import FiniteCommAlgebra, validate_algebra
-from .exactlin import Matrix, Solver
-
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
+from .exactlin import _ONE, _ZERO, Matrix, Solver
 
 
 def _reflection(alpha):

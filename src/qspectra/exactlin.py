@@ -6,6 +6,7 @@ All entries are fractions.Fraction; floating point never enters.
 """
 
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -22,6 +23,19 @@ def _q(x):
 def vec(entries):
     """Coerce an iterable to a tuple of Fractions."""
     return tuple(_q(x) for x in entries)
+
+
+def clear_denominators(v):
+    """Integers and their common denominator d, with v equal to ints / d.
+
+    d is the least common multiple of the entries' denominators.
+    """
+    v = vec(v)
+    d = 1
+    for c in v:
+        if c.denominator != 1:
+            d = lcm(d, c.denominator)
+    return tuple(c.numerator * (d // c.denominator) for c in v), d
 
 
 def vec_add(u, v):

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import FiniteCommAlgebra
+from .exactlin import _ONE, _ZERO
 
 
 def _strips(shape, size, prev_cum):
@@ -181,22 +182,21 @@ def qh_grassmannian(k, n):
     structure = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            vec = [Fraction(0)] * dim
+            vec = [_ZERO] * dim
             for box, c in quantum_product(shapes[i], shapes[j], k, n).items():
                 vec[index[box]] = Fraction(c)
             vec = tuple(vec)
             structure[i][j] = vec
             structure[j][i] = vec
 
-    one = Fraction(1)
     return FiniteCommAlgebra(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
         structure=structure,
-        unit=tuple(one if i == index[()] else Fraction(0) for i in range(dim)),
+        unit=tuple(_ONE if i == index[()] else _ZERO for i in range(dim)),
         degrees=[sum(p) % n for p in shapes],
         fano_index=n,
-        anticanonical=tuple(Fraction(n) if i == index[(1,)] else Fraction(0)
+        anticanonical=tuple(Fraction(n) if i == index[(1,)] else _ZERO
                             for i in range(dim)),
         dim_X=k * (n - k),
     )

@@ -14,21 +14,22 @@ of scale.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import FiniteCommAlgebra, jacobi_ring, mult_matrix
 from .exactlin import (
+    _ONE,
+    _ZERO,
     Matrix,
     Poly,
     bezout_coprime,
     charpoly,
+    clear_denominators,
     kernel_basis,
     poly_str,
     span_basis,
     split_at_zero,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def nilradical(A):
@@ -36,20 +37,14 @@ def nilradical(A):
 
     In characteristic zero the radical of (a, b) -> trace of multiplication
     by ab is exactly the nilradical, so one symmetric matrix kernel finds
-    it without any factoring.
+    it without any factoring.  The form is built from the integer rows, so
+    it comes out scaled by den^2, which leaves its kernel as it is.
     """
-    n = A.dim
-    tau = [sum((A.structure[l][j][j] for j in range(n)), _ZERO)
-           for l in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = A.structure[i][j]
-            row.append(sum((c * tau[l] for l, c in enumerate(cell) if c != 0),
-                           _ZERO))
-        rows.append(row)
-    return kernel_basis(Matrix(rows))
+    # tau[l] is den times the trace of multiplication by b_l
+    tau = [sum(c for j, cell in enumerate(row) for k, c in cell if k == j)
+           for row in A.rows]
+    return kernel_basis(Matrix([[sum(c * tau[l] for l, c in cell)
+                                 for cell in row] for row in A.rows]))
 
 
 def point_count(A):
@@ -73,36 +68,48 @@ def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
         return _empty_part(A, name)
     # the vectors are reduced echelon blocks with disjoint supports, one
     # block per degree, so the coordinates of a vector in their span are
-    # its entries at the pivots
-    pivots = [next(i for i, x in enumerate(v) if x != 0) for v in vectors]
-    sparse = [[(i, x) for i, x in enumerate(v) if x != 0] for v in vectors]
+    # its entries at the pivots.  Each v_p is cleared once to the integer
+    # vector s_p * v_p, and with L the lcm of the s_p the span check on w
+    # reads L * w == sum of w[p] * (L / s_p) * (s_p * v_p), on integers.
+    cleared = [clear_denominators(v) for v in vectors]
+    terms = [[(i, x) for i, x in enumerate(v) if x] for v, _s in cleared]
+    pivots = [t[0][0] for t in terms]
+    L = lcm(*(s for _v, s in cleared))
+    lifted = [[(i, (L // s) * x) for i, x in t]
+              for t, (_v, s) in zip(terms, cleared)]
 
-    def coords(w):
-        x = tuple(w[p] for p in pivots)
-        rebuilt = [_ZERO] * len(w)
-        for c, terms in zip(x, sparse):
-            if c != 0:
-                for i, y in terms:
+    def coords(w, scale):
+        # w is an integer vector, scale times the vector to read
+        x = [w[p] for p in pivots]
+        rebuilt = [0] * len(w)
+        for c, t in zip(x, lifted):
+            if c:
+                for i, y in t:
                     rebuilt[i] += c * y
-        if tuple(rebuilt) != tuple(w):
+        if rebuilt != [L * c for c in w]:
             raise AssertionError("vector outside the span of the fiber basis")
-        return x
+        return tuple(Fraction(c, scale) if c else _ZERO for c in x)
+
+    def coords_of(v):
+        w, s = clear_denominators(v)
+        return coords(w, s)
 
     k = len(vectors)
     structure = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            cell = coords(A.product(vectors[i], vectors[j]))
+            cell = coords(A.sparse_product(terms[i], terms[j]),
+                          A.den * cleared[i][1] * cleared[j][1])
             structure[i][j] = cell
             structure[j][i] = cell
     return FiniteCommAlgebra(
         name=name,
         basis_labels=["b%d" % i for i in range(k)],
         structure=structure,
-        unit=coords(unit_vec),
+        unit=coords_of(unit_vec),
         degrees=degrees,
         fano_index=A.fano_index,
-        anticanonical=coords(kappa_vec),
+        anticanonical=coords_of(kappa_vec),
         dim_X=A.dim_X,
     )
 
@@ -116,10 +123,11 @@ def kappa_split(A, p=None):
     Bezout identity u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent
     projecting onto ker M^a along the invertible part.  Since A is
     commutative, (v g)(M) is multiplication by e0, so e0 comes from Horner
-    on the unit vector with the algebra's own product, and the projector
-    from the structure constants, with no matrix powers.  Both parts come
-    back with induced structure constants on degree-homogeneous bases, so
-    they are valid graded algebras in their own right.
+    on the unit vector with the algebra's own product, run on the integer
+    rows, and the projector from the structure constants, with no matrix
+    powers.  Both parts come back with induced structure constants on
+    degree-homogeneous bases, so they are valid graded algebras in their
+    own right.
     """
     if p is None:
         p = _kappa_charpoly(A)
@@ -129,10 +137,23 @@ def kappa_split(A, p=None):
     if a == A.dim:
         return A, _empty_part(A, "%s (invertible fiber)" % A.name)
     u, v = bezout_coprime(Poly.x_power(a), g)
-    e0 = (_ZERO,) * A.dim
+    # e0 is carried as w / D.  A step e <- kappa * e + c * 1 takes the
+    # integer product, which comes out times s, and the cleared unit over
+    # t = lcm(s, c.denominator * du), then divides out the common gcd
+    kappa, dk = clear_denominators(A.anticanonical)
+    kappa_terms = [(i, x) for i, x in enumerate(kappa) if x]
+    one, du = clear_denominators(A.unit)
+    w, D = [0] * A.dim, 1
     for c in reversed((v * g).coeffs):
-        e0 = tuple(x + c * y for x, y in
-                   zip(A.product(A.anticanonical, e0), A.unit))
+        s = A.den * dk * D
+        t = lcm(s, c.denominator * du)
+        w = A.sparse_product(kappa_terms,
+                             [(i, x) for i, x in enumerate(w) if x])
+        f = c.numerator * (t // (c.denominator * du))
+        w = [(t // s) * x + f * y for x, y in zip(w, one)]
+        r = gcd(t, *w)
+        w, D = [x // r for x in w], t // r
+    e0 = tuple(Fraction(x, D) if x else _ZERO for x in w)
     proj = mult_matrix(A, e0)
     if A.product(e0, e0) != e0:
         raise AssertionError("splitting idempotent is not idempotent")

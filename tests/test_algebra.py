@@ -145,6 +145,39 @@ def test_mult_matrix_rejects_bad_length():
         mult_matrix(qh_projective(1), (F(1),))
 
 
+def test_product_rejects_floats_and_wrong_lengths():
+    A = qh_projective(2)
+    with pytest.raises(TypeError):
+        A.product((0.5, 0, 0), (0, 1, 0))
+    with pytest.raises(TypeError):
+        A.product((0, 1, 0), (0, 0.5, 0))
+    with pytest.raises(ValueError):
+        A.product((0, 1), (0, 1, 0))
+    with pytest.raises(ValueError):
+        A.product((0, 1, 0), (0, 1, 0, 0))
+    assert A.product((F(1, 2), 0, 0), (0, 1, 0)) == (0, F(1, 2), 0)
+
+
+def test_constructor_rejects_inexact_constants():
+    A = qh_projective(1)
+    structure = [[list(cell) for cell in row] for row in A.structure]
+    structure[1][1][0] = 0.0
+    with pytest.raises(TypeError):
+        FiniteCommAlgebra(
+            name=A.name, basis_labels=A.basis_labels, structure=structure,
+            unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
+            anticanonical=A.anticanonical, dim_X=A.dim_X)
+
+
+def test_rows_hold_the_table_over_one_denominator():
+    A = jacobi_ring("D5")
+    assert A.den > 1
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert A.rows[i][j] == tuple(
+                (k, c * A.den) for k, c in enumerate(A.structure[i][j]) if c)
+
+
 # ---------------------------------------------------------------- presentations
 
 def projective_presentation(n):

@@ -9,6 +9,7 @@ import pytest
 import qspectra.exactlin
 import qspectra.spectrum
 from qspectra.algebra import (
+    FiniteCommAlgebra,
     PolyPresentation,
     from_presentation,
     jacobi_ring,
@@ -18,7 +19,14 @@ from qspectra.algebra import (
     validate_algebra,
 )
 from qspectra.cli import REGISTRY, RunReport
-from qspectra.exactlin import Matrix, charpoly, rank, split_at_zero, squarefree_part
+from qspectra.exactlin import (
+    Matrix,
+    charpoly,
+    kernel_basis,
+    rank,
+    split_at_zero,
+    squarefree_part,
+)
 from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import (
     compare_with_jacobi,
@@ -324,6 +332,32 @@ def test_ig2_12_zero_fiber_is_one_point_of_length_five():
                            "hilbert_function": (1,) * 5, "socle_dim": 1}
 
 
+# the item 2 catalogue of ROADMAP.md, outside the registry
+
+@pytest.mark.parametrize("k,n,orbits", [(3, 7, 5), (3, 8, 7)])
+def test_coprime_grassmannian_has_empty_zero_fiber(k, n, orbits):
+    r = quantum_spectrum_report(qh_grassmannian(k, n))
+    assert r.dim_zero_part == 0
+    assert r.orbit_count_by_length == r.orbit_count_by_points == orbits
+    assert r.orbit_length_integral and r.orbit_points_integral
+
+
+def test_g48_zero_fiber_is_six_reduced_points():
+    r = quantum_spectrum_report(qh_grassmannian(4, 8))
+    assert r.orbit_count_by_length == r.orbit_count_by_points == 8
+    assert r.zero_part == {"dim": 6, "geometric_point_count": 6,
+                           "is_single_point": False,
+                           "hilbert_function": (6,), "socle_dim": 6}
+
+
+def test_ig2_14_zero_fiber_is_one_point_of_length_six():
+    r = quantum_spectrum_report(qh_ig2(7))
+    assert r.orbit_count_by_length == r.orbit_count_by_points == 6
+    assert r.zero_part == {"dim": 6, "geometric_point_count": 1,
+                           "is_single_point": True,
+                           "hilbert_function": (1,) * 6, "socle_dim": 1}
+
+
 @pytest.mark.parametrize("make", PROVIDERS)
 def test_invertible_fiber_charpoly_is_the_cofactor_of_x_power(make):
     A = make()
@@ -365,6 +399,97 @@ def test_report_with_empty_zero_fiber_reuses_the_charpoly(monkeypatch):
     # the invertible fiber is the whole ring, so its charpoly is the ring's,
     # and the empty zero fiber has no nilradical to compute
     assert calls == {"charpoly": 1, "nilradical": 1, "rank": 0}
+
+
+# --- rational tables against a plain Fraction reference --------------------
+
+def _rescaled_table(A):
+    """A's table in the basis 2 * b_0, 2 * b_1, b_2 / 2, 3 * b_(d-1) and
+    the other b_i: with b_i' = s_i b_i, b_i' b_j' = sum of
+    s_i s_j c_ijk / s_k b_k'.  The unit b_0 becomes b_0' / 2, and the
+    anticanonical class m * b_1 becomes (m / 2) * b_1'."""
+    s = [Fraction(1)] * A.dim
+    s[0] = Fraction(2)
+    s[1] = Fraction(2)
+    s[2] = Fraction(1, 2)
+    s[-1] = Fraction(3)
+    table = [[tuple(s[i] * s[j] * c / s[k]
+                    for k, c in enumerate(A.structure[i][j]))
+              for j in range(A.dim)] for i in range(A.dim)]
+    unit = tuple(c / x for c, x in zip(A.unit, s))
+    kappa = tuple(c / x for c, x in zip(A.anticanonical, s))
+    return table, unit, kappa
+
+
+def _reference_product(table, u, v):
+    n = len(u)
+    return tuple(sum(u[i] * v[j] * table[i][j][k]
+                     for i in range(n) for j in range(n))
+                 for k in range(n))
+
+
+def _reference_mult_matrix(table, v):
+    n = len(v)
+    return Matrix([[sum(v[l] * table[l][j][k] for l in range(n))
+                    for j in range(n)] for k in range(n)])
+
+
+def _reference_nilradical(table):
+    n = len(table)
+    tau = [sum(table[l][j][j] for j in range(n)) for l in range(n)]
+    return kernel_basis(Matrix([[sum(table[i][j][l] * tau[l]
+                                     for l in range(n))
+                                 for j in range(n)] for i in range(n)]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qh_ig2(3),
+    lambda: qh_grassmannian(2, 4),
+    lambda: jacobi_ring("D5"),
+])
+def test_integer_kernels_match_fractions_on_rescaled_rings(make):
+    A = make()
+    table, unit, kappa = _rescaled_table(A)
+    B = FiniteCommAlgebra(
+        name=A.name, basis_labels=A.basis_labels, structure=table,
+        unit=unit, degrees=A.degrees, fano_index=A.fano_index,
+        anticanonical=kappa, dim_X=A.dim_X)
+    assert B.den > 1
+    n = B.dim
+    u = tuple(Fraction(i + 1, i + 2) for i in range(n))
+    w = tuple(Fraction(-3, 5) if i % 2 else Fraction(0) for i in range(n))
+    vectors = [u, w, unit, kappa]
+    for x in vectors:
+        assert mult_matrix(B, x) == _reference_mult_matrix(table, x)
+        for y in vectors:
+            assert B.product(x, y) == _reference_product(table, x, y)
+    for i in range(n):
+        for j in range(n):
+            assert B.product(B.basis_vector(i), B.basis_vector(j)) \
+                == table[i][j]
+    assert nilradical(B) == _reference_nilradical(table)
+    for part in kappa_split(B):
+        assert validate_algebra(part).ok
+    assert quantum_spectrum_report(B).to_dict() \
+        == quantum_spectrum_report(A).to_dict()
+
+
+def test_induced_part_rejects_a_basis_that_is_not_closed():
+    # b1 * b1 = b2 in P2, outside the span of b1
+    A = qh_projective(2)
+    b1 = A.basis_vector(1)
+    with pytest.raises(AssertionError, match="outside the span"):
+        qspectra.spectrum._induced_part(A, "b1", [b1], [1], b1, b1)
+
+
+def test_report_never_builds_the_dense_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense structure view built")
+
+    monkeypatch.setattr(FiniteCommAlgebra, "structure", property(refuse))
+    for A in (qh_ig2(4), jacobi_ring("D5")):
+        r = quantum_spectrum_report(A)
+        assert r.dim_zero_part + r.dim_nonzero_part == A.dim
 
 
 # sha256 of every registry report JSON, as written by `report --json`,
