@@ -1,11 +1,10 @@
 """Finite commutative algebras over the rationals.
 
-The central type is FiniteCommAlgebra: a based algebra with full structure
-tensor, a cyclic grading by the Fano index, and a distinguished anticanonical
+The central type is FiniteCommAlgebra: a based algebra with a sparse table,
+a cyclic grading by the Fano index, and a distinguished anticanonical
 vector in degree 1.  Algebras arrive two ways: normal forms modulo a
 polynomial presentation (projective spaces, Jacobi rings and isotropic
-Grassmannians), and a validated JSON serialisation of the structure
-tensor.
+Grassmannians), and a validated JSON serialisation of the table.
 """
 
 import json
@@ -16,14 +15,25 @@ from math import lcm
 from .exactlin import _ONE, _ZERO, Matrix, _q, clear_denominators, vec
 
 
-class FiniteCommAlgebra:
-    """Commutative algebra with chosen basis and full multiplication table.
+def _mirrored(cells, convert):
+    """convert(cell) for each cell of a square table; a cell below the
+    diagonal that is its mirror's very object reuses the mirror's result."""
+    out = []
+    for i, row in enumerate(cells):
+        out.append(tuple([out[j][i] if j < i and cell is cells[j][i]
+                          else convert(cell) for j, cell in enumerate(row)]))
+    return tuple(out)
 
-    The table is held as sparse integer rows over one denominator:
-    rows[i][j] lists the (k, c) pairs with c != 0, and b_i * b_j is the sum
-    of (c / den) b_k over them.  structure[i][j] is the same product as a
-    dense vector of Fractions, a view built on first access.  degrees grade
-    the basis modulo fano_index; anticanonical is a degree-1 vector whose
+
+class FiniteCommAlgebra:
+    """Commutative algebra with chosen basis and sparse multiplication table.
+
+    table[i][j], for every i and j, maps k to the int or Fraction c_ijk of
+    b_i * b_j = sum of c_ijk b_k.  It is held as sparse integer rows over
+    one denominator: rows[i][j] lists the (k, den * c_ijk) pairs with
+    c_ijk != 0, sorted by k.  structure[i][j] is b_i * b_j as a dense
+    vector of Fractions, a view built on first access.  degrees grade the
+    basis modulo fano_index; anticanonical is a degree-1 vector whose
     multiplication operator drives the spectrum decomposition.
     """
 
@@ -31,42 +41,32 @@ class FiniteCommAlgebra:
                  "degrees", "fano_index", "anticanonical", "dim_X",
                  "_structure")
 
-    def __init__(self, name, basis_labels, structure, unit, degrees,
+    def __init__(self, name, basis_labels, table, unit, degrees,
                  fano_index, anticanonical, dim_X):
         dim = len(basis_labels)
-        if len(structure) != dim or any(len(row) != dim for row in structure):
-            raise ValueError("structure tensor shape mismatch")
-        # one pass over the dense table; a cell object shared by b_i * b_j
-        # and b_j * b_i is read once, and entries that are the shared _ZERO
-        # are skipped unread (every other entry goes through _q)
-        cells = {}
-        den = 1
-        for row in structure:
-            for cell in row:
-                key = id(cell)
-                if key in cells:
-                    continue
-                if len(cell) != dim:
-                    raise ValueError("structure tensor shape mismatch")
-                nonzero = [(k, c) for k, c in enumerate(cell)
-                           if c is not _ZERO and _q(c)]
-                for _k, c in nonzero:
-                    if c.denominator != 1:
-                        den = lcm(den, c.denominator)
-                # holding the cell keeps its id from being reused
-                cells[key] = (cell, nonzero)
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise ValueError("table shape mismatch")
         if len(unit) != dim or len(anticanonical) != dim or len(degrees) != dim:
             raise ValueError("vector length mismatch")
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
-        scaled = {key: tuple([(k, c.numerator * (den // c.denominator))
-                              for k, c in nonzero])
-                  for key, (_cell, nonzero) in cells.items()}
+        den = 1
+
+        def exact(cell):
+            nonlocal den
+            items = sorted(cell.items())
+            if items and not (0 <= items[0][0] and items[-1][0] < dim):
+                raise ValueError("basis index out of range in table")
+            pairs = [(k, q) for k, c in items if (q := _q(c))]
+            den = lcm(den, *(c.denominator for _k, c in pairs))
+            return pairs
+
+        # den is final once the inner pass is done
+        self.rows = _mirrored(_mirrored(table, exact), lambda pairs: tuple([
+            (k, c.numerator * (den // c.denominator)) for k, c in pairs]))
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = dim
-        self.rows = tuple([tuple(map(scaled.__getitem__, map(id, row)))
-                           for row in structure])
         self.den = den
         self.unit = vec(unit)
         self.degrees = tuple(d % fano_index for d in degrees)
@@ -79,17 +79,12 @@ class FiniteCommAlgebra:
     def structure(self):
         """Dense view: structure[i][j] is the Fraction vector of b_i * b_j."""
         if self._structure is None:
-            zero = [_ZERO] * self.dim
-            dense = {}
-            for row in self.rows:
-                for cell in row:
-                    if id(cell) not in dense:
-                        v = list(zero)
-                        for k, c in cell:
-                            v[k] = Fraction(c, self.den)
-                        dense[id(cell)] = tuple(v)
-            self._structure = tuple(tuple(dense[id(cell)] for cell in row)
-                                    for row in self.rows)
+            def dense(cell):
+                v = [_ZERO] * self.dim
+                for k, c in cell:
+                    v[k] = Fraction(c, self.den)
+                return tuple(v)
+            self._structure = _mirrored(self.rows, dense)
         return self._structure
 
     def basis_vector(self, i):
@@ -393,10 +388,7 @@ def from_presentation(P):
         return {index[e]: c for e, c in _nf(poly, G, key).items()}
 
     def dense(sparse):
-        v = [_ZERO] * d
-        for k, c in sparse.items():
-            v[k] = c
-        return tuple(v)
+        return tuple(sparse.get(k, _ZERO) for k in range(d))
 
     def shift(e, t, by):
         return e[:t] + (e[t] + by,) + e[t + 1:]
@@ -411,23 +403,21 @@ def from_presentation(P):
     ops = [[column(shift(e, t, 1)) for e in basis] for t in range(nv)]
 
     # rows[i][j] is b_i * b_j as a sparse map; b_0 = 1 and b_i' precedes
-    # b_i, so its row is filled from the diagonal of b_i onwards
+    # b_i, so its row is filled from the diagonal of b_i onwards; the
+    # cells left of it are the dicts of their mirrors
     rows = [[{j: _ONE} for j in range(d)]]
-    structure = [[dense(cell) for cell in rows[0]]]
     for i in range(1, d):
         t = next(t for t, x in enumerate(basis[i]) if x)
         src = rows[index[shift(basis[i], t, -1)]]
         op = ops[t]
-        row = [None] * d
+        row = [rows[j][i] for j in range(i)]
         for j in range(i, d):
             acc = {}
             for k, c in src[j].items():
                 for l, s in op[k]:
                     acc[l] = acc.get(l, _ZERO) + c * s
-            row[j] = {l: c for l, c in acc.items() if c}
+            row.append({l: c for l, c in acc.items() if c})
         rows.append(row)
-        structure.append([structure[j][i] if j < i else dense(row[j])
-                          for j in range(d)])
 
     names = [v for v, _ in P.variables]
 
@@ -447,7 +437,7 @@ def from_presentation(P):
     return FiniteCommAlgebra(
         name=P.name,
         basis_labels=[label(e) for e in basis],
-        structure=structure,
+        table=rows,
         unit=dense({0: _ONE}),
         degrees=degrees,
         fano_index=m,
@@ -616,23 +606,39 @@ def algebra_to_json(A):
     }
 
 
+def _json_fraction(num, den):
+    if type(num) is not int or type(den) is not int or den == 0:
+        raise ValueError("bad fraction %r / %r" % (num, den))
+    return Fraction(num, den)
+
+
 def algebra_from_json(obj, check=True):
     dim = obj["dim"]
-    structure = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    if type(dim) is not int or dim < 0:
+        raise ValueError("bad dimension %r" % (dim,))
+    if any(len(obj[key]) != dim
+           for key in ("unit", "anticanonical", "degrees")):
+        raise ValueError("vector length mismatch")
+    cells = {}
     for i, j, k, num, den in obj["triples"]:
-        if not 0 <= i <= j < dim or not 0 <= k < dim:
+        if not (all(type(x) is int for x in (i, j, k))
+                and 0 <= i <= j < dim and 0 <= k < dim):
             raise ValueError("triple out of range: %r" % ([i, j, k],))
-        c = Fraction(num, den)
-        structure[i][j][k] = c
-        structure[j][i][k] = c
+        cell = cells.setdefault((i, j), {})
+        if k in cell:
+            raise ValueError("duplicate triple: %r" % ([i, j, k],))
+        cell[k] = _json_fraction(num, den)
+    empty = {}
+    table = [[cells.get((min(i, j), max(i, j)), empty) for j in range(dim)]
+             for i in range(dim)]
     A = FiniteCommAlgebra(
         name=obj["name"],
         basis_labels=["b%d" % i for i in range(dim)],
-        structure=structure,
-        unit=[Fraction(n, d) for n, d in obj["unit"]],
+        table=table,
+        unit=[_json_fraction(n, d) for n, d in obj["unit"]],
         degrees=list(obj["degrees"]),
         fano_index=obj["fano_index"],
-        anticanonical=[Fraction(n, d) for n, d in obj["anticanonical"]],
+        anticanonical=[_json_fraction(n, d) for n, d in obj["anticanonical"]],
         dim_X=obj["dim_X"],
     )
     if check:

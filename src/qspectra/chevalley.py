@@ -184,29 +184,26 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
             "divisor class does not generate %s; table not reconstructible"
             % name) from None
     in_krylov = [solver.solve(b) for b in basis]
-    structure = [[None] * n for _ in range(n)]
+    table = [[None] * n for _ in range(n)]
     for i in range(n):
         pi = in_krylov[i]
         for j in range(i, n):
-            acc = [_ZERO] * n
+            acc = {}
             seq = images[j]
             for l, c in enumerate(pi):
                 if c == 0:
                     continue
-                vec = seq[l]
-                for t in range(n):
-                    if vec[t] != 0:
-                        acc[t] += c * vec[t]
-            cell = tuple(acc)
-            structure[i][j] = cell
-            structure[j][i] = cell
+                for t, x in enumerate(seq[l]):
+                    if x != 0:
+                        acc[t] = acc.get(t, _ZERO) + c * x
+            table[i][j] = table[j][i] = acc
     lengths = [model.length(w) for w in reps]
     if lengths[1] != 1 or lengths.count(1) != 1:
         raise AssertionError("degree-1 line is not where expected")
     degrees = [l % m for l in lengths]
     anticanonical = tuple(Fraction(m) if i == 1 else _ZERO for i in range(n))
     return FiniteCommAlgebra(
-        name=name, basis_labels=labels, structure=structure, unit=unit,
+        name=name, basis_labels=labels, table=table, unit=unit,
         degrees=degrees, fano_index=m, anticanonical=anticanonical,
         dim_X=dim_X)
 

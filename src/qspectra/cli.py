@@ -216,14 +216,16 @@ def _selftest_checks():
         from .chevalley import grassmannian_algebra
         A = qh_grassmannian(2, 5)
         B = grassmannian_algebra(2, 5)
-        _require(A.structure == B.structure, "structure constants differ")
+        _require((A.rows, A.den) == (B.rows, B.den),
+                 "structure constants differ")
         _require(A.anticanonical == B.anticanonical)
 
     @add("schur", "rim-hook ring matches polynomial presentation on P4")
     def _():
         A = qh_grassmannian(1, 5)
         B = qh_projective(4)
-        _require(A.structure == B.structure, "structure constants differ")
+        _require((A.rows, A.den) == (B.rows, B.den),
+                 "structure constants differ")
 
     @add("algebra", "every registry provider validates")
     def _():

@@ -109,18 +109,13 @@ def conjecture_numerology(report, c):
     sizes = lengths(c)
     k = report.orbit_count_by_length
     checks = {}
-    if c.asserted_full:
-        checks["total_vs_dim"] = {
-            "ok": sizes["total"] == report.dim_total,
-            "explanation": "full collection of length %d vs dim %d"
-                           % (sizes["total"], report.dim_total),
-        }
-    else:
-        checks["total_vs_dim"] = {
-            "ok": sizes["total"] == report.dim_total,
-            "explanation": "length %d vs dim H* = %d (no fullness asserted)"
-                           % (sizes["total"], report.dim_total),
-        }
+    checks["total_vs_dim"] = {
+        "ok": sizes["total"] == report.dim_total,
+        "explanation": ("full collection of length %d vs dim %d"
+                        if c.asserted_full else
+                        "length %d vs dim H* = %d (no fullness asserted)")
+                       % (sizes["total"], report.dim_total),
+    }
     checks["smallest_block_vs_orbits"] = {
         "ok": report.orbit_length_integral and c.support[-1] == k,
         "explanation": "sigma[m-1] = %d vs k = %r"

@@ -179,20 +179,17 @@ def qh_grassmannian(k, n):
     index = {p: i for i, p in enumerate(shapes)}
     dim = len(shapes)
 
-    structure = [[None] * dim for _ in range(dim)]
+    table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            vec = [_ZERO] * dim
-            for box, c in quantum_product(shapes[i], shapes[j], k, n).items():
-                vec[index[box]] = Fraction(c)
-            vec = tuple(vec)
-            structure[i][j] = vec
-            structure[j][i] = vec
+            table[i][j] = table[j][i] = {
+                index[box]: c for box, c
+                in quantum_product(shapes[i], shapes[j], k, n).items()}
 
     return FiniteCommAlgebra(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
-        structure=structure,
+        table=table,
         unit=tuple(_ONE if i == index[()] else _ZERO for i in range(dim)),
         degrees=[sum(p) % n for p in shapes],
         fano_index=n,

@@ -59,7 +59,7 @@ def _kappa_charpoly(A):
 
 def _empty_part(A, name):
     return FiniteCommAlgebra(
-        name=name, basis_labels=(), structure=(), unit=(), degrees=(),
+        name=name, basis_labels=(), table=(), unit=(), degrees=(),
         fano_index=A.fano_index, anticanonical=(), dim_X=A.dim_X)
 
 
@@ -88,24 +88,24 @@ def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
                     rebuilt[i] += c * y
         if rebuilt != [L * c for c in w]:
             raise AssertionError("vector outside the span of the fiber basis")
-        return tuple(Fraction(c, scale) if c else _ZERO for c in x)
-
-    def coords_of(v):
-        w, s = clear_denominators(v)
-        return coords(w, s)
+        return {p: Fraction(c, scale) for p, c in enumerate(x) if c}
 
     k = len(vectors)
-    structure = [[None] * k for _ in range(k)]
+
+    def coords_of(v):
+        cell = coords(*clear_denominators(v))
+        return tuple(cell.get(p, _ZERO) for p in range(k))
+
+    table = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            cell = coords(A.sparse_product(terms[i], terms[j]),
-                          A.den * cleared[i][1] * cleared[j][1])
-            structure[i][j] = cell
-            structure[j][i] = cell
+            table[i][j] = table[j][i] = coords(
+                A.sparse_product(terms[i], terms[j]),
+                A.den * cleared[i][1] * cleared[j][1])
     return FiniteCommAlgebra(
         name=name,
         basis_labels=["b%d" % i for i in range(k)],
-        structure=structure,
+        table=table,
         unit=coords_of(unit_vec),
         degrees=degrees,
         fano_index=A.fano_index,

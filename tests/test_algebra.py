@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,11 @@ def test_projective_validates():
 
 # ---------------------------------------------------------------- validation
 
+def _table(structure):
+    """The constructor's {k: c} cells for a dense table."""
+    return [[dict(enumerate(cell)) for cell in row] for row in structure]
+
+
 def _perturbed(A, i, j, k, delta):
     """A with the structure constant of b_k in b_i*b_j (and b_j*b_i)
     shifted by delta."""
@@ -62,7 +68,7 @@ def _perturbed(A, i, j, k, delta):
     if i != j:
         structure[j][i][k] += delta
     return FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, structure=structure,
+        name=A.name, basis_labels=A.basis_labels, table=_table(structure),
         unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
         anticanonical=A.anticanonical, dim_X=A.dim_X)
 
@@ -112,7 +118,7 @@ def test_validation_catches_asymmetry():
     structure = [[list(cell) for cell in row] for row in A.structure]
     structure[0][1][1] += 1
     report = validate_algebra(FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, structure=structure,
+        name=A.name, basis_labels=A.basis_labels, table=_table(structure),
         unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
         anticanonical=A.anticanonical, dim_X=A.dim_X))
     assert any("commutativity" in v for v in report.violations)
@@ -164,9 +170,67 @@ def test_constructor_rejects_inexact_constants():
     structure[1][1][0] = 0.0
     with pytest.raises(TypeError):
         FiniteCommAlgebra(
-            name=A.name, basis_labels=A.basis_labels, structure=structure,
+            name=A.name, basis_labels=A.basis_labels, table=_table(structure),
             unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
             anticanonical=A.anticanonical, dim_X=A.dim_X)
+
+
+def _with_table(A, table):
+    return FiniteCommAlgebra(
+        name=A.name, basis_labels=A.basis_labels, table=table, unit=A.unit,
+        degrees=A.degrees, fano_index=A.fano_index,
+        anticanonical=A.anticanonical, dim_X=A.dim_X)
+
+
+def _cells(A):
+    """A's table as fresh {k: Fraction} cells, one object per (i, j)."""
+    return [[{k: F(c, A.den) for k, c in cell} for cell in row]
+            for row in A.rows]
+
+
+def test_constructor_rejects_an_index_outside_the_basis():
+    A = qh_projective(2)
+    for k in (3, -1):
+        table = _cells(A)
+        table[1][2][k] = F(1)
+        with pytest.raises(ValueError, match="out of range"):
+            _with_table(A, table)
+
+
+def test_constructor_reads_a_lower_cell_that_is_not_its_mirror():
+    # the mirror (0, 1) is exact; the lower cell is a distinct object
+    A = qh_projective(2)
+    table = _cells(A)
+    table[1][0] = dict(table[0][1])
+    table[1][0][2] = 0.0
+    with pytest.raises(TypeError):
+        _with_table(A, table)
+
+
+def test_shared_and_equal_mirror_cells_give_the_same_rows():
+    # the distinct mirrors list their keys in reverse, so the rows are
+    # sorted by k whatever order a cell comes in
+    A = jacobi_ring("D5")
+    distinct = _cells(A)
+    shared = _cells(A)
+    for i in range(A.dim):
+        for j in range(i):
+            distinct[i][j] = dict(reversed(distinct[j][i].items()))
+            shared[i][j] = shared[j][i]
+    B, C = _with_table(A, distinct), _with_table(A, shared)
+    assert (B.rows, B.den) == (C.rows, C.den) == (A.rows, A.den)
+    assert B.den > 1
+
+
+def test_constructor_drops_explicit_zeros():
+    A = jacobi_ring("D5")
+    table = _cells(A)
+    for row in table:
+        for cell in row:
+            cell.update({k: F(0) if k % 2 else 0
+                         for k in range(A.dim) if k not in cell})
+    B = _with_table(A, table)
+    assert (B.rows, B.den) == (A.rows, A.den)
 
 
 def test_rows_hold_the_table_over_one_denominator():
@@ -360,3 +424,36 @@ def test_load_rejects_corrupted_data():
     obj["triples"][0][3] += 1
     with pytest.raises(ValueError, match="invalid algebra data"):
         algebra_from_json(obj)
+
+
+def _json_p2():
+    return algebra_to_json(qh_projective(2))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda obj: obj.update(dim=2.0),
+    lambda obj: obj.update(dim=-1),
+    lambda obj: obj.update(dim=4),
+    lambda obj: obj["degrees"].pop(),
+    lambda obj: obj["triples"][0].__setitem__(4, 0),
+    lambda obj: obj["triples"][0].__setitem__(4, 2.0),
+    lambda obj: obj["triples"][0].__setitem__(3, 1.5),
+    lambda obj: obj["triples"][0].__setitem__(0, "0"),
+    lambda obj: obj["triples"].append(list(obj["triples"][0])),
+    lambda obj: obj["unit"][0].__setitem__(1, 0),
+    lambda obj: obj["anticanonical"][1].__setitem__(0, 3.0),
+])
+def test_json_rejects_malformed_entries(spoil):
+    obj = _json_p2()
+    spoil(obj)
+    with pytest.raises(ValueError):
+        algebra_from_json(obj, check=False)
+
+
+def test_json_checks_lengths_before_allocating():
+    obj = _json_p2()
+    obj["dim"] = 10 ** 6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        algebra_from_json(obj)
+    assert time.perf_counter() - start < 1.0

@@ -28,7 +28,8 @@ def test_tracer_sees_providers_and_split():
     assert tracer.install() > 0
     try:
         REGISTRY["IG(2,4)"].provider()
-        parts = spectrum.kappa_split(REGISTRY["IG(2,6)"].provider())
+        ring = REGISTRY["IG(2,6)"].provider()
+        parts = spectrum.kappa_split(ring)
     finally:
         tracer.uninstall()
     assert varieties.qh_ig2 is algebra.qh_ig2
@@ -37,6 +38,9 @@ def test_tracer_sees_providers_and_split():
     assert tracer.outermost_time(tracing.PROVIDERS) > 0
     assert tracer.split_parts == [parts]
     assert tracing.max_bits(tracer) > 0
+    for X in (ring, *parts):
+        assert tracing.structure_nnz(X) == sum(
+            len(cell) for row in X.rows for cell in row)
 
 
 def test_tracer_sees_the_tableau_route_through_lr_coeffs():

@@ -451,7 +451,8 @@ def test_integer_kernels_match_fractions_on_rescaled_rings(make):
     A = make()
     table, unit, kappa = _rescaled_table(A)
     B = FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, structure=table,
+        name=A.name, basis_labels=A.basis_labels,
+        table=[[dict(enumerate(cell)) for cell in row] for row in table],
         unit=unit, degrees=A.degrees, fano_index=A.fano_index,
         anticanonical=kappa, dim_X=A.dim_X)
     assert B.den > 1
