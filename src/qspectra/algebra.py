@@ -612,6 +612,12 @@ def _json_fraction(num, den):
     return Fraction(num, den)
 
 
+# the largest dimension algebra_from_json reads: every ring the package
+# builds fits, the largest being G(5,10) of dimension 252, and the table
+# it allocates and the validation it runs grow as dim^2 and dim^3
+JSON_MAX_DIM = 256
+
+
 def algebra_from_json(obj, check=True):
     dim = obj["dim"]
     if type(dim) is not int or dim < 0:
@@ -619,6 +625,9 @@ def algebra_from_json(obj, check=True):
     if any(len(obj[key]) != dim
            for key in ("unit", "anticanonical", "degrees")):
         raise ValueError("vector length mismatch")
+    if dim > JSON_MAX_DIM:
+        raise ValueError("dimension %d exceeds the limit of %d"
+                         % (dim, JSON_MAX_DIM))
     cells = {}
     for i, j, k, num, den in obj["triples"]:
         if not (all(type(x) is int for x in (i, j, k))

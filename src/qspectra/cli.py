@@ -275,6 +275,15 @@ def _selftest_checks():
             _require(r.dim_zero_part + r.dim_nonzero_part == r.dim_total,
                      desc.id)
 
+    @add("spectrum", "graded charpoly matches the dense Hessenberg charpoly "
+         "of the full operator on every registry ring")
+    def _():
+        for desc in REGISTRY.values():
+            A = desc.provider()
+            r = quantum_spectrum_report(A)
+            dense = charpoly(mult_matrix(A, A.anticanonical))
+            _require(r.kappa_charpoly == dense, desc.id)
+
     @add("bwb", "Serre duality on seeded random pairs")
     def _():
         rng = random.Random(20240)

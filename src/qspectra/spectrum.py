@@ -7,6 +7,15 @@ yields the idempotent that splits the algebra into those two ideals, and
 everything downstream -- orbit counts, Hilbert functions, comparisons with
 Milnor algebras -- is linear algebra over the two pieces.
 
+The work follows the Z/m grading by the Fano index m.  kappa has degree
+1, so its operator M maps each graded piece V_d to V_{d+1} and is read
+as the cycle of those m blocks: the characteristic polynomial comes from
+the product of the blocks around the cycle on the smallest piece, the
+idempotent is homogeneous of degree 0 and is found on V_0, the projector
+keeps every piece, and the trace form pairs V_d only with V_-d, so the
+nilradical is the sum of the kernels of those small blocks.  The rings
+of index 1 are the case of a single block.
+
 kappa is taken to be the anticanonical multiplication itself, not a
 primitive-root rescaling of it; every quantity reported here (dimensions,
 point counts, orbit counts, Hilbert data) is invariant under that choice
@@ -18,7 +27,6 @@ from math import gcd, lcm
 
 from .algebra import FiniteCommAlgebra, jacobi_ring, mult_matrix
 from .exactlin import (
-    _ONE,
     _ZERO,
     Matrix,
     Poly,
@@ -32,19 +40,56 @@ from .exactlin import (
 )
 
 
+def _pieces(A):
+    """The basis indices of each degree, in order: pieces[d] spans V_d."""
+    pieces = [[] for _ in range(A.fano_index)]
+    for i, d in enumerate(A.degrees):
+        pieces[d].append(i)
+    return pieces
+
+
+def _embed(n, idx, v):
+    """The vector of width n with the entries of v at the indices idx."""
+    out = [_ZERO] * n
+    for i, x in zip(idx, v):
+        out[i] = x
+    return tuple(out)
+
+
+def _last_nonzero(v):
+    return max(i for i, x in enumerate(v) if x)
+
+
 def nilradical(A):
     """Basis of the ideal of nilpotents: the kernel of the trace form.
 
     In characteristic zero the radical of (a, b) -> trace of multiplication
-    by ab is exactly the nilradical, so one symmetric matrix kernel finds
-    it without any factoring.  The form is built from the integer rows, so
-    it comes out scaled by den^2, which leaves its kernel as it is.
+    by ab is exactly the nilradical, so symmetric matrix kernels find it
+    without any factoring.  The form is built from the integer rows, so
+    it comes out scaled by den^2, which leaves its kernel as it is.  An
+    element of nonzero degree shifts every piece and has trace 0, so the
+    form pairs V_d only with V_-d, and its kernel is the sum over d of the
+    kernels of the blocks from V_d to V_-d.  Each block's kernel basis is
+    the canonical one on its own piece; sorted by free column, which is
+    each vector's last nonzero entry, the embedded vectors form the
+    canonical kernel basis of the whole form.
     """
+    pieces = _pieces(A)
+    rows = A.rows
     # tau[l] is den times the trace of multiplication by b_l
-    tau = [sum(c for j, cell in enumerate(row) for k, c in cell if k == j)
-           for row in A.rows]
-    return kernel_basis(Matrix([[sum(c * tau[l] for l, c in cell)
-                                 for cell in row] for row in A.rows]))
+    tau = [0] * A.dim
+    for l in pieces[0]:
+        tau[l] = sum(c for j, cell in enumerate(rows[l])
+                     for k, c in cell if k == j)
+    basis = []
+    for d, idx in enumerate(pieces):
+        if not idx:
+            continue
+        block = Matrix([[sum(c * tau[l] for l, c in rows[i][j]) for j in idx]
+                        for i in pieces[-d % A.fano_index]], cols=len(idx))
+        basis.extend(_embed(A.dim, idx, v) for v in kernel_basis(block))
+    basis.sort(key=_last_nonzero)
+    return basis
 
 
 def point_count(A):
@@ -53,8 +98,73 @@ def point_count(A):
     return A.dim - len(nilradical(A))
 
 
-def _kappa_charpoly(A):
-    return charpoly(mult_matrix(A, A.anticanonical))
+def _apply(block, w):
+    return [sum(b * x for b, x in zip(row, w) if b) for row in block]
+
+
+class _KappaCycle:
+    """kappa's operator M on A as the cycle of its graded blocks.
+
+    One pass over the integer rows reads scale * M, with scale = den
+    times kappa's common denominator; blocks[d] is its integer matrix from
+    V_d to V_{d+1 mod m}, rows by pieces[d + 1], columns by pieces[d].
+    An entry that leaves that cycle raises AssertionError: every fact
+    below rests on it.
+    """
+
+    __slots__ = ("pieces", "blocks", "scale")
+
+    def __init__(self, A):
+        m = A.fano_index
+        pieces = _pieces(A)
+        pos = {i: r for idx in pieces for r, i in enumerate(idx)}
+        kappa, dk = clear_denominators(A.anticanonical)
+        terms = [(l, c) for l, c in enumerate(kappa) if c]
+        blocks = [[[0] * len(pieces[d]) for _ in pieces[(d + 1) % m]]
+                  for d in range(m)]
+        for j, d in enumerate(A.degrees):
+            up = (d + 1) % m
+            block = blocks[d]
+            for l, c in terms:
+                for k, s in A.rows[l][j]:
+                    if A.degrees[k] != up:
+                        raise AssertionError(
+                            "kappa * b%d has a component in degree %d, not "
+                            "%d" % (j, A.degrees[k], up))
+                    block[pos[k]][pos[j]] += c * s
+        self.pieces = pieces
+        self.blocks = blocks
+        self.scale = A.den * dk
+
+    def around(self, w, start=0):
+        """scale^m times M^m applied to the integer vector w on V_start."""
+        m = len(self.blocks)
+        for t in range(m):
+            w = _apply(self.blocks[(start + t) % m], w)
+        return w
+
+    def charpoly(self):
+        """det(xI - M) = x^(N - m n) det(x^m I - P), with P the product of
+        the blocks around the cycle on a smallest piece, of size n.
+
+        Each nonzero eigenvalue of M is carried to every piece by the
+        cycle, so the m-th powers of the nonzero eigenvalues are those of
+        P on any piece, with the same multiplicities.
+        """
+        m = len(self.blocks)
+        sizes = [len(idx) for idx in self.pieces]
+        n = min(sizes)
+        j = sizes.index(n)
+        S = self.scale ** m
+        cols = [self.around([int(r == c) for r in range(n)], j)
+                for c in range(n)]
+        q = charpoly(Matrix([[Fraction(col[r], S) for col in cols]
+                             for r in range(n)], cols=n))
+        N = sum(sizes)
+        coeffs = [_ZERO] * (N + 1)
+        for i, b in enumerate(q.coeffs):
+            coeffs[N - m * (n - i)] = b
+        return Poly(coeffs)
 
 
 def _empty_part(A, name):
@@ -114,67 +224,68 @@ def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
     )
 
 
-def kappa_split(A, p=None):
+def kappa_split(A, p=None, cycle=None):
     """Split A into the fiber over kappa = 0 and its invertible complement.
 
     Returns (A_zero, A_nonzero); p, if the caller already has it, is the
-    characteristic polynomial of the anticanonical operator M on A, and is
-    computed here otherwise.  It factors as x^a * g with g(0) != 0, and the
-    Bezout identity u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent
-    projecting onto ker M^a along the invertible part.  Since A is
-    commutative, (v g)(M) is multiplication by e0, so e0 comes from Horner
-    on the unit vector with the algebra's own product, run on the integer
-    rows, and the projector from the structure constants, with no matrix
-    powers.  Both parts come back with induced structure constants on
+    characteristic polynomial of the anticanonical operator M on A, and
+    cycle the _KappaCycle of A; both are computed here otherwise.  p
+    factors as x^a * g with g(0) != 0, and the Bezout identity
+    u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent projecting onto
+    ker M^a along the invertible part.  Both of those subspaces are
+    graded, so e0, the projection of 1, lies in V_0, and only the terms
+    of v g of degree divisible by m contribute to it: e0 comes from Horner
+    on the unit's V_0 part with the cycle operator M^m, on integers.
+    Since A is commutative, the projector is multiplication by e0, which
+    keeps each piece V_d, so both fibers are collected piece by piece.
+    Both parts come back with induced structure constants on
     degree-homogeneous bases, so they are valid graded algebras in their
     own right.
     """
+    if cycle is None:
+        cycle = _KappaCycle(A)
     if p is None:
-        p = _kappa_charpoly(A)
+        p = cycle.charpoly()
     a, g = split_at_zero(p)
     if a == 0:
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:
         return A, _empty_part(A, "%s (invertible fiber)" % A.name)
     u, v = bezout_coprime(Poly.x_power(a), g)
-    # e0 is carried as w / D.  A step e <- kappa * e + c * 1 takes the
-    # integer product, which comes out times s, and the cleared unit over
-    # t = lcm(s, c.denominator * du), then divides out the common gcd
-    kappa, dk = clear_denominators(A.anticanonical)
-    kappa_terms = [(i, x) for i, x in enumerate(kappa) if x]
-    one, du = clear_denominators(A.unit)
-    w, D = [0] * A.dim, 1
-    for c in reversed((v * g).coeffs):
-        s = A.den * dk * D
+    m = A.fano_index
+    pieces = cycle.pieces
+    if any(c and d for c, d in zip(A.unit, A.degrees)):
+        raise AssertionError("the unit has a component outside degree 0")
+    one, du = clear_denominators(A.unit[i] for i in pieces[0])
+    # e0 on V_0 is carried as w / D.  A step e <- M^m e + c * 1 takes the
+    # cycle on integers, which comes out times s, and the cleared unit
+    # over t = lcm(s, c.denominator * du), then divides out the common gcd
+    S = cycle.scale ** m
+    w, D = [0] * len(one), 1
+    for c in reversed((v * g).coeffs[::m]):
+        s = S * D
         t = lcm(s, c.denominator * du)
-        w = A.sparse_product(kappa_terms,
-                             [(i, x) for i, x in enumerate(w) if x])
         f = c.numerator * (t // (c.denominator * du))
-        w = [(t // s) * x + f * y for x, y in zip(w, one)]
+        w = [(t // s) * x + f * y for x, y in zip(cycle.around(w), one)]
         r = gcd(t, *w)
         w, D = [x // r for x in w], t // r
-    e0 = tuple(Fraction(x, D) if x else _ZERO for x in w)
-    proj = mult_matrix(A, e0)
+    e0 = _embed(A.dim, pieces[0], [Fraction(x, D) for x in w])
     if A.product(e0, e0) != e0:
         raise AssertionError("splitting idempotent is not idempotent")
-    # the two ideals are graded, so collect each fiber degree by degree;
-    # the projector preserves degrees even though single powers of M do not
+    # den * D times multiplication by e0, column by column on each piece
+    e0_terms = [(l, x) for l, x in zip(pieces[0], w) if x]
+    unit_scale = A.den * D
     parts = {True: ([], []), False: ([], [])}
-    n = A.dim
-    for d in range(A.fano_index):
-        idx = [i for i in range(n) if A.degrees[i] == d]
-        if not idx:
-            continue
-        cols_zero = [tuple(proj.data[r][i] for r in range(n)) for i in idx]
-        for vec in span_basis(cols_zero):
-            parts[True][0].append(vec)
-            parts[True][1].append(d)
-        cols_one = [tuple((_ONE if r == i else _ZERO) - proj.data[r][i]
-                          for r in range(n)) for i in idx]
-        for vec in span_basis(cols_one):
-            parts[False][0].append(vec)
-            parts[False][1].append(d)
-    if len(parts[True][0]) != a or len(parts[False][0]) != n - a:
+    for d, idx in enumerate(pieces):
+        cols_zero = [[col[k] for k in idx] for col in (
+            A.sparse_product(e0_terms, [(i, 1)]) for i in idx)]
+        cols_one = [[unit_scale * (r == c) - x for r, x in enumerate(col)]
+                    for c, col in enumerate(cols_zero)]
+        for zero, cols in ((True, cols_zero), (False, cols_one)):
+            for vec in span_basis(cols):
+                parts[zero][0].append(_embed(A.dim, idx, vec))
+                parts[zero][1].append(d)
+    if len(parts[True][0]) != a or len(parts[False][0]) != A.dim - a:
         raise AssertionError("fiber dimensions disagree with the charpoly")
     kappa_zero = A.product(e0, A.anticanonical)
     kappa_one = tuple(x - y for x, y in zip(A.anticanonical, kappa_zero))
@@ -202,7 +313,7 @@ def orbit_analysis(A_nonzero, m, g=None):
     k_len = Fraction(A_nonzero.dim, m)
     k_pts = Fraction(points, m)
     if g is None:
-        g = _kappa_charpoly(A_nonzero)
+        g = _KappaCycle(A_nonzero).charpoly()
     rotation_ok = all((g.degree - i) % m == 0
                       for i, c in enumerate(g.coeffs) if c != 0)
     return {
@@ -310,8 +421,9 @@ class SpectrumReport:
 
 def quantum_spectrum_report(A):
     """Compose the split, orbit, and local analyses into one report."""
-    p = _kappa_charpoly(A)
-    A_zero, A_nonzero = kappa_split(A, p)
+    cycle = _KappaCycle(A)
+    p = cycle.charpoly()
+    A_zero, A_nonzero = kappa_split(A, p, cycle)
     if A_zero.dim + A_nonzero.dim != A.dim:
         raise AssertionError("fiber dimensions do not sum to the total")
     # kappa is nilpotent on the zero fiber and invertible on the other, so

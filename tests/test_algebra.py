@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -457,3 +458,20 @@ def test_json_checks_lengths_before_allocating():
     with pytest.raises(ValueError, match="vector length mismatch"):
         algebra_from_json(obj)
     assert time.perf_counter() - start < 1.0
+
+
+def test_json_refuses_a_dimension_above_the_limit():
+    # a few KB that would describe a 2000 x 2000 table: the unit b_0, a
+    # zero kappa and 2000 triples b_0 * b_i = b_i
+    dim = 2000
+    zero = [[0, 1]] * dim
+    obj = {"name": "big", "dim": dim, "fano_index": 1, "dim_X": 0,
+           "degrees": [0] * dim, "unit": [[1, 1]] + zero[1:],
+           "anticanonical": zero,
+           "triples": [[0, i, i, 1, 1] for i in range(dim)]}
+    # G(5,10), the largest ring the package builds, still fits
+    assert dim > algebra.JSON_MAX_DIM >= math.comb(10, 5)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        algebra_from_json(obj, check=False)
+    assert time.perf_counter() - start < 0.1

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qspectra
 from qspectra import cli, varieties
-from qspectra.algebra import algebra_from_json, algebra_to_json
+from qspectra.algebra import (FiniteCommAlgebra, algebra_from_json,
+                              algebra_to_json, qh_projective,
+                              validate_algebra)
 from qspectra.cli import REGISTRY, RunReport, main
 from qspectra.varieties import Variety
 from qspectra.lefschetz import builtin_collection, save_collection
@@ -100,6 +102,38 @@ def test_internal_violation_maps_to_exit_two(capsys, monkeypatch):
     code, _, err = run(capsys, "report", "BAD")
     assert code == 2
     assert "internal invariant violation: boom" in err
+
+
+def _p2_with_kappa_plus_one():
+    # P2 with kappa + 1 as its anticanonical vector, so kappa * b_0 has a
+    # component in degree 0 beside its degree-1 part
+    A = qh_projective(2)
+    kappa = list(A.anticanonical)
+    kappa[0] += 1
+    return FiniteCommAlgebra(
+        name="P2", basis_labels=A.basis_labels,
+        table=[[{k: Fraction(c, A.den) for k, c in cell} for cell in row]
+               for row in A.rows],
+        unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
+        anticanonical=kappa, dim_X=A.dim_X)
+
+
+def test_report_refuses_kappa_outside_degree_one():
+    B = _p2_with_kappa_plus_one()
+    assert not validate_algebra(B).ok
+    with pytest.raises(AssertionError, match="kappa \\* b0 has a component "
+                       "in degree 0, not 1"):
+        quantum_spectrum_report(B)
+
+
+def test_report_exits_two_on_kappa_outside_degree_one(capsys, monkeypatch):
+    monkeypatch.setitem(REGISTRY, "P2", Variety(
+        "P2", _p2_with_kappa_plus_one, "grassmannian", 1, 3))
+    code, out, err = run(capsys, "report", "P2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("internal invariant violation: kappa * b0 has a "
+                           "component in degree 0, not 1")
 
 
 def test_usage_error_exit_code():
@@ -329,7 +363,7 @@ def test_selftest_runs_every_row(capsys):
     # Kuznetsov's IG(2,6) collection through the hyperplane checker
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "selftest: 10 passed, 0 failed" in out
+    assert "selftest: 11 passed, 0 failed" in out
 
 
 def test_selftest_unknown_filter(capsys):

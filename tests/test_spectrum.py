@@ -21,9 +21,12 @@ from qspectra.algebra import (
 from qspectra.cli import REGISTRY, RunReport
 from qspectra.exactlin import (
     Matrix,
+    Poly,
+    bezout_coprime,
     charpoly,
     kernel_basis,
     rank,
+    span_basis,
     split_at_zero,
     squarefree_part,
 )
@@ -46,10 +49,11 @@ def dual_numbers():
 
 
 def trace_gram(A):
-    n = A.dim
-    tau = [sum(A.structure[l][j][j] for j in range(n)) for l in range(n)]
-    return Matrix([[sum(A.structure[i][j][l] * tau[l] for l in range(n))
-                    for j in range(n)] for i in range(n)])
+    """den^2 times the whole trace form, read from every cell."""
+    tau = [sum(c for j, cell in enumerate(row) for k, c in cell if k == j)
+           for row in A.rows]
+    return Matrix([[sum(c * tau[l] for l, c in cell) for cell in row]
+                   for row in A.rows])
 
 
 PROVIDERS = [
@@ -358,6 +362,14 @@ def test_ig2_14_zero_fiber_is_one_point_of_length_six():
                            "hilbert_function": (1,) * 6, "socle_dim": 1}
 
 
+def test_ig2_16_zero_fiber_is_one_point_of_length_seven():
+    r = quantum_spectrum_report(qh_ig2(8))
+    assert r.orbit_count_by_length == r.orbit_count_by_points == 7
+    assert r.zero_part == {"dim": 7, "geometric_point_count": 1,
+                           "is_single_point": True,
+                           "hilbert_function": (1,) * 7, "socle_dim": 1}
+
+
 @pytest.mark.parametrize("make", PROVIDERS)
 def test_invertible_fiber_charpoly_is_the_cofactor_of_x_power(make):
     A = make()
@@ -421,6 +433,15 @@ def _rescaled_table(A):
     return table, unit, kappa
 
 
+def _rescaled_ring(A):
+    table, unit, kappa = _rescaled_table(A)
+    return FiniteCommAlgebra(
+        name=A.name, basis_labels=A.basis_labels,
+        table=[[dict(enumerate(cell)) for cell in row] for row in table],
+        unit=unit, degrees=A.degrees, fano_index=A.fano_index,
+        anticanonical=kappa, dim_X=A.dim_X)
+
+
 def _reference_product(table, u, v):
     n = len(u)
     return tuple(sum(u[i] * v[j] * table[i][j][k]
@@ -450,11 +471,7 @@ def _reference_nilradical(table):
 def test_integer_kernels_match_fractions_on_rescaled_rings(make):
     A = make()
     table, unit, kappa = _rescaled_table(A)
-    B = FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels,
-        table=[[dict(enumerate(cell)) for cell in row] for row in table],
-        unit=unit, degrees=A.degrees, fano_index=A.fano_index,
-        anticanonical=kappa, dim_X=A.dim_X)
+    B = _rescaled_ring(A)
     assert B.den > 1
     n = B.dim
     u = tuple(Fraction(i + 1, i + 2) for i in range(n))
@@ -491,6 +508,67 @@ def test_report_never_builds_the_dense_table(monkeypatch):
     for A in (qh_ig2(4), jacobi_ring("D5")):
         r = quantum_spectrum_report(A)
         assert r.dim_zero_part + r.dim_nonzero_part == A.dim
+
+
+# --- the graded route against the dense operator ----------------------------
+
+def _dense_idempotent(A, p):
+    """e0 = (v g)(M) 1 by Horner on the dense operator, for p = x^a g."""
+    a, g = split_at_zero(p)
+    _u, v = bezout_coprime(Poly.x_power(a), g)
+    M = [[(j, x) for j, x in enumerate(row) if x]
+         for row in mult_matrix(A, A.anticanonical).data]
+    e = (Fraction(0),) * A.dim
+    for c in reversed((v * g).coeffs):
+        e = tuple(sum(x * e[j] for j, x in row) + c * y
+                  for row, y in zip(M, A.unit))
+    return e
+
+
+@pytest.mark.parametrize("make", PROVIDERS + [
+    lambda: qh_grassmannian(3, 7),
+    lambda: qh_grassmannian(3, 8),
+    lambda: qh_ig2(6),
+    lambda: _rescaled_ring(qh_ig2(3)),
+    lambda: _rescaled_ring(qh_grassmannian(2, 4)),
+    lambda: _rescaled_ring(jacobi_ring("D5")),
+])
+def test_graded_route_matches_the_dense_operator(make, monkeypatch):
+    A = make()
+    p = charpoly(mult_matrix(A, A.anticanonical))
+    assert qspectra.spectrum._KappaCycle(A).charpoly() == p
+    assert span_basis(nilradical(A)) \
+        == span_basis(kernel_basis(trace_gram(A)))
+    # the zero fiber's unit, as kappa_split hands it over, is e0
+    units = []
+    induced = qspectra.spectrum._induced_part
+
+    def capture(B, name, vectors, degrees, unit_vec, kappa_vec):
+        units.append(unit_vec)
+        return induced(B, name, vectors, degrees, unit_vec, kappa_vec)
+
+    monkeypatch.setattr(qspectra.spectrum, "_induced_part", capture)
+    z, nz = kappa_split(A)
+    if z.dim and nz.dim:
+        e0 = units[0]
+        assert e0 == _dense_idempotent(A, p)
+        assert all(A.degrees[i] == 0 for i, c in enumerate(e0) if c)
+
+
+def test_split_refuses_a_unit_outside_degree_zero():
+    # every degree of G(2,4) shifted by one: kappa still steps each piece
+    # to the next, but the unit now sits in degree 1
+    A = qh_grassmannian(2, 4)
+    B = FiniteCommAlgebra(
+        name=A.name, basis_labels=A.basis_labels,
+        table=[[{k: Fraction(c, A.den) for k, c in cell} for cell in row]
+               for row in A.rows],
+        unit=A.unit, degrees=[d + 1 for d in A.degrees],
+        fano_index=A.fano_index, anticanonical=A.anticanonical,
+        dim_X=A.dim_X)
+    with pytest.raises(AssertionError, match="unit has a component outside "
+                       "degree 0"):
+        kappa_split(B)
 
 
 # sha256 of every registry report JSON, as written by `report --json`,
