@@ -173,90 +173,74 @@ def _empty_part(A, name):
         fano_index=A.fano_index, anticanonical=(), dim_X=A.dim_X)
 
 
-def _induced_part(A, name, vectors, degrees, unit_vec, kappa_vec):
-    if not vectors:
-        return _empty_part(A, name)
-    # the vectors are reduced echelon blocks with disjoint supports, one
-    # block per degree, so the coordinates of a vector in their span are
-    # its entries at the pivots.  Each v_p is cleared once to the integer
-    # vector s_p * v_p, and with L the lcm of the s_p the span check on w
-    # reads L * w == sum of w[p] * (L / s_p) * (s_p * v_p), on integers.
-    cleared = [clear_denominators(v) for v in vectors]
-    terms = [[(i, x) for i, x in enumerate(v) if x] for v, _s in cleared]
-    pivots = [t[0][0] for t in terms]
+def _quotient(A, name, ideal):
+    """A modulo the ideal spanned by the reduced echelon vectors ideal.
+
+    Each vector is 1 at its pivot p and 0 at the other pivots, so modulo
+    the ideal b_p is minus the tail of p's vector, and A's b_k at the other
+    columns, with their labels and degrees, are a basis of the quotient.
+    Cells, unit and kappa are images of A's, read off the integer rows
+    with the tails cleared once over the lcm L of their denominators.
+    """
+    cleared = [clear_denominators(v) for v in ideal]
     L = lcm(*(s for _v, s in cleared))
-    lifted = [[(i, (L // s) * x) for i, x in t]
-              for t, (_v, s) in zip(terms, cleared)]
+    pivots = [next(k for k, x in enumerate(v) if x) for v, _s in cleared]
+    keep = sorted(set(range(A.dim)).difference(pivots))
+    new = {k: i for i, k in enumerate(keep)}
+    # L times the image of each b_k, in the quotient basis
+    image = {k: [(i, L)] for k, i in new.items()}
+    for p, (v, s) in zip(pivots, cleared):
+        image[p] = [(new[k], -(L // s) * x) for k, x in enumerate(v)
+                    if x and k != p]
 
-    def coords(w, scale):
-        # w is an integer vector, scale times the vector to read
-        x = [w[p] for p in pivots]
-        rebuilt = [0] * len(w)
-        for c, t in zip(x, lifted):
-            if c:
-                for i, y in t:
-                    rebuilt[i] += c * y
-        if rebuilt != [L * c for c in w]:
-            raise AssertionError("vector outside the span of the fiber basis")
-        return {p: Fraction(c, scale) for p, c in enumerate(x) if c}
+    def reduce(pairs, scale):
+        # pairs are (k, c) with ints c, scale times the vector to reduce
+        out = {}
+        for k, c in pairs:
+            for i, x in image[k]:
+                out[i] = out.get(i, 0) + c * x
+        return {i: Fraction(x, scale * L) for i, x in out.items() if x}
 
-    k = len(vectors)
+    n = len(keep)
 
-    def coords_of(v):
-        cell = coords(*clear_denominators(v))
-        return tuple(cell.get(p, _ZERO) for p in range(k))
+    def dense(v):
+        ints, d = clear_denominators(v)
+        cell = reduce(enumerate(ints), d)
+        return [cell.get(i, _ZERO) for i in range(n)]
 
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            table[i][j] = table[j][i] = coords(
-                A.sparse_product(terms[i], terms[j]),
-                A.den * cleared[i][1] * cleared[j][1])
+    table = [[None] * n for _ in keep]
+    for a, i in enumerate(keep):
+        for b in range(a, n):
+            table[a][b] = table[b][a] = reduce(A.rows[i][keep[b]], A.den)
     return FiniteCommAlgebra(
         name=name,
-        basis_labels=["b%d" % i for i in range(k)],
+        basis_labels=[A.basis_labels[k] for k in keep],
         table=table,
-        unit=coords_of(unit_vec),
-        degrees=degrees,
+        unit=dense(A.unit),
+        degrees=[A.degrees[k] for k in keep],
         fano_index=A.fano_index,
-        anticanonical=coords_of(kappa_vec),
+        anticanonical=dense(A.anticanonical),
         dim_X=A.dim_X,
     )
 
 
-def kappa_split(A, p=None, cycle=None):
-    """Split A into the fiber over kappa = 0 and its invertible complement.
+def _idempotent(A, p, cycle):
+    """The idempotent e0 = (v g)(M) 1 of the fiber over kappa = 0.
 
-    Returns (A_zero, A_nonzero); p, if the caller already has it, is the
-    characteristic polynomial of the anticanonical operator M on A, and
-    cycle the _KappaCycle of A; both are computed here otherwise.  p
-    factors as x^a * g with g(0) != 0, and the Bezout identity
-    u x^a + v g = 1 makes e0 = (v g)(M) 1 the idempotent projecting onto
-    ker M^a along the invertible part.  Both of those subspaces are
-    graded, so e0, the projection of 1, lies in V_0, and only the terms
-    of v g of degree divisible by m contribute to it: e0 comes from Horner
-    on the unit's V_0 part with the cycle operator M^m, on integers.
-    Since A is commutative, the projector is multiplication by e0, which
-    keeps each piece V_d, so both fibers are collected piece by piece.
-    Both parts come back with induced structure constants on
-    degree-homogeneous bases, so they are valid graded algebras in their
-    own right.
+    p = x^a * g is the characteristic polynomial of M and cycle the
+    _KappaCycle of A; the Bezout identity u x^a + v g = 1 makes e0 the
+    projector onto ker M^a along the invertible part, applied to 1.  Both
+    of those subspaces are graded, so e0, the projection of 1, lies in
+    V_0, and only the terms of v g of degree divisible by m contribute to
+    it: e0 comes from Horner on the unit's V_0 part with the cycle
+    operator M^m, on integers.
     """
-    if cycle is None:
-        cycle = _KappaCycle(A)
-    if p is None:
-        p = cycle.charpoly()
     a, g = split_at_zero(p)
-    if a == 0:
-        return _empty_part(A, "%s (zero fiber)" % A.name), A
-    if a == A.dim:
-        return A, _empty_part(A, "%s (invertible fiber)" % A.name)
-    u, v = bezout_coprime(Poly.x_power(a), g)
+    _u, v = bezout_coprime(Poly.x_power(a), g)
     m = A.fano_index
-    pieces = cycle.pieces
     if any(c and d for c, d in zip(A.unit, A.degrees)):
         raise AssertionError("the unit has a component outside degree 0")
-    one, du = clear_denominators(A.unit[i] for i in pieces[0])
+    one, du = clear_denominators(A.unit[i] for i in cycle.pieces[0])
     # e0 on V_0 is carried as w / D.  A step e <- M^m e + c * 1 takes the
     # cycle on integers, which comes out times s, and the cleared unit
     # over t = lcm(s, c.denominator * du), then divides out the common gcd
@@ -269,33 +253,48 @@ def kappa_split(A, p=None, cycle=None):
         w = [(t // s) * x + f * y for x, y in zip(cycle.around(w), one)]
         r = gcd(t, *w)
         w, D = [x // r for x in w], t // r
-    e0 = _embed(A.dim, pieces[0], [Fraction(x, D) for x in w])
+    e0 = _embed(A.dim, cycle.pieces[0], [Fraction(x, D) for x in w])
     if A.product(e0, e0) != e0:
         raise AssertionError("splitting idempotent is not idempotent")
+    return e0
+
+
+def kappa_split(A, p=None, cycle=None):
+    """Split A into the fiber over kappa = 0 and its invertible complement.
+
+    Returns (A_zero, A_nonzero); p, if the caller already has it, is the
+    characteristic polynomial of the anticanonical operator M on A, and
+    cycle the _KappaCycle of A; both are computed here otherwise.  With e0
+    from _idempotent, A_zero = A / (1 - e0) A and A_nonzero = A / e0 A.
+    Multiplication by e0 keeps each piece V_d, so the reduced echelon
+    bases of both ideals are collected piece by piece, and both quotients
+    are graded algebras on some of A's own basis elements.
+    """
+    if cycle is None:
+        cycle = _KappaCycle(A)
+    if p is None:
+        p = cycle.charpoly()
+    a, _g = split_at_zero(p)
+    if a == 0:
+        return _empty_part(A, "%s (zero fiber)" % A.name), A
+    if a == A.dim:
+        return A, _empty_part(A, "%s (invertible fiber)" % A.name)
+    w, D = clear_denominators(_idempotent(A, p, cycle))
     # den * D times multiplication by e0, column by column on each piece
-    e0_terms = [(l, x) for l, x in zip(pieces[0], w) if x]
+    e0_terms = [(l, x) for l, x in enumerate(w) if x]
     unit_scale = A.den * D
-    parts = {True: ([], []), False: ([], [])}
-    for d, idx in enumerate(pieces):
+    ideal_zero, ideal_one = [], []  # e0 A and (1 - e0) A
+    for idx in cycle.pieces:
         cols_zero = [[col[k] for k in idx] for col in (
             A.sparse_product(e0_terms, [(i, 1)]) for i in idx)]
         cols_one = [[unit_scale * (r == c) - x for r, x in enumerate(col)]
                     for c, col in enumerate(cols_zero)]
-        for zero, cols in ((True, cols_zero), (False, cols_one)):
-            for vec in span_basis(cols):
-                parts[zero][0].append(_embed(A.dim, idx, vec))
-                parts[zero][1].append(d)
-    if len(parts[True][0]) != a or len(parts[False][0]) != A.dim - a:
+        for ideal, cols in ((ideal_zero, cols_zero), (ideal_one, cols_one)):
+            ideal.extend(_embed(A.dim, idx, vec) for vec in span_basis(cols))
+    if len(ideal_zero) != a or len(ideal_one) != A.dim - a:
         raise AssertionError("fiber dimensions disagree with the charpoly")
-    kappa_zero = A.product(e0, A.anticanonical)
-    kappa_one = tuple(x - y for x, y in zip(A.anticanonical, kappa_zero))
-    one_minus = tuple(x - y for x, y in zip(A.unit, e0))
-    A_zero = _induced_part(A, "%s (zero fiber)" % A.name,
-                           parts[True][0], parts[True][1], e0, kappa_zero)
-    A_nonzero = _induced_part(A, "%s (invertible fiber)" % A.name,
-                              parts[False][0], parts[False][1],
-                              one_minus, kappa_one)
-    return A_zero, A_nonzero
+    return (_quotient(A, "%s (zero fiber)" % A.name, ideal_one),
+            _quotient(A, "%s (invertible fiber)" % A.name, ideal_zero))
 
 
 def orbit_analysis(A_nonzero, m, g=None):
@@ -335,13 +334,11 @@ def local_invariants(A_zero):
                 "hilbert_function": (), "socle_dim": 0}
     N = nilradical(A_zero)
     pts = A_zero.dim - len(N)
-    hilbert = []
-    current = [A_zero.basis_vector(i) for i in range(A_zero.dim)]
+    # N A = N, so the filtration starts at N with the point count
+    hilbert = [pts]
+    current = N
     while current:
-        if N:
-            nxt = span_basis([A_zero.product(v, w) for v in N for w in current])
-        else:
-            nxt = []
+        nxt = span_basis([A_zero.product(v, w) for v in N for w in current])
         hilbert.append(len(current) - len(nxt))
         current = nxt
     if N:

@@ -492,12 +492,30 @@ def test_integer_kernels_match_fractions_on_rescaled_rings(make):
         == quantum_spectrum_report(A).to_dict()
 
 
-def test_induced_part_rejects_a_basis_that_is_not_closed():
-    # b1 * b1 = b2 in P2, outside the span of b1
-    A = qh_projective(2)
-    b1 = A.basis_vector(1)
-    with pytest.raises(AssertionError, match="outside the span"):
-        qspectra.spectrum._induced_part(A, "b1", [b1], [1], b1, b1)
+def _table(B):
+    return [[B.product(B.basis_vector(i), B.basis_vector(j))
+             for j in range(B.dim)] for i in range(B.dim)]
+
+
+def test_g24_zero_fiber_is_pinned_as_a_quotient():
+    # e0 = (1 - s(2,2)) / 2, so (1 - e0) A holds 1 + s(2,2) and
+    # s(1,1) + s(2): modulo it 1 = -s(2,2), and s(2)^2 = s(2,2) = -1
+    z, _ = kappa_split(qh_grassmannian(2, 4))
+    assert z.basis_labels == ("s(2)", "s(2,2)")
+    assert z.degrees == (2, 0)
+    assert z.unit == (0, -1)
+    assert z.anticanonical == (0, 0)
+    assert _table(z) == [[(0, 1), (-1, 0)], [(-1, 0), (0, -1)]]
+
+
+def test_ig6_zero_fiber_is_pinned_as_a_quotient():
+    # modulo (1 - e0) A the fiber is Q[c2] / c2^2, and c1 = kappa / 5 = 0
+    z, _ = kappa_split(qh_ig2(3))
+    assert z.basis_labels == ("1", "c2")
+    assert z.degrees == (0, 2)
+    assert z.unit == (1, 0)
+    assert z.anticanonical == (0, 0)
+    assert _table(z) == [[(1, 0), (0, 1)], [(0, 1), (0, 0)]]
 
 
 def test_report_never_builds_the_dense_table(monkeypatch):
@@ -533,26 +551,17 @@ def _dense_idempotent(A, p):
     lambda: _rescaled_ring(qh_grassmannian(2, 4)),
     lambda: _rescaled_ring(jacobi_ring("D5")),
 ])
-def test_graded_route_matches_the_dense_operator(make, monkeypatch):
+def test_graded_route_matches_the_dense_operator(make):
     A = make()
     p = charpoly(mult_matrix(A, A.anticanonical))
-    assert qspectra.spectrum._KappaCycle(A).charpoly() == p
+    cycle = qspectra.spectrum._KappaCycle(A)
+    assert cycle.charpoly() == p
     assert span_basis(nilradical(A)) \
         == span_basis(kernel_basis(trace_gram(A)))
-    # the zero fiber's unit, as kappa_split hands it over, is e0
-    units = []
-    induced = qspectra.spectrum._induced_part
-
-    def capture(B, name, vectors, degrees, unit_vec, kappa_vec):
-        units.append(unit_vec)
-        return induced(B, name, vectors, degrees, unit_vec, kappa_vec)
-
-    monkeypatch.setattr(qspectra.spectrum, "_induced_part", capture)
-    z, nz = kappa_split(A)
-    if z.dim and nz.dim:
-        e0 = units[0]
-        assert e0 == _dense_idempotent(A, p)
-        assert all(A.degrees[i] == 0 for i, c in enumerate(e0) if c)
+    # the idempotent of the split, found on V_0 alone
+    e0 = qspectra.spectrum._idempotent(A, p, cycle)
+    assert e0 == _dense_idempotent(A, p)
+    assert all(A.degrees[i] == 0 for i, c in enumerate(e0) if c)
 
 
 def test_split_refuses_a_unit_outside_degree_zero():
