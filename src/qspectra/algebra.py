@@ -10,28 +10,37 @@ Grassmannians), and a validated JSON serialisation of the table.
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .exactlin import _ONE, _ZERO, Matrix, _q, clear_denominators, vec
 
 
-def _mirrored(cells, convert):
-    """convert(cell) for each cell of a square table; a cell below the
-    diagonal that is its mirror's very object reuses the mirror's result."""
-    out = []
-    for i, row in enumerate(cells):
-        out.append(tuple([out[j][i] if j < i and cell is cells[j][i]
-                          else convert(cell) for j, cell in enumerate(row)]))
-    return tuple(out)
+def integer_cells(cells):
+    """(ints, den) for cells of ints and Fractions: den is their least
+    common denominator, and ints[i][j] maps k to den * cells[i][j][k]."""
+    cells = [[{k: _q(c) for k, c in cell.items()} for cell in row]
+             for row in cells]
+    den = lcm(1, *(c.denominator for row in cells for cell in row
+                   for c in cell.values()))
+    return [[{k: c.numerator * (den // c.denominator) for k, c in cell.items()}
+             for cell in row] for row in cells], den
+
+
+def _square(upper):
+    """The square of the upper triangle upper[i][j - i]; (j, i) is (i, j)."""
+    return tuple(tuple([upper[j][i - j] for j in range(i)] + upper[i])
+                 for i in range(len(upper)))
 
 
 class FiniteCommAlgebra:
     """Commutative algebra with chosen basis and sparse multiplication table.
 
-    table[i][j], for every i and j, maps k to the int or Fraction c_ijk of
-    b_i * b_j = sum of c_ijk b_k.  It is held as sparse integer rows over
-    one denominator: rows[i][j] lists the (k, den * c_ijk) pairs with
-    c_ijk != 0, sorted by k.  structure[i][j] is b_i * b_j as a dense
+    cells[i][j - i], for j >= i, maps k to the int den * c_ijk of
+    b_i * b_j = sum of c_ijk b_k: only the upper triangle is given, so the
+    table is commutative.  It is held over self.den, den divided by its gcd
+    with every cell, as sparse integer rows: rows[i][j] lists the
+    (k, self.den * c_ijk) pairs with c_ijk != 0, sorted by k, and
+    rows[j][i] is rows[i][j].  structure[i][j] is b_i * b_j as a dense
     vector of Fractions, a view built on first access.  degrees grade the
     basis modulo fano_index; anticanonical is a degree-1 vector whose
     multiplication operator drives the spectrum decomposition.
@@ -41,33 +50,35 @@ class FiniteCommAlgebra:
                  "degrees", "fano_index", "anticanonical", "dim_X",
                  "_structure")
 
-    def __init__(self, name, basis_labels, table, unit, degrees,
+    def __init__(self, name, basis_labels, cells, den, unit, degrees,
                  fano_index, anticanonical, dim_X):
         dim = len(basis_labels)
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise ValueError("table shape mismatch")
+        if [len(row) for row in cells] != list(range(dim, 0, -1)):
+            raise ValueError("cells shape mismatch")
         if len(unit) != dim or len(anticanonical) != dim or len(degrees) != dim:
             raise ValueError("vector length mismatch")
+        if type(den) is not int or den < 1:
+            raise ValueError("den must be a positive int, got %r" % (den,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
-        den = 1
 
         def exact(cell):
-            nonlocal den
             items = sorted(cell.items())
+            for _k, c in items:
+                if type(c) is not int:
+                    raise TypeError("expected an int cell value, got %r" % (c,))
             if items and not (0 <= items[0][0] and items[-1][0] < dim):
                 raise ValueError("basis index out of range in table")
-            pairs = [(k, q) for k, c in items if (q := _q(c))]
-            den = lcm(den, *(c.denominator for _k, c in pairs))
-            return pairs
+            return [(k, c) for k, c in items if c]
 
-        # den is final once the inner pass is done
-        self.rows = _mirrored(_mirrored(table, exact), lambda pairs: tuple([
-            (k, c.numerator * (den // c.denominator)) for k, c in pairs]))
+        upper = [[exact(cell) for cell in row] for row in cells]
+        g = gcd(den, *(c for row in upper for cell in row for _k, c in cell))
+        self.rows = _square([[tuple([(k, c // g) for k, c in cell])
+                              for cell in row] for row in upper])
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = dim
-        self.den = den
+        self.den = den // g
         self.unit = vec(unit)
         self.degrees = tuple(d % fano_index for d in degrees)
         self.fano_index = fano_index
@@ -84,7 +95,8 @@ class FiniteCommAlgebra:
                 for k, c in cell:
                     v[k] = Fraction(c, self.den)
                 return tuple(v)
-            self._structure = _mirrored(self.rows, dense)
+            self._structure = _square([[dense(cell) for cell in row[i:]]
+                                       for i, row in enumerate(self.rows)])
         return self._structure
 
     def basis_vector(self, i):
@@ -135,15 +147,15 @@ def mult_matrix(A, v):
 
 
 def validate_algebra(A):
-    """Check commutativity, unit, associativity and the cyclic grading.
+    """Check unit, associativity and the cyclic grading.
 
     Returns a tuple of every violated invariant; empty means valid.
 
     The sweeps run over the algebra's integer rows, which hold D times each
     structure constant for the common denominator D = A.den.  Scaling by D
-    changes no zero pattern, so commutativity, grading and the unit
-    identity read the same on the scaled table (the unit vector is cleared
-    by its own denominator E, and b_i must come back as D * E * b_i).  Both
+    changes no zero pattern, so grading and the unit identity read the
+    same on the scaled table (the unit vector is cleared by its own
+    denominator E, and b_i must come back as D * E * b_i).  Both
     sides of an associativity test are products of two structure
     constants, so both scale by D^2 and one side equals the other exactly
     when it does before scaling.
@@ -154,11 +166,6 @@ def validate_algebra(A):
     D = A.den
     sparse = A.rows
     times = A.sparse_product
-
-    for i in range(n):
-        for j in range(i, n):
-            if sparse[i][j] != sparse[j][i]:
-                out.append("commutativity fails at (%d, %d)" % (i, j))
 
     unit, E = clear_denominators(A.unit)
     unit = _nonzero(unit)
@@ -362,18 +369,18 @@ def from_presentation(P):
     # ops[t][j]: normal form of x_t * b_j as (index, coefficient) pairs
     ops = [[column(shift(e, t, 1)) for e in basis] for t in range(nv)]
 
-    # rows[i][j] is b_i * b_j as a sparse map; b_0 = 1 and b_i' precedes
-    # b_i, so its row is filled from the diagonal of b_i onwards; the
-    # cells left of it are the dicts of their mirrors
+    # rows[i][j - i] is b_i * b_j, j >= i, as a sparse map; b_0 = 1 and
+    # b_i' precedes b_i, so its row reaches every j >= i
     rows = [[{j: _ONE} for j in range(d)]]
     for i in range(1, d):
         t = next(t for t, x in enumerate(basis[i]) if x)
-        src = rows[index[shift(basis[i], t, -1)]]
+        i0 = index[shift(basis[i], t, -1)]
+        src = rows[i0]
         op = ops[t]
-        row = [rows[j][i] for j in range(i)]
+        row = []
         for j in range(i, d):
             acc = {}
-            for k, c in src[j].items():
+            for k, c in src[j - i0].items():
                 for l, s in op[k]:
                     acc[l] = acc.get(l, _ZERO) + c * s
             row.append({l: c for l, c in acc.items() if c})
@@ -394,10 +401,11 @@ def from_presentation(P):
     degrees = [sum(w * x for w, x in zip(weights, e)) % m for e in basis]
     anticanonical = dense(reduce(
         {tuple(int(x) for x in e): _q(c) for e, c in P.anticanonical.items()}))
+    cells, den = integer_cells(rows)
     return FiniteCommAlgebra(
         name=P.name,
         basis_labels=[label(e) for e in basis],
-        table=rows,
+        cells=cells, den=den,
         unit=dense({0: _ONE}),
         degrees=degrees,
         fano_index=m,
@@ -588,22 +596,20 @@ def algebra_from_json(obj, check=True):
     if dim > JSON_MAX_DIM:
         raise ValueError("dimension %d exceeds the limit of %d"
                          % (dim, JSON_MAX_DIM))
-    cells = {}
+    cells = [[{} for _j in range(i, dim)] for i in range(dim)]
     for i, j, k, num, den in obj["triples"]:
         if not (all(type(x) is int for x in (i, j, k))
                 and 0 <= i <= j < dim and 0 <= k < dim):
             raise ValueError("triple out of range: %r" % ([i, j, k],))
-        cell = cells.setdefault((i, j), {})
+        cell = cells[i][j - i]
         if k in cell:
             raise ValueError("duplicate triple: %r" % ([i, j, k],))
         cell[k] = _json_fraction(num, den)
-    empty = {}
-    table = [[cells.get((min(i, j), max(i, j)), empty) for j in range(dim)]
-             for i in range(dim)]
+    cells, den = integer_cells(cells)
     A = FiniteCommAlgebra(
         name=obj["name"],
         basis_labels=["b%d" % i for i in range(dim)],
-        table=table,
+        cells=cells, den=den,
         unit=[_json_fraction(n, d) for n, d in obj["unit"]],
         degrees=list(obj["degrees"]),
         fano_index=obj["fano_index"],

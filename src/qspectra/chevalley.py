@@ -17,7 +17,7 @@ compared directly.
 from fractions import Fraction
 from math import comb
 
-from .algebra import FiniteCommAlgebra, validate_algebra
+from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
 from .exactlin import _ONE, _ZERO, Matrix, Solver
 
 
@@ -184,26 +184,26 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
             "divisor class does not generate %s; table not reconstructible"
             % name) from None
     in_krylov = [solver.solve(b) for b in basis]
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        pi = in_krylov[i]
-        for j in range(i, n):
-            acc = {}
-            seq = images[j]
-            for l, c in enumerate(pi):
-                if c == 0:
-                    continue
-                for t, x in enumerate(seq[l]):
-                    if x != 0:
-                        acc[t] = acc.get(t, _ZERO) + c * x
-            table[i][j] = table[j][i] = acc
+
+    def product(i, j):
+        acc = {}
+        for l, c in enumerate(in_krylov[i]):
+            if c == 0:
+                continue
+            for t, x in enumerate(images[j][l]):
+                if x != 0:
+                    acc[t] = acc.get(t, _ZERO) + c * x
+        return acc
+
+    cells, den = integer_cells([[product(i, j) for j in range(i, n)]
+                                for i in range(n)])
     lengths = [model.length(w) for w in reps]
     if lengths[1] != 1 or lengths.count(1) != 1:
         raise AssertionError("degree-1 line is not where expected")
     degrees = [l % m for l in lengths]
     anticanonical = tuple(Fraction(m) if i == 1 else _ZERO for i in range(n))
     return FiniteCommAlgebra(
-        name=name, basis_labels=labels, table=table, unit=unit,
+        name=name, basis_labels=labels, cells=cells, den=den, unit=unit,
         degrees=degrees, fano_index=m, anticanonical=anticanonical,
         dim_X=dim_X)
 

@@ -179,17 +179,14 @@ def qh_grassmannian(k, n):
     index = {p: i for i, p in enumerate(shapes)}
     dim = len(shapes)
 
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            table[i][j] = table[j][i] = {
-                index[box]: c for box, c
-                in quantum_product(shapes[i], shapes[j], k, n).items()}
+    cells = [[{index[box]: c for box, c
+               in quantum_product(shapes[i], shapes[j], k, n).items()}
+              for j in range(i, dim)] for i in range(dim)]
 
     return FiniteCommAlgebra(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
-        table=table,
+        cells=cells, den=1,
         unit=tuple(_ONE if i == index[()] else _ZERO for i in range(dim)),
         degrees=[sum(p) % n for p in shapes],
         fano_index=n,

@@ -169,7 +169,7 @@ class _KappaCycle:
 
 def _empty_part(A, name):
     return FiniteCommAlgebra(
-        name=name, basis_labels=(), table=(), unit=(), degrees=(),
+        name=name, basis_labels=(), cells=(), den=1, unit=(), degrees=(),
         fano_index=A.fano_index, anticanonical=(), dim_X=A.dim_X)
 
 
@@ -180,7 +180,8 @@ def _quotient(A, name, ideal):
     the ideal b_p is minus the tail of p's vector, and A's b_k at the other
     columns, with their labels and degrees, are a basis of the quotient.
     Cells, unit and kappa are images of A's, read off the integer rows
-    with the tails cleared once over the lcm L of their denominators.
+    with the tails cleared once over the lcm L of their denominators; the
+    cells stay integers over A.den * L.
     """
     cleared = [clear_denominators(v) for v in ideal]
     L = lcm(*(s for _v, s in cleared))
@@ -193,29 +194,25 @@ def _quotient(A, name, ideal):
         image[p] = [(new[k], -(L // s) * x) for k, x in enumerate(v)
                     if x and k != p]
 
-    def reduce(pairs, scale):
-        # pairs are (k, c) with ints c, scale times the vector to reduce
+    def reduce(pairs):
+        # pairs are (k, c) with ints c; L times their image
         out = {}
         for k, c in pairs:
             for i, x in image[k]:
                 out[i] = out.get(i, 0) + c * x
-        return {i: Fraction(x, scale * L) for i, x in out.items() if x}
-
-    n = len(keep)
+        return out
 
     def dense(v):
         ints, d = clear_denominators(v)
-        cell = reduce(enumerate(ints), d)
-        return [cell.get(i, _ZERO) for i in range(n)]
+        cell = reduce(enumerate(ints))
+        return [Fraction(cell.get(i, 0), d * L) for i in range(len(keep))]
 
-    table = [[None] * n for _ in keep]
-    for a, i in enumerate(keep):
-        for b in range(a, n):
-            table[a][b] = table[b][a] = reduce(A.rows[i][keep[b]], A.den)
     return FiniteCommAlgebra(
         name=name,
         basis_labels=[A.basis_labels[k] for k in keep],
-        table=table,
+        cells=[[reduce(A.rows[i][k]) for k in keep[a:]]
+               for a, i in enumerate(keep)],
+        den=A.den * L,
         unit=dense(A.unit),
         degrees=[A.degrees[k] for k in keep],
         fano_index=A.fano_index,

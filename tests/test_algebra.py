@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspectra import algebra
+from qspectra import algebra, spectrum
 from qspectra.algebra import (
     FiniteCommAlgebra,
     PolyPresentation,
@@ -23,6 +23,8 @@ from qspectra.algebra import (
 )
 from qspectra.exactlin import Matrix, charpoly
 from qspectra.schur import qh_grassmannian
+from qspectra.spectrum import kappa_split
+from qspectra.varieties import REGISTRY
 
 F = Fraction
 
@@ -56,22 +58,26 @@ def test_projective_validates():
 
 # ---------------------------------------------------------------- validation
 
-def _table(structure):
-    """The constructor's {k: c} cells for a dense table."""
-    return [[dict(enumerate(cell)) for cell in row] for row in structure]
+def _cells(A):
+    """A's upper triangle as fresh {k: int} cells over A.den, one object
+    per (i, j) with j >= i."""
+    return [[dict(cell) for cell in row[i:]] for i, row in enumerate(A.rows)]
+
+
+def _with_cells(A, cells, den):
+    return FiniteCommAlgebra(
+        name=A.name, basis_labels=A.basis_labels, cells=cells, den=den,
+        unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
+        anticanonical=A.anticanonical, dim_X=A.dim_X)
 
 
 def _perturbed(A, i, j, k, delta):
-    """A with the structure constant of b_k in b_i*b_j (and b_j*b_i)
-    shifted by delta."""
-    structure = [[list(cell) for cell in row] for row in A.structure]
-    structure[i][j][k] += delta
-    if i != j:
-        structure[j][i][k] += delta
-    return FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, table=_table(structure),
-        unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
-        anticanonical=A.anticanonical, dim_X=A.dim_X)
+    """A with the structure constant of b_k in b_i*b_j (and so b_j*b_i),
+    i <= j, shifted by delta."""
+    cells = [[{l: F(c, A.den) for l, c in cell.items()} for cell in row]
+             for row in _cells(A)]
+    cells[i][j - i][k] = cells[i][j - i].get(k, 0) + delta
+    return _with_cells(A, *algebra.integer_cells(cells))
 
 
 def test_validation_catches_perturbation():
@@ -112,17 +118,6 @@ def test_validation_catches_integral_associativity_failure():
     assert validate_algebra(A) == (
         ("associativity fails at (1, 2, 2)",)
         + tuple("associativity fails at (2, 2, %d)" % l for l in range(3, 24)))
-
-
-def test_validation_catches_asymmetry():
-    A = qh_projective(1)
-    structure = [[list(cell) for cell in row] for row in A.structure]
-    structure[0][1][1] += 1
-    report = validate_algebra(FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, table=_table(structure),
-        unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
-        anticanonical=A.anticanonical, dim_X=A.dim_X))
-    assert any("commutativity" in v for v in report)
 
 
 # ---------------------------------------------------------------- mult_matrix
@@ -167,71 +162,94 @@ def test_product_rejects_floats_and_wrong_lengths():
 
 def test_constructor_rejects_inexact_constants():
     A = qh_projective(1)
-    structure = [[list(cell) for cell in row] for row in A.structure]
-    structure[1][1][0] = 0.0
-    with pytest.raises(TypeError):
-        FiniteCommAlgebra(
-            name=A.name, basis_labels=A.basis_labels, table=_table(structure),
-            unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
-            anticanonical=A.anticanonical, dim_X=A.dim_X)
+    cells = _cells(A)
+    cells[1][0][0] = 0.0
+    with pytest.raises(TypeError, match="expected an int cell value, got"):
+        _with_cells(A, cells, A.den)
 
 
-def _with_table(A, table):
-    return FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels, table=table, unit=A.unit,
-        degrees=A.degrees, fano_index=A.fano_index,
-        anticanonical=A.anticanonical, dim_X=A.dim_X)
+@pytest.mark.parametrize("value", [F(0), F(1, 2), F(2), 1.0, False, True])
+def test_constructor_refuses_a_cell_value_that_is_not_an_int(value):
+    A = qh_projective(2)
+    cells = _cells(A)
+    cells[1][0][0] = value
+    with pytest.raises(TypeError, match="expected an int cell value, got"):
+        _with_cells(A, cells, A.den)
 
 
-def _cells(A):
-    """A's table as fresh {k: Fraction} cells, one object per (i, j)."""
-    return [[{k: F(c, A.den) for k, c in cell} for cell in row]
-            for row in A.rows]
+@pytest.mark.parametrize("den", [0, -1, F(1), 1.0, True])
+def test_constructor_refuses_a_denominator_that_is_not_a_positive_int(den):
+    A = qh_projective(2)
+    with pytest.raises(ValueError, match="den must be a positive int, got"):
+        _with_cells(A, _cells(A), den)
+
+
+def test_constructor_refuses_a_row_of_the_wrong_length():
+    A = qh_projective(2)
+    for i, grow in itertools.product(range(A.dim), (False, True)):
+        cells = _cells(A)
+        cells[i] = cells[i] + [{}] if grow else cells[i][:-1]
+        with pytest.raises(ValueError, match="cells shape mismatch"):
+            _with_cells(A, cells, A.den)
+    # the full square is not an upper triangle
+    with pytest.raises(ValueError, match="cells shape mismatch"):
+        _with_cells(A, [list(map(dict, row)) for row in A.rows], A.den)
 
 
 def test_constructor_rejects_an_index_outside_the_basis():
     A = qh_projective(2)
     for k in (3, -1):
-        table = _cells(A)
-        table[1][2][k] = F(1)
+        cells = _cells(A)
+        cells[1][1][k] = 1
         with pytest.raises(ValueError, match="out of range"):
-            _with_table(A, table)
-
-
-def test_constructor_reads_a_lower_cell_that_is_not_its_mirror():
-    # the mirror (0, 1) is exact; the lower cell is a distinct object
-    A = qh_projective(2)
-    table = _cells(A)
-    table[1][0] = dict(table[0][1])
-    table[1][0][2] = 0.0
-    with pytest.raises(TypeError):
-        _with_table(A, table)
-
-
-def test_shared_and_equal_mirror_cells_give_the_same_rows():
-    # the distinct mirrors list their keys in reverse, so the rows are
-    # sorted by k whatever order a cell comes in
-    A = jacobi_ring("D5")
-    distinct = _cells(A)
-    shared = _cells(A)
-    for i in range(A.dim):
-        for j in range(i):
-            distinct[i][j] = dict(reversed(distinct[j][i].items()))
-            shared[i][j] = shared[j][i]
-    B, C = _with_table(A, distinct), _with_table(A, shared)
-    assert (B.rows, B.den) == (C.rows, C.den) == (A.rows, A.den)
-    assert B.den > 1
+            _with_cells(A, cells, A.den)
 
 
 def test_constructor_drops_explicit_zeros():
+    # the cells also list their keys in reverse, so the rows are sorted
+    # by k whatever order a cell comes in
     A = jacobi_ring("D5")
-    table = _cells(A)
-    for row in table:
+    cells = _cells(A)
+    for row in cells:
         for cell in row:
-            cell.update({k: F(0) if k % 2 else 0
-                         for k in range(A.dim) if k not in cell})
-    B = _with_table(A, table)
+            cell.update({k: 0 for k in range(A.dim) if k not in cell})
+            items = list(cell.items())
+            cell.clear()
+            cell.update(reversed(items))
+    B = _with_cells(A, cells, A.den)
     assert (B.rows, B.den) == (A.rows, A.den)
+    assert B.den > 1
+
+
+def test_rows_and_denominator_stay_canonical(monkeypatch):
+    # the invertible fiber of IG(2,2n) arrives over A.den * L = n with
+    # every cell divisible by n, and comes out over 1; D5 given with six
+    # times every cell over six times its den comes out as D5
+    arrived = {}
+
+    def build(**fields):
+        arrived[fields["name"]] = fields["den"]
+        return FiniteCommAlgebra(**fields)
+
+    monkeypatch.setattr(spectrum, "FiniteCommAlgebra", build)
+    for n in range(2, 6):
+        zero, nonzero = kappa_split(qh_ig2(n))
+        assert arrived[nonzero.name] == n
+        assert (zero.den, nonzero.den) == (1, 1)
+    A = jacobi_ring("D5")
+    zero, _nonzero = kappa_split(A)
+    assert zero.den == A.den == 4
+    B = _with_cells(A, [[{k: 6 * c for k, c in cell.items()} for cell in row]
+                        for row in _cells(A)], 6 * A.den)
+    assert (B.rows, B.den) == (A.rows, A.den)
+
+
+def test_lower_cells_are_their_mirrors():
+    for variety in REGISTRY.values():
+        A = variety.provider()
+        for X in (A, *kappa_split(A)):
+            assert all(X.rows[j][i] is X.rows[i][j]
+                       for i in range(X.dim) for j in range(i)), X.name
 
 
 def test_rows_hold_the_table_over_one_denominator():

@@ -112,9 +112,9 @@ def _p2_with_kappa_plus_one():
     kappa[0] += 1
     return FiniteCommAlgebra(
         name="P2", basis_labels=A.basis_labels,
-        table=[[{k: Fraction(c, A.den) for k, c in cell} for cell in row]
-               for row in A.rows],
-        unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
+        cells=[[dict(cell) for cell in row[i:]]
+               for i, row in enumerate(A.rows)],
+        den=A.den, unit=A.unit, degrees=A.degrees, fano_index=A.fano_index,
         anticanonical=kappa, dim_X=A.dim_X)
 
 

@@ -12,6 +12,7 @@ from qspectra.algebra import (
     FiniteCommAlgebra,
     PolyPresentation,
     from_presentation,
+    integer_cells,
     jacobi_ring,
     mult_matrix,
     qh_ig2,
@@ -435,9 +436,10 @@ def _rescaled_table(A):
 
 def _rescaled_ring(A):
     table, unit, kappa = _rescaled_table(A)
+    cells, den = integer_cells([[dict(enumerate(cell)) for cell in row[i:]]
+                                for i, row in enumerate(table)])
     return FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels,
-        table=[[dict(enumerate(cell)) for cell in row] for row in table],
+        name=A.name, basis_labels=A.basis_labels, cells=cells, den=den,
         unit=unit, degrees=A.degrees, fano_index=A.fano_index,
         anticanonical=kappa, dim_X=A.dim_X)
 
@@ -570,9 +572,9 @@ def test_split_refuses_a_unit_outside_degree_zero():
     A = qh_grassmannian(2, 4)
     B = FiniteCommAlgebra(
         name=A.name, basis_labels=A.basis_labels,
-        table=[[{k: Fraction(c, A.den) for k, c in cell} for cell in row]
-               for row in A.rows],
-        unit=A.unit, degrees=[d + 1 for d in A.degrees],
+        cells=[[dict(cell) for cell in row[i:]]
+               for i, row in enumerate(A.rows)],
+        den=A.den, unit=A.unit, degrees=[d + 1 for d in A.degrees],
         fano_index=A.fano_index, anticanonical=A.anticanonical,
         dim_X=A.dim_X)
     with pytest.raises(AssertionError, match="unit has a component outside "
