@@ -205,6 +205,38 @@ def test_constructor_rejects_an_index_outside_the_basis():
             _with_cells(A, cells, A.den)
 
 
+def test_constructor_reads_a_lower_cell_that_is_not_its_mirror():
+    # the lower cell (1, 0) is read from its mirror (0, 1): changing the
+    # mirror changes both, and a square whose lower cell differs from its
+    # mirror is refused rather than half read
+    A = qh_projective(2)
+    cells = _cells(A)
+    cells[0][1] = {2: 5}
+    B = _with_cells(A, cells, A.den)
+    assert B.rows[1][0] == B.rows[0][1] == ((2, 5),)
+    assert B.structure[1][0] == B.structure[0][1] == (0, 0, 5)
+    square = [list(map(dict, row)) for row in A.rows]
+    square[1][0] = {2: 5}
+    with pytest.raises(ValueError, match="cells shape mismatch"):
+        _with_cells(A, square, A.den)
+
+
+def test_shared_and_equal_mirror_cells_give_the_same_rows():
+    # one cell object shared by every equal cell gives the rows that
+    # distinct equal objects give, and the shared object is left as it was
+    A = jacobi_ring("D5")
+    distinct = _cells(A)
+    pool = {}
+    shared = [[pool.setdefault(tuple(sorted(cell.items())), cell)
+               for cell in row] for row in _cells(A)]
+    assert len(pool) < sum(map(len, shared))
+    before = {key: dict(cell) for key, cell in pool.items()}
+    B, C = _with_cells(A, distinct, A.den), _with_cells(A, shared, A.den)
+    assert (B.rows, B.den) == (C.rows, C.den) == (A.rows, A.den)
+    assert B.den > 1
+    assert {key: dict(cell) for key, cell in pool.items()} == before
+
+
 def test_constructor_drops_explicit_zeros():
     # the cells also list their keys in reverse, so the rows are sorted
     # by k whatever order a cell comes in
