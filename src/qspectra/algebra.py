@@ -208,7 +208,9 @@ class PolyPresentation:
     """Generators with degrees, relations, and the grading/anticanonical data.
 
     Relations and the anticanonical class are multivariate polynomials given
-    as {exponent tuple: coefficient} maps over the declared variables.
+    as {exponent tuple: coefficient} maps over the declared variables, both
+    checked alike: one nonnegative int exponent per variable, int or
+    Fraction coefficients.  Variable degrees are positive ints.
     """
 
     __slots__ = ("name", "variables", "relations", "fano_index",
@@ -216,29 +218,32 @@ class PolyPresentation:
 
     def __init__(self, name, variables, relations, fano_index,
                  anticanonical=None, dim_X=0):
-        self.variables = tuple((str(v), int(d)) for v, d in variables)
+        self.variables = tuple((str(v), d) for v, d in variables)
         if not self.variables or len(self.variables) > 3:
             raise ValueError("between one and three variables")
+        if any(type(d) is not int for _, d in self.variables):
+            raise TypeError("variable degrees must be ints")
         if any(d < 1 for _, d in self.variables):
             raise ValueError("variable degrees must be positive")
         nv = len(self.variables)
-        rels = []
-        for rel in relations:
+
+        def parse(rel):
             poly = {}
             for e, c in rel.items():
-                e = tuple(int(x) for x in e)
+                e = tuple(e)
+                if any(type(x) is not int for x in e):
+                    raise TypeError("exponents must be ints, got %r" % (e,))
                 if len(e) != nv or any(x < 0 for x in e):
                     raise ValueError("bad exponent tuple %r" % (e,))
-                c = _q(c)
-                if c != 0:
-                    poly[e] = poly.get(e, _ZERO) + c
-            rels.append({e: c for e, c in poly.items() if c != 0})
-        self.relations = tuple(rels)
+                poly[e] = poly.get(e, _ZERO) + _q(c)
+            return {e: c for e, c in poly.items() if c != 0}
+
+        self.relations = tuple(parse(rel) for rel in relations)
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
         self.name = name
         self.fano_index = fano_index
-        self.anticanonical = dict(anticanonical) if anticanonical else {}
+        self.anticanonical = parse(anticanonical or {})
         self.dim_X = dim_X
 
 
@@ -312,11 +317,11 @@ def from_presentation(P):
     """Quotient by the relation ideal, with basis the standard monomials.
 
     Only products x * b_j of a variable with a basis monomial are reduced
-    to normal form, which gives each variable's multiplication operator.
-    The standard monomials form an order ideal, so every basis monomial
-    but 1 is x * b_i' for a variable x and a basis monomial b_i' of lower
-    weight; the row of b_i is x's operator applied to the row of b_i', and
-    the upper triangle fills in basis order.
+    to normal form: each variable's operator, cleared once over the common
+    denominator D.  The standard monomials form an order ideal, so every
+    basis monomial but 1 is x * b_i' for a variable x and a basis monomial
+    b_i' of lower weight; the row of b_i is x's operator applied to the
+    row of b_i', on ints, and the upper triangle fills in basis order.
     """
     nv = len(P.variables)
     weights = tuple(d for _, d in P.variables)
@@ -338,7 +343,7 @@ def from_presentation(P):
     for b in bounds:
         cap *= b
     if cap > 10000:
-        raise ValueError("not zero-dimensional")
+        raise ValueError("%d candidate monomials, more than 10000" % cap)
 
     lead = [lm for _, lm, _ in G]
     monos = [()]
@@ -360,18 +365,15 @@ def from_presentation(P):
     def shift(e, t, by):
         return e[:t] + (e[t] + by,) + e[t + 1:]
 
-    def column(mono):
-        # a product that is itself standard needs no reduction
-        if mono in index:
-            return ((index[mono], _ONE),)
-        return tuple(reduce({mono: _ONE}).items())
+    # ops[t][j]: D times the normal form of x_t * b_j as (index, int) pairs
+    ops, D = integer_cells([[reduce({shift(e, t, 1): _ONE}) for e in basis]
+                            for t in range(nv)])
+    ops = [[tuple(cell.items()) for cell in op] for op in ops]
 
-    # ops[t][j]: normal form of x_t * b_j as (index, coefficient) pairs
-    ops = [[column(shift(e, t, 1)) for e in basis] for t in range(nv)]
-
-    # rows[i][j - i] is b_i * b_j, j >= i, as a sparse map; b_0 = 1 and
-    # b_i' precedes b_i, so its row reaches every j >= i
-    rows = [[{j: _ONE} for j in range(d)]]
+    # rows[i][j - i], j >= i: D^|b_i| b_i * b_j, |b_i| the total degree
+    # (one variable per step), zeros kept for the constructor to drop;
+    # b_0 = 1 and b_i' precedes b_i, so its row reaches every j >= i
+    rows = [[{j: 1} for j in range(d)]]
     for i in range(1, d):
         t = next(t for t, x in enumerate(basis[i]) if x)
         i0 = index[shift(basis[i], t, -1)]
@@ -382,9 +384,11 @@ def from_presentation(P):
             acc = {}
             for k, c in src[j - i0].items():
                 for l, s in op[k]:
-                    acc[l] = acc.get(l, _ZERO) + c * s
-            row.append({l: c for l, c in acc.items() if c})
+                    acc[l] = acc.get(l, 0) + c * s
+            row.append(acc)
         rows.append(row)
+    # the basis runs by weight, so its last monomial need not be the deepest
+    top = max(map(sum, basis))
 
     names = [v for v, _ in P.variables]
 
@@ -399,17 +403,16 @@ def from_presentation(P):
 
     m = P.fano_index
     degrees = [sum(w * x for w, x in zip(weights, e)) % m for e in basis]
-    anticanonical = dense(reduce(
-        {tuple(int(x) for x in e): _q(c) for e, c in P.anticanonical.items()}))
-    cells, den = integer_cells(rows)
     return FiniteCommAlgebra(
         name=P.name,
         basis_labels=[label(e) for e in basis],
-        cells=cells, den=den,
+        cells=[[{k: c * s for k, c in cell.items()} for cell in row]
+               for row, s in zip(rows, (D ** (top - sum(e)) for e in basis))],
+        den=D ** top,
         unit=dense({0: _ONE}),
         degrees=degrees,
         fano_index=m,
-        anticanonical=anticanonical,
+        anticanonical=dense(reduce(P.anticanonical)),
         dim_X=P.dim_X,
     )
 

@@ -47,7 +47,9 @@ def weyl_dim(delta):
 def bott(w, k, n):
     """Cohomology table {degree: dim} of the irreducible bundle with
     GL(n) weight w on G(k,n); empty when the dotted weight degenerates."""
-    w = tuple(int(x) for x in w)
+    w = tuple(w)
+    if any(type(x) is not int for x in w):
+        raise TypeError("weight entries must be ints, got %r" % (w,))
     if len(w) != n:
         raise ValueError("weight length %d, expected %d" % (len(w), n))
     if not 0 < k < n:
@@ -64,7 +66,9 @@ def bott(w, k, n):
 
 
 def _check_chunk(chunk, length, what):
-    chunk = tuple(int(x) for x in chunk)
+    chunk = tuple(chunk)
+    if any(type(x) is not int for x in chunk):
+        raise TypeError("%s entries must be ints, got %r" % (what, chunk))
     if len(chunk) != length:
         raise ValueError("%s must have %d entries, got %d"
                          % (what, length, len(chunk)))
@@ -110,13 +114,15 @@ class BundleExpr:
             raise ValueError("need 0 < k < n")
         canon = {}
         for (lam, mu), mult in terms.items():
-            mult = int(mult)
-            if mult == 0:
-                continue
+            if type(mult) is not int:
+                raise TypeError("multiplicities must be ints, got %r"
+                                % (mult,))
             if mult < 0:
                 raise ValueError("multiplicities must be positive")
             lam = _check_chunk(lam, k, "U* weight")
             mu = _check_chunk(mu, n - k, "Q* weight")
+            if mult == 0:
+                continue
             c = mu[-1]
             if c:
                 lam = tuple(x - c for x in lam)

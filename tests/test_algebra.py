@@ -362,6 +362,44 @@ def test_presentation_rejects_positive_dimension():
             relations=({(1, 1): 1},), fano_index=1))
 
 
+def test_presentation_names_the_size_bound():
+    # x^10001 = 0 is zero-dimensional, only too large to build
+    with pytest.raises(ValueError,
+                       match="10001 candidate monomials, more than 10000"):
+        from_presentation(PolyPresentation(
+            name="long", variables=(("x", 1),), relations=({(10001,): 1},),
+            fano_index=1))
+
+
+@pytest.mark.parametrize("kappa", [{(1,): 3}, {(1, 0, 0): 3}, {(1, -1): 3}])
+def test_presentation_checks_the_anticanonical_class(kappa):
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        PolyPresentation(
+            name="plane", variables=(("x", 1), ("y", 1)),
+            relations=({(2, 0): 1}, {(0, 2): 1}), fano_index=1,
+            anticanonical=kappa)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True])
+def test_presentation_refuses_non_int_degrees(bad):
+    with pytest.raises(TypeError, match="variable degrees must be ints"):
+        PolyPresentation(
+            name="line", variables=(("x", bad),), relations=({(2,): 1},),
+            fano_index=1)
+
+
+@pytest.mark.parametrize("bad", [2.7, "2", True])
+@pytest.mark.parametrize("where", ["relation", "anticanonical"])
+def test_presentation_refuses_non_int_exponents(bad, where):
+    poly = {(bad,): 1}
+    with pytest.raises(TypeError, match="exponents must be ints"):
+        PolyPresentation(
+            name="line", variables=(("x", 1),),
+            relations=(poly if where == "relation" else {(2,): 1},),
+            fano_index=1,
+            anticanonical=poly if where == "anticanonical" else None)
+
+
 def test_presentation_rejects_unit_ideal():
     with pytest.raises(ValueError, match="zero ring"):
         from_presentation(PolyPresentation(
@@ -423,13 +461,14 @@ def _pairwise_normal_forms(P):
             to_vector(P.anticanonical))
 
 
-ADE_LABELS = (["A%d" % r for r in range(1, 9)] + ["D4", "D5", "D6"]
+ADE_LABELS = (["A%d" % r for r in range(1, 9)] + ["D4", "D5", "D6", "D7"]
               + ["E6", "E7", "E8"])
 
 
 @pytest.mark.parametrize("P", (
     [algebra._jacobi_presentation(label) for label in ADE_LABELS]
-    + [algebra._ig2_presentation(n) for n in range(2, 7)]),
+    + [algebra._ig2_presentation(n) for n in range(2, 7)]
+    + [projective_presentation(n) for n in range(1, 11)]),
     ids=lambda P: P.name)
 def test_operator_walk_matches_pairwise_normal_forms(P):
     A = from_presentation(P)

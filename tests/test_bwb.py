@@ -141,6 +141,35 @@ def test_multiplicities_positive():
         BundleExpr(2, 4, {((0, 0), (0, 0)): -1})
 
 
+@pytest.mark.parametrize("terms,match", [
+    ({((1.5, 0), (0, 0)): 1}, r"U\* weight entries must be ints"),
+    ({(("1", 0), (0, 0)): 1}, r"U\* weight entries must be ints"),
+    ({((1, 0), (True, 0)): 1}, r"Q\* weight entries must be ints"),
+    ({((0, 0), (0, 0)): 1.7}, "multiplicities must be ints"),
+    ({((0, 0), (0, 0)): True}, "multiplicities must be ints"),
+])
+def test_bundle_refuses_non_int_values(terms, match):
+    with pytest.raises(TypeError, match=match):
+        BundleExpr(2, 4, terms)
+
+
+@pytest.mark.parametrize("terms,match", [
+    ({((1, 0, 5), (0,)): 0}, r"U\* weight must have 2 entries"),
+    ({((0, 0), (0, 1)): 0}, r"Q\* weight must be weakly decreasing"),
+    ({((0.5, 0), (0, 0)): 0}, r"U\* weight entries must be ints"),
+])
+def test_zero_multiplicity_still_checks_weights(terms, match):
+    with pytest.raises((TypeError, ValueError), match=match):
+        BundleExpr(2, 4, terms)
+
+
+@pytest.mark.parametrize("w", [(1.9, 0, 0, 0), (True, 0, 0, 0),
+                               ("1", 0, 0, 0)])
+def test_bott_refuses_non_int_weights(w):
+    with pytest.raises(TypeError, match="weight entries must be ints"):
+        bott(w, 2, 4)
+
+
 def test_rank_of_tautological_pieces():
     assert parse_bundle("U*", 2, 5).rank == 2
     assert parse_bundle("Q*", 2, 5).rank == 3
