@@ -59,6 +59,9 @@ class FiniteCommAlgebra:
             raise ValueError("vector length mismatch")
         if type(den) is not int or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
+        if type(fano_index) is not int:
+            raise TypeError("fano_index must be an int, got %r"
+                            % (fano_index,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
 
@@ -239,6 +242,9 @@ class PolyPresentation:
             return {e: c for e, c in poly.items() if c != 0}
 
         self.relations = tuple(parse(rel) for rel in relations)
+        if type(fano_index) is not int:
+            raise TypeError("fano_index must be an int, got %r"
+                            % (fano_index,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
         self.name = name

@@ -15,7 +15,7 @@ _ONE = Fraction(1)
 def _q(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
 

@@ -24,9 +24,17 @@ class LefschetzCollection:
 
     def __init__(self, variety, starting_block, support, fano_index,
                  asserted_full=False):
+        if type(fano_index) is not int:
+            raise TypeError("fano_index must be an int, got %r"
+                            % (fano_index,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
-        support = tuple(int(s) for s in support)
+        if not isinstance(variety, str):
+            raise TypeError("variety must be a string, got %r" % (variety,))
+        support = tuple(support)
+        if any(type(s) is not int for s in support):
+            raise TypeError("support entries must be ints, got %r"
+                            % (support,))
         if len(support) > fano_index:
             raise ValueError("support partition longer than the Fano index")
         support = support + (0,) * (fano_index - len(support))
@@ -34,10 +42,13 @@ class LefschetzCollection:
             raise ValueError("support partition has negative entries")
         if any(support[i] < support[i + 1] for i in range(fano_index - 1)):
             raise ValueError("support partition not non-increasing")
-        block = tuple(str(e) for e in starting_block)
+        block = tuple(starting_block)
+        if not all(isinstance(e, str) for e in block):
+            raise TypeError("starting block entries must be strings, got %r"
+                            % (block,))
         if support and support[0] > len(block):
             raise ValueError("support partition exceeds the starting block")
-        self.variety = str(variety)
+        self.variety = variety
         self.starting_block = block
         self.support = support
         self.fano_index = fano_index
@@ -207,7 +218,9 @@ def check_collection_json(obj):
     if missing:
         raise ValueError("collection file missing keys: %s"
                          % ", ".join(missing))
-    # the constructor coerces with int() and str(); a file gets no coercion
+    # the constructor refuses the same types with TypeError; checked here
+    # first so that a bad file exits 1 before the registry lookup and the
+    # Fano-index comparison read these fields
     if not isinstance(obj["variety"], str):
         raise ValueError("variety must be a string")
     if not _is_int(obj["fano_index"]):

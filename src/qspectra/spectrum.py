@@ -1,20 +1,21 @@
 """Spectrum of a finite commutative algebra along its anticanonical direction.
 
 Multiplication by the anticanonical vector has a generalized kernel (the
-fiber of the spectrum over zero) and an invertible complement.  A Bezout
-identity between the coprime factors of its characteristic polynomial
-yields the idempotent that splits the algebra into those two ideals, and
-everything downstream -- orbit counts, Hilbert functions, comparisons with
+fiber of the spectrum over zero) and an invertible complement.  By
+Fitting's lemma a power of that operator has exactly the generalized
+kernel as its kernel and the complement as its image, and both are
+ideals, so the two fibers are quotients of the algebra by them.
+Everything downstream -- orbit counts, Hilbert functions, comparisons with
 Milnor algebras -- is linear algebra over the two pieces.
 
 The work follows the Z/m grading by the Fano index m.  kappa has degree
 1, so its operator M maps each graded piece V_d to V_{d+1} and is read
 as the cycle of those m blocks: the characteristic polynomial comes from
 the product of the blocks around the cycle on the smallest piece, the
-idempotent is homogeneous of degree 0 and is found on V_0, the projector
-keeps every piece, and the trace form pairs V_d only with V_-d, so the
-nilradical is the sum of the kernels of those small blocks.  The rings
-of index 1 are the case of a single block.
+powers of M are products of blocks from one piece to another, so their
+kernels and images are found piece by piece, and the trace form pairs
+V_d only with V_-d, so the nilradical is the sum of the kernels of those
+small blocks.  The rings of index 1 are the case of a single block.
 
 kappa is taken to be the anticanonical multiplication itself, not a
 primitive-root rescaling of it; every quantity reported here (dimensions,
@@ -23,14 +24,13 @@ of scale.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import FiniteCommAlgebra, jacobi_ring, mult_matrix
 from .exactlin import (
     _ZERO,
     Matrix,
     Poly,
-    bezout_coprime,
     charpoly,
     clear_denominators,
     kernel_basis,
@@ -221,51 +221,20 @@ def _quotient(A, name, ideal):
     )
 
 
-def _idempotent(A, p, cycle):
-    """The idempotent e0 = (v g)(M) 1 of the fiber over kappa = 0.
-
-    p = x^a * g is the characteristic polynomial of M and cycle the
-    _KappaCycle of A; the Bezout identity u x^a + v g = 1 makes e0 the
-    projector onto ker M^a along the invertible part, applied to 1.  Both
-    of those subspaces are graded, so e0, the projection of 1, lies in
-    V_0, and only the terms of v g of degree divisible by m contribute to
-    it: e0 comes from Horner on the unit's V_0 part with the cycle
-    operator M^m, on integers.
-    """
-    a, g = split_at_zero(p)
-    _u, v = bezout_coprime(Poly.x_power(a), g)
-    m = A.fano_index
-    if any(c and d for c, d in zip(A.unit, A.degrees)):
-        raise AssertionError("the unit has a component outside degree 0")
-    one, du = clear_denominators(A.unit[i] for i in cycle.pieces[0])
-    # e0 on V_0 is carried as w / D.  A step e <- M^m e + c * 1 takes the
-    # cycle on integers, which comes out times s, and the cleared unit
-    # over t = lcm(s, c.denominator * du), then divides out the common gcd
-    S = cycle.scale ** m
-    w, D = [0] * len(one), 1
-    for c in reversed((v * g).coeffs[::m]):
-        s = S * D
-        t = lcm(s, c.denominator * du)
-        f = c.numerator * (t // (c.denominator * du))
-        w = [(t // s) * x + f * y for x, y in zip(cycle.around(w), one)]
-        r = gcd(t, *w)
-        w, D = [x // r for x in w], t // r
-    e0 = _embed(A.dim, cycle.pieces[0], [Fraction(x, D) for x in w])
-    if A.product(e0, e0) != e0:
-        raise AssertionError("splitting idempotent is not idempotent")
-    return e0
-
-
 def kappa_split(A, p=None, cycle=None):
     """Split A into the fiber over kappa = 0 and its invertible complement.
 
     Returns (A_zero, A_nonzero); p, if the caller already has it, is the
     characteristic polynomial of the anticanonical operator M on A, and
-    cycle the _KappaCycle of A; both are computed here otherwise.  With e0
-    from _idempotent, A_zero = A / (1 - e0) A and A_nonzero = A / e0 A.
-    Multiplication by e0 keeps each piece V_d, so the reduced echelon
-    bases of both ideals are collected piece by piece, and both quotients
-    are graded algebras on some of A's own basis elements.
+    cycle the _KappaCycle of A; both are computed here otherwise.  By
+    Fitting's lemma A is the direct sum of the ideals ker M^r and im M^r
+    once r reaches the nilpotency index of M on its generalized kernel,
+    whose dimension a is the order of p at zero; then A_zero = A / im M^r
+    and A_nonzero = A / ker M^r.  M^r maps each piece V_d to V_{d+r}, so
+    r steps through the blocks until the kernels on the pieces add up to
+    a, and the reduced echelon bases of both ideals are collected piece by
+    piece: both quotients are graded algebras on some of A's own basis
+    elements.
     """
     if cycle is None:
         cycle = _KappaCycle(A)
@@ -276,18 +245,23 @@ def kappa_split(A, p=None, cycle=None):
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:
         return A, _empty_part(A, "%s (invertible fiber)" % A.name)
-    w, D = clear_denominators(_idempotent(A, p, cycle))
-    # den * D times multiplication by e0, column by column on each piece
-    e0_terms = [(l, x) for l, x in enumerate(w) if x]
-    unit_scale = A.den * D
-    ideal_zero, ideal_one = [], []  # e0 A and (1 - e0) A
-    for idx in cycle.pieces:
-        cols_zero = [[col[k] for k in idx] for col in (
-            A.sparse_product(e0_terms, [(i, 1)]) for i in idx)]
-        cols_one = [[unit_scale * (r == c) - x for r, x in enumerate(col)]
-                    for c, col in enumerate(cols_zero)]
-        for ideal, cols in ((ideal_zero, cols_zero), (ideal_one, cols_one)):
-            ideal.extend(_embed(A.dim, idx, vec) for vec in span_basis(cols))
+    pieces, m = cycle.pieces, len(cycle.blocks)
+    # cols[d] is scale^r times M^r on V_d, column by column in V_{d+r}
+    cols = [[[int(i == j) for i in range(len(idx))] for j in range(len(idx))]
+            for idx in pieces]
+    for r in range(1, a + 1):
+        cols = [[_apply(cycle.blocks[(d + r - 1) % m], w) for w in piece]
+                for d, piece in enumerate(cols)]
+        kernels = [kernel_basis(Matrix.from_columns(
+            piece, len(pieces[(d + r) % m]))) for d, piece in enumerate(cols)]
+        if sum(map(len, kernels)) == a:
+            break
+    ideal_zero, ideal_one = [], []  # ker M^r and im M^r
+    for d, (kernel, piece) in enumerate(zip(kernels, cols)):
+        ideal_zero.extend(_embed(A.dim, pieces[d], v)
+                          for v in span_basis(kernel))
+        ideal_one.extend(_embed(A.dim, pieces[(d + r) % m], v)
+                         for v in span_basis(piece))
     if len(ideal_zero) != a or len(ideal_one) != A.dim - a:
         raise AssertionError("fiber dimensions disagree with the charpoly")
     return (_quotient(A, "%s (zero fiber)" % A.name, ideal_one),

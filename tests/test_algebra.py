@@ -184,6 +184,28 @@ def test_constructor_refuses_a_denominator_that_is_not_a_positive_int(den):
         _with_cells(A, _cells(A), den)
 
 
+@pytest.mark.parametrize("bad", [1.5, 3.0, F(3), "3", True])
+def test_constructor_refuses_a_fano_index_that_is_not_an_int(bad):
+    A = qh_projective(2)
+    with pytest.raises(TypeError, match="fano_index must be an int, got"):
+        FiniteCommAlgebra(
+            name=A.name, basis_labels=A.basis_labels, cells=_cells(A),
+            den=A.den, unit=A.unit, degrees=A.degrees, fano_index=bad,
+            anticanonical=A.anticanonical, dim_X=A.dim_X)
+
+
+@pytest.mark.parametrize("field", ["unit", "anticanonical"])
+def test_constructor_refuses_a_bool_vector_entry(field):
+    A = qh_projective(1)
+    vectors = {"unit": A.unit, "anticanonical": A.anticanonical}
+    vectors[field] = (True, 0)
+    with pytest.raises(TypeError, match="expected int or Fraction, got True"):
+        FiniteCommAlgebra(
+            name=A.name, basis_labels=A.basis_labels, cells=_cells(A),
+            den=A.den, degrees=A.degrees, fano_index=A.fano_index,
+            dim_X=A.dim_X, **vectors)
+
+
 def test_constructor_refuses_a_row_of_the_wrong_length():
     A = qh_projective(2)
     for i, grow in itertools.product(range(A.dim), (False, True)):
@@ -398,6 +420,25 @@ def test_presentation_refuses_non_int_exponents(bad, where):
             relations=(poly if where == "relation" else {(2,): 1},),
             fano_index=1,
             anticanonical=poly if where == "anticanonical" else None)
+
+
+@pytest.mark.parametrize("where", ["relation", "anticanonical"])
+def test_presentation_refuses_a_bool_coefficient(where):
+    poly = {(2,): True, (0,): -1}
+    with pytest.raises(TypeError, match="expected int or Fraction, got True"):
+        PolyPresentation(
+            name="P1", variables=(("x", 1),),
+            relations=(poly if where == "relation" else {(2,): 1},),
+            fano_index=2,
+            anticanonical=poly if where == "anticanonical" else {(1,): 2})
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, F(2), "2", True])
+def test_presentation_refuses_a_fano_index_that_is_not_an_int(bad):
+    with pytest.raises(TypeError, match="fano_index must be an int, got"):
+        PolyPresentation(
+            name="line", variables=(("x", 1),), relations=({(2,): 1},),
+            fano_index=bad)
 
 
 def test_presentation_rejects_unit_ideal():

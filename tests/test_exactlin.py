@@ -17,6 +17,7 @@ from qspectra.exactlin import (
     span_basis,
     split_at_zero,
     squarefree_part,
+    vec,
 )
 
 F = Fraction
@@ -264,3 +265,12 @@ def test_poly_str_layout():
     assert poly_str(Poly([1, 0, -2, 0, 0, 0, 1])) == "x^6 - 2*x^2 + 1"
     assert poly_str(Poly([])) == "0"
     assert poly_str(Poly([F(-1, 2)])) == "-1/2"
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_vec_refuses_a_bool(bad):
+    with pytest.raises(TypeError, match="expected int or Fraction, got %r"
+                       % bad):
+        vec([1, bad])
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        Matrix([[bad]])

@@ -56,6 +56,26 @@ def test_fano_index_positive():
         LefschetzCollection("X", ("O",), (), fano_index=0)
 
 
+@pytest.mark.parametrize("bad", [3.0, "3", True])
+def test_fano_index_must_be_an_int(bad):
+    with pytest.raises(TypeError, match="fano_index must be an int, got"):
+        LefschetzCollection("X", ("O",), (1,), fano_index=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_support_entries_are_not_coerced(bad):
+    with pytest.raises(TypeError, match="support entries must be ints"):
+        LefschetzCollection("X", ("O",), (1, bad), fano_index=3)
+
+
+def test_starting_block_and_variety_are_not_coerced():
+    with pytest.raises(TypeError, match="starting block entries must be "
+                       "strings"):
+        LefschetzCollection("X", ("O", 7), (2,), fano_index=3)
+    with pytest.raises(TypeError, match="variety must be a string"):
+        LefschetzCollection(4, ("O",), (1,), fano_index=3)
+
+
 def test_twisted_objects_block_order():
     c = builtin_collection("minimal_g24")
     objs = twisted_objects(c)

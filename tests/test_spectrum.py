@@ -545,6 +545,18 @@ def _dense_idempotent(A, p):
     return e
 
 
+def _fitting_ring():
+    """Q[x] / (x^3 - x^2) with kappa = x: kappa is nilpotent but not zero
+    on the zero fiber Q[x] / x^2, so the split needs kappa^2."""
+    return from_presentation(PolyPresentation(
+        "T", (("x", 1),), ({(3,): 1, (2,): -1},), 1, {(1,): 1}))
+
+
+def _fields(B):
+    return (B.name, B.basis_labels, B.dim, B.rows, B.den, B.unit, B.degrees,
+            B.fano_index, B.anticanonical, B.dim_X)
+
+
 @pytest.mark.parametrize("make", PROVIDERS + [
     lambda: qh_grassmannian(3, 7),
     lambda: qh_grassmannian(3, 8),
@@ -552,6 +564,7 @@ def _dense_idempotent(A, p):
     lambda: _rescaled_ring(qh_ig2(3)),
     lambda: _rescaled_ring(qh_grassmannian(2, 4)),
     lambda: _rescaled_ring(jacobi_ring("D5")),
+    _fitting_ring,
 ])
 def test_graded_route_matches_the_dense_operator(make):
     A = make()
@@ -560,26 +573,38 @@ def test_graded_route_matches_the_dense_operator(make):
     assert cycle.charpoly() == p
     assert span_basis(nilradical(A)) \
         == span_basis(kernel_basis(trace_gram(A)))
-    # the idempotent of the split, found on V_0 alone
-    e0 = qspectra.spectrum._idempotent(A, p, cycle)
-    assert e0 == _dense_idempotent(A, p)
-    assert all(A.degrees[i] == 0 for i, c in enumerate(e0) if c)
+    # the split by kernel and image of a power of kappa, against the
+    # quotients by the ideals of the dense idempotent
+    e0 = _dense_idempotent(A, p)
+    e0_ideal = span_basis(A.product(e0, A.basis_vector(i))
+                          for i in range(A.dim))
+    rest_ideal = span_basis(tuple(x - y for x, y in zip(b, A.product(e0, b)))
+                            for b in map(A.basis_vector, range(A.dim)))
+    zero, nonzero = kappa_split(A, p, cycle)
+    if 0 < zero.dim < A.dim:
+        assert _fields(zero) == _fields(qspectra.spectrum._quotient(
+            A, "%s (zero fiber)" % A.name, rest_ideal))
+        assert _fields(nonzero) == _fields(qspectra.spectrum._quotient(
+            A, "%s (invertible fiber)" % A.name, e0_ideal))
+    else:
+        # one fiber is A itself, and e0 is 1 or 0
+        assert A in (zero, nonzero)
+        assert len(e0_ideal) == zero.dim
 
 
-def test_split_refuses_a_unit_outside_degree_zero():
-    # every degree of G(2,4) shifted by one: kappa still steps each piece
-    # to the next, but the unit now sits in degree 1
-    A = qh_grassmannian(2, 4)
-    B = FiniteCommAlgebra(
-        name=A.name, basis_labels=A.basis_labels,
-        cells=[[dict(cell) for cell in row[i:]]
-               for i, row in enumerate(A.rows)],
-        den=A.den, unit=A.unit, degrees=[d + 1 for d in A.degrees],
-        fano_index=A.fano_index, anticanonical=A.anticanonical,
-        dim_X=A.dim_X)
-    with pytest.raises(AssertionError, match="unit has a component outside "
-                       "degree 0"):
-        kappa_split(B)
+def test_fitting_ring_fibers_are_pinned():
+    # kappa = x is nilpotent of index 2 on the zero fiber Q[x] / x^2, and
+    # x^2 spans the invertible fiber Q, where kappa acts as 1
+    z, n = kappa_split(_fitting_ring())
+    assert z.basis_labels == ("1", "x")
+    assert z.degrees == (0, 0)
+    assert z.unit == (1, 0)
+    assert z.anticanonical == (0, 1)
+    assert _table(z) == [[(1, 0), (0, 1)], [(0, 1), (0, 0)]]
+    assert n.basis_labels == ("x^2",)
+    assert n.unit == (1,)
+    assert n.anticanonical == (1,)
+    assert _table(n) == [[(1,)]]
 
 
 # sha256 of every registry report JSON, as written by `report --json`,
