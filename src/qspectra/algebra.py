@@ -515,7 +515,7 @@ _JACOBI_POTENTIALS = {
 def _jacobi_presentation(label):
     label = str(label).strip()
     letter, rank = label[:1], label[1:]
-    if letter not in "ADE" or not rank.isdigit():
+    if letter not in "ADE" or not (rank.isascii() and rank.isdigit()):
         raise ValueError("unsupported singularity type %r" % (label,))
     r = int(rank)
     if letter == "A" and r >= 1:

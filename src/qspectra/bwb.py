@@ -227,7 +227,7 @@ MAX_SPREAD = 256
 MAX_TERMS = 64
 MAX_OBJECTS = 128
 
-_TOKEN = re.compile(r"(U\*|Q\*|S\^|O|\(|\)|,|\*|-?\d+)")
+_TOKEN = re.compile(r"(U\*|Q\*|S\^|O|\(|\)|,|\*|-?[0-9]+)")
 
 
 def _tokenize(text):
@@ -273,7 +273,7 @@ class _Cursor:
 
     def take_int(self):
         tok, pos = self.toks[self.i] if self.i < len(self.toks) else (None, len(self.text))
-        if tok is None or not re.fullmatch(r"-?\d+", tok):
+        if tok is None or not re.fullmatch(r"-?[0-9]+", tok):
             raise ValueError("parse error at position %d: expected an integer"
                              % pos)
         self.i += 1
@@ -436,10 +436,11 @@ def _check(c, backend, ext):
     found = parse_variety(c.variety)
     if found is None or found.backend != backend:
         raise ValueError(_NO_BACKEND[backend] % (c.variety,))
-    objects = twisted_objects(c)
-    if len(objects) > MAX_OBJECTS:
+    # the support counts the objects: refuse a long one before building it
+    if sum(c.support) > MAX_OBJECTS:
         raise ValueError("collection has %d objects, more than %d"
-                         % (len(objects), MAX_OBJECTS))
+                         % (sum(c.support), MAX_OBJECTS))
+    objects = twisted_objects(c)
     exprs = [parse_bundle(desc, found.k, found.n).twist(t)
              for desc, t in objects]
     labels = ["%s (%d)" % (desc, t) if t else desc for desc, t in objects]

@@ -20,29 +20,12 @@ from .algebra import mult_matrix, qh_ig2, qh_projective, validate_algebra
 from .bwb import (BundleExpr, check_collection, check_collection_hyperplane,
                   ext_table)
 from .chevalley import grassmann_divisor_matrix, ig2_divisor_matrix
-from .exactlin import charpoly
+from .exactlin import charpoly, poly_str
 from .lefschetz import (builtin_collection, check_collection_json,
-                        collection_from_json, conjecture_numerology, lengths)
+                        collection_from_json, conjecture_numerology)
 from .schur import qh_grassmannian
 from .spectrum import quantum_spectrum_report
 from .varieties import REGISTRY
-
-
-class RunReport:
-    """What ``report --json`` writes: the spectrum report and tool
-    metadata."""
-
-    __slots__ = ("spectrum", "meta")
-
-    def __init__(self, spectrum=None):
-        self.spectrum = spectrum
-        self.meta = {"tool": "qspectra", "version": __version__}
-
-    def to_dict(self):
-        out = {"meta": dict(self.meta)}
-        if self.spectrum is not None:
-            out["spectrum"] = self.spectrum.to_dict()
-        return out
 
 
 def _yes(flag):
@@ -60,7 +43,7 @@ def _report_markdown(r):
     rows = [
         ("algebra dimension", "%d" % r.dim_total),
         ("Fano index m", "%d" % r.fano_index),
-        ("anticanonical charpoly", r.to_dict()["kappa_charpoly"]),
+        ("anticanonical charpoly", poly_str(r.kappa_charpoly)),
         ("invertible fiber: length", "%d" % r.dim_nonzero_part),
         ("invertible fiber: reduced points", "%d" % r.nonzero_point_count),
         ("invertible fiber: semisimple", _yes(r.nonzero_semisimple)),
@@ -95,9 +78,10 @@ def cmd_report(args):
     elapsed = time.monotonic() - t0
     print(_report_markdown(report))
     if args.json:
-        run = RunReport(spectrum=report)
+        doc = {"meta": {"tool": "qspectra", "version": __version__},
+               "spectrum": report.to_dict()}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(run.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print("computed in %.3f s" % elapsed, file=sys.stderr)
     return 0
@@ -163,12 +147,11 @@ def cmd_check(args):
         return unreadable(e)
     report = quantum_spectrum_report(A)
     verdict = conjecture_numerology(report, coll)
-    sizes = lengths(coll)
     print("collection on %s: sigma = %r, starting block of %d"
           % (coll.variety, coll.support, len(coll.starting_block)))
     print("lengths: total %d, rectangular %d, residual %d"
-          % (sizes["total"], sizes["rectangular"],
-             sizes["residual_expected"]))
+          % (verdict.total_length, verdict.rect_length,
+             verdict.residual_expected))
     for line in _numerology_lines(verdict):
         print(line)
     # shape disagreement is information about the collection, not an

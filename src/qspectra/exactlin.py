@@ -336,9 +336,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return "Poly(%s)" % (poly_str(self),)
 
@@ -422,19 +419,6 @@ def poly_gcd(p, q):
     if a.is_zero():
         return a
     return a.monic()
-
-
-def squarefree_part(p):
-    """p / gcd(p, p'), made monic."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.is_zero() or g.degree == 0:
-        return p.monic()
-    quo, rem = divmod(p, g)
-    if not rem.is_zero():
-        raise AssertionError("gcd does not divide its argument")
-    return quo.monic()
 
 
 def split_at_zero(p):

@@ -271,11 +271,11 @@ def kappa_split(A, p=None, cycle=None):
 def orbit_analysis(A_nonzero, m, g=None):
     """Orbit counts for the root-of-unity action on the invertible fiber.
 
-    k_len divides the vector-space length, k_pts the geometric points;
-    rotation_ok certifies eigenvalue invariance under multiplication by a
-    primitive m-th root via the support of the characteristic polynomial
-    g of kappa on the fiber (computed unless given), which comes back as
-    "charpoly" next to the point count "points".
+    orbit_count_by_length divides the vector-space length by m,
+    orbit_count_by_points the geometric points; charpoly_rotation_invariant
+    certifies eigenvalue invariance under multiplication by a primitive
+    m-th root via the support of the characteristic polynomial g of kappa
+    on the fiber (computed unless given).  The keys are the report's.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -284,25 +284,27 @@ def orbit_analysis(A_nonzero, m, g=None):
     k_pts = Fraction(points, m)
     if g is None:
         g = _KappaCycle(A_nonzero).charpoly()
-    rotation_ok = all((g.degree - i) % m == 0
-                      for i, c in enumerate(g.coeffs) if c != 0)
     return {
-        "k_len": int(k_len) if k_len.denominator == 1 else k_len,
-        "k_len_integral": k_len.denominator == 1,
-        "k_pts": int(k_pts) if k_pts.denominator == 1 else k_pts,
-        "k_pts_integral": k_pts.denominator == 1,
-        "rotation_ok": rotation_ok,
-        "points": points,
-        "charpoly": g,
+        "nonzero_point_count": points,
+        "nonzero_semisimple": points == A_nonzero.dim,
+        "orbit_count_by_length":
+            int(k_len) if k_len.denominator == 1 else k_len,
+        "orbit_length_integral": k_len.denominator == 1,
+        "orbit_count_by_points":
+            int(k_pts) if k_pts.denominator == 1 else k_pts,
+        "orbit_points_integral": k_pts.denominator == 1,
+        "charpoly_rotation_invariant": all(
+            (g.degree - i) % m == 0 for i, c in enumerate(g.coeffs) if c != 0),
     }
 
 
 def local_invariants(A_zero):
-    """Length data of the fiber over zero: point count, Hilbert function
-    of the radical filtration, and socle dimension."""
+    """The report's zero_part: length, point count, Hilbert function of
+    the radical filtration, and socle dimension of the fiber over zero."""
     if A_zero.dim == 0:
-        return {"geometric_points": 0, "is_single_point": False,
-                "hilbert_function": (), "socle_dim": 0}
+        return {"dim": 0, "geometric_point_count": 0,
+                "is_single_point": False, "hilbert_function": (),
+                "socle_dim": 0}
     N = nilradical(A_zero)
     pts = A_zero.dim - len(N)
     # N A = N, so the filtration starts at N with the point count
@@ -319,19 +321,20 @@ def local_invariants(A_zero):
         socle = len(kernel_basis(Matrix(rows)))
     else:
         socle = A_zero.dim
-    return {"geometric_points": pts, "is_single_point": pts == 1,
-            "hilbert_function": tuple(hilbert), "socle_dim": socle}
+    return {"dim": A_zero.dim, "geometric_point_count": pts,
+            "is_single_point": pts == 1, "hilbert_function": tuple(hilbert),
+            "socle_dim": socle}
 
 
 def compare_with_jacobi(A_zero, label):
     """Invariant-level comparison of a zero fiber against an ADE Milnor
     algebra: dimension, points, Hilbert function, socle.  No isomorphism
     is attempted; matching invariants are necessary, not sufficient."""
-    J = jacobi_ring(label)
-    got = dict(local_invariants(A_zero), dim=A_zero.dim)
-    want = dict(local_invariants(J), dim=J.dim)
+    got = local_invariants(A_zero)
+    want = local_invariants(jacobi_ring(label))
     checks = {}
-    for field in ("dim", "geometric_points", "hilbert_function", "socle_dim"):
+    for field in ("dim", "geometric_point_count", "hilbert_function",
+                  "socle_dim"):
         checks[field] = {"value": got[field], "expected": want[field],
                          "match": got[field] == want[field]}
     return {"type": label, "checks": checks,
@@ -361,25 +364,14 @@ class SpectrumReport:
             raise TypeError("unexpected fields: %s" % sorted(fields))
 
     def to_dict(self):
-        zp = dict(self.zero_part)
-        zp["hilbert_function"] = list(zp["hilbert_function"])
-        return {
-            "name": self.name,
-            "fano_index": self.fano_index,
-            "dim_total": self.dim_total,
-            "kappa_charpoly": poly_str(self.kappa_charpoly),
-            "dim_zero_part": self.dim_zero_part,
-            "dim_nonzero_part": self.dim_nonzero_part,
-            "nonzero_semisimple": self.nonzero_semisimple,
-            "nonzero_point_count": self.nonzero_point_count,
-            "orbit_count_by_length": _json_count(self.orbit_count_by_length),
-            "orbit_length_integral": self.orbit_length_integral,
-            "orbit_count_by_points": _json_count(self.orbit_count_by_points),
-            "orbit_points_integral": self.orbit_points_integral,
-            "charpoly_rotation_invariant": self.charpoly_rotation_invariant,
-            "zero_part": zp,
-            "kappa_convention": "eigenvalues of anticanonical multiplication",
-        }
+        out = {slot: getattr(self, slot) for slot in self.__slots__}
+        out["kappa_charpoly"] = poly_str(self.kappa_charpoly)
+        for slot in ("orbit_count_by_length", "orbit_count_by_points"):
+            out[slot] = _json_count(out[slot])
+        out["zero_part"] = dict(self.zero_part, hilbert_function=list(
+            self.zero_part["hilbert_function"]))
+        out["kappa_convention"] = "eigenvalues of anticanonical multiplication"
+        return out
 
     def __repr__(self):
         return ("SpectrumReport(%r, dim %d = %d + %d, k=%r)"
@@ -402,24 +394,6 @@ def quantum_spectrum_report(A):
         raise AssertionError("Hilbert function does not sum to the fiber "
                              "dimension")
     return SpectrumReport(
-        name=A.name,
-        fano_index=A.fano_index,
-        dim_total=A.dim,
-        kappa_charpoly=p,
-        dim_zero_part=A_zero.dim,
-        dim_nonzero_part=A_nonzero.dim,
-        nonzero_semisimple=orbits["points"] == A_nonzero.dim,
-        nonzero_point_count=orbits["points"],
-        orbit_count_by_length=orbits["k_len"],
-        orbit_length_integral=orbits["k_len_integral"],
-        orbit_count_by_points=orbits["k_pts"],
-        orbit_points_integral=orbits["k_pts_integral"],
-        charpoly_rotation_invariant=orbits["rotation_ok"],
-        zero_part={
-            "dim": A_zero.dim,
-            "geometric_point_count": local["geometric_points"],
-            "is_single_point": local["is_single_point"],
-            "hilbert_function": local["hilbert_function"],
-            "socle_dim": local["socle_dim"],
-        },
-    )
+        name=A.name, fano_index=A.fano_index, dim_total=A.dim,
+        kappa_charpoly=p, dim_zero_part=A_zero.dim,
+        dim_nonzero_part=A_nonzero.dim, zero_part=local, **orbits)

@@ -19,7 +19,8 @@ from .schur import qh_grassmannian
 
 Variety = namedtuple("Variety", "id provider backend k n")
 
-_ID = re.compile(r"P(\d+)|G\((\d+),(\d+)\)|IG\(2,(\d+)\)|([ADE]\d+)")
+_ID = re.compile(r"P([0-9]+)|G\(([0-9]+),([0-9]+)\)|IG\(2,([0-9]+)\)"
+                 r"|([ADE][0-9]+)")
 
 
 def parse_variety(vid):

@@ -204,7 +204,7 @@ def test_criterion_8_jacobi_rings():
         A = jacobi_ring("A%d" % r)
         assert A.dim == r
         inv = local_invariants(A)
-        assert inv["geometric_points"] == 1
+        assert inv["geometric_point_count"] == 1
         assert inv["socle_dim"] == 1
         # hand-enumerable chain basis 1, x, ..., x^(r-1)
         assert inv["hilbert_function"] == (1,) * r
@@ -212,13 +212,13 @@ def test_criterion_8_jacobi_rings():
         A = jacobi_ring("D%d" % r)
         assert A.dim == r
         inv = local_invariants(A)
-        assert inv["geometric_points"] == 1
+        assert inv["geometric_point_count"] == 1
         assert inv["socle_dim"] == 1
     assert local_invariants(jacobi_ring("D4"))["hilbert_function"] == (1, 2, 1)
     for r in (6, 7, 8):
         A = jacobi_ring("E%d" % r)
         assert A.dim == r
         inv = local_invariants(A)
-        assert inv["geometric_points"] == 1
+        assert inv["geometric_point_count"] == 1
         assert inv["socle_dim"] == 1
     _announce(8, "Milnor numbers and socles for A1-A8, D4-D6, E6-E8")

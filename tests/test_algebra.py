@@ -549,8 +549,9 @@ def test_jacobi_top_powers_vanish():
 
 
 def test_jacobi_rejects_unknown():
-    for bad in ["B2", "D3", "E9", "A0", "F4", ""]:
-        with pytest.raises(ValueError):
+    # the rank is ASCII digits: int() would read "\u0663" as 3
+    for bad in ["B2", "D3", "E9", "A0", "F4", "", "A\u0663", "A\u00b2"]:
+        with pytest.raises(ValueError, match="unsupported singularity type"):
             jacobi_ring(bad)
 
 

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from qspectra import bwb
 from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           check_collection, check_collection_hyperplane,
                           collection_backend, ext_hyperplane, ext_table,
@@ -258,6 +259,11 @@ def test_parse_errors_carry_positions():
         parse_bundle("S^(2,1,1) U*", 2, 4)
     with pytest.raises(ValueError, match="expected U\\* or Q\\*"):
         parse_bundle("S^2 O", 2, 4)
+    # integers are ASCII digits: int() would read "\u0662" as 2
+    with pytest.raises(ValueError, match="position 2: unexpected"):
+        parse_bundle("S^\u0662 U*", 2, 4)
+    with pytest.raises(ValueError, match="position 3: unexpected"):
+        parse_bundle("U*(\u0661)", 2, 4)
 
 
 def test_parse_bounds_the_weight_spread():
@@ -448,7 +454,8 @@ def test_grassmannian_verdict_is_pinned():
     ("G(2,4)", "grassmannian"), ("G(3,7)", "grassmannian"),
     ("IG(2,4)", "hyperplane"), ("IG(2,10)", "hyperplane"),
     ("IG(2,5)", None), ("IG(2,2)", None), ("IG(3,6)", None),
-    ("A3", None), ("P", None), ("G(2,4) ", None)])
+    ("A3", None), ("P", None), ("G(2,4) ", None),
+    ("P\u0663", None), ("G(\u0662,\u0664)", None)])
 def test_collection_backend(variety, backend):
     assert collection_backend(variety) == backend
 
@@ -456,6 +463,16 @@ def test_collection_backend(variety, backend):
 @pytest.mark.parametrize("vid", list(REGISTRY))
 def test_collection_backend_matches_the_registry(vid):
     assert collection_backend(vid) == REGISTRY[vid].backend
+
+
+def test_object_count_is_checked_before_the_objects_are_built(monkeypatch):
+    def refuse(c):
+        raise AssertionError("the objects were built")
+    monkeypatch.setattr(bwb, "twisted_objects", refuse)
+    c = LefschetzCollection("P10", ["O"] * 200, [200] * 11, 11)
+    with pytest.raises(ValueError,
+                       match="collection has 2200 objects, more than 128"):
+        check_collection(c)
 
 
 def test_unsupported_variety():

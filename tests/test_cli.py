@@ -15,7 +15,7 @@ from qspectra import cli, varieties
 from qspectra.algebra import (FiniteCommAlgebra, algebra_from_json,
                               algebra_to_json, qh_projective,
                               validate_algebra)
-from qspectra.cli import REGISTRY, RunReport, main
+from qspectra.cli import REGISTRY, main
 from qspectra.varieties import Variety
 from qspectra.lefschetz import builtin_collection, save_collection
 from qspectra.spectrum import quantum_spectrum_report
@@ -170,6 +170,17 @@ def test_check_kapranov_shape_reported_not_failed(capsys, tmp_path):
     assert code == 0
     assert "rectangular 0, residual 6" in out
     assert "[differs] residual_vs_zero_fiber" in out
+
+
+def test_check_bwb_reads_ascii_digits_only(capsys, tmp_path):
+    path = tmp_path / "kapranov.json"
+    path.write_text(json.dumps({
+        "variety": "G(2,4)", "fano_index": 4,
+        "starting_block": ["O", "U*", "S^\u0662 U*"],
+        "support": [3, 2, 1]}))
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert code == 1
+    assert "parse error at position 2" in err
 
 
 def test_check_isotropic_with_bwb(capsys, tmp_path):
@@ -450,9 +461,3 @@ def test_non_integral_orbit_counts_serialize_as_pairs():
     table = cli._report_markdown(report)
     assert "| orbits by length (k) | 3/2 |" in table
     assert "| orbits by points | 3/2 |" in table
-
-
-def test_run_report_wrapper_shape():
-    run_report = RunReport()
-    assert run_report.to_dict() == {
-        "meta": {"tool": "qspectra", "version": cli.__version__}}

@@ -16,7 +16,6 @@ from qspectra.exactlin import (
     rank,
     span_basis,
     split_at_zero,
-    squarefree_part,
     vec,
 )
 
@@ -193,26 +192,6 @@ def test_poly_division_invariant():
     q, r = divmod(p, d)
     assert q * d + r == p
     assert r.degree < d.degree
-
-
-def test_squarefree_examples():
-    assert squarefree_part(Poly([1, -2, 1])) == Poly([-1, 1])
-    assert squarefree_part(Poly([1, 0, 1])) == Poly([1, 0, 1])
-    # x^3 (x - 2) -> x (x - 2)
-    assert squarefree_part(Poly([0, 0, 0, -2, 1])) == Poly([0, -2, 1])
-
-
-def test_squarefree_rejects_zero():
-    with pytest.raises(ValueError):
-        squarefree_part(Poly([]))
-
-
-@given(nonzero_polys)
-def test_squarefree_part_properties(p):
-    s = squarefree_part(p)
-    assert (p % s).is_zero()
-    g = poly_gcd(s, s.derivative())
-    assert g.is_zero() or g.degree == 0
 
 
 def test_split_examples():

@@ -19,17 +19,17 @@ from qspectra.algebra import (
     qh_projective,
     validate_algebra,
 )
-from qspectra.cli import REGISTRY, RunReport
+from qspectra.cli import REGISTRY, main
 from qspectra.exactlin import (
     Matrix,
     Poly,
     bezout_coprime,
     charpoly,
     kernel_basis,
+    poly_gcd,
     rank,
     span_basis,
     split_at_zero,
-    squarefree_part,
 )
 from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import (
@@ -173,9 +173,11 @@ def test_orbit_analysis_projective():
         A = qh_projective(n)
         _, nz = kappa_split(A)
         out = orbit_analysis(nz, n + 1)
-        assert out["k_len"] == 1 and out["k_len_integral"]
-        assert out["k_pts"] == 1 and out["k_pts_integral"]
-        assert out["rotation_ok"]
+        assert out["orbit_count_by_length"] == 1
+        assert out["orbit_length_integral"]
+        assert out["orbit_count_by_points"] == 1
+        assert out["orbit_points_integral"]
+        assert out["charpoly_rotation_invariant"]
         g = charpoly(mult_matrix(nz, nz.anticanonical))
         want = [-Fraction((n + 1) ** (n + 1))] + [0] * n + [1]
         assert list(g.coeffs) == want
@@ -184,14 +186,16 @@ def test_orbit_analysis_projective():
 def test_orbit_analysis_ig6():
     _, nz = kappa_split(qh_ig2(3))
     out = orbit_analysis(nz, 5)
-    assert out["k_len"] == 2 and out["k_pts"] == 2
-    assert out["rotation_ok"]
+    assert out["orbit_count_by_length"] == 2
+    assert out["orbit_count_by_points"] == 2
+    assert out["charpoly_rotation_invariant"]
 
 
 def test_orbit_analysis_g24():
     _, nz = kappa_split(qh_grassmannian(2, 4))
     out = orbit_analysis(nz, 4)
-    assert out["k_len"] == 1 and out["k_pts"] == 1
+    assert out["orbit_count_by_length"] == 1
+    assert out["orbit_count_by_points"] == 1
 
 
 def test_orbit_analysis_rejects_bad_m():
@@ -203,15 +207,15 @@ def test_orbit_analysis_rejects_bad_m():
 def test_orbit_analysis_reports_non_integrality():
     _, nz = kappa_split(qh_projective(2))
     out = orbit_analysis(nz, 2)
-    assert not out["k_len_integral"]
-    assert out["k_len"] == Fraction(3, 2)
+    assert not out["orbit_length_integral"]
+    assert out["orbit_count_by_length"] == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("make", PROVIDERS)
 def test_rotation_invariance_holds_for_graded_algebras(make):
     A = make()
     _, nz = kappa_split(A)
-    assert orbit_analysis(nz, A.fano_index)["rotation_ok"]
+    assert orbit_analysis(nz, A.fano_index)["charpoly_rotation_invariant"]
 
 
 # --- local invariants ------------------------------------------------------
@@ -219,7 +223,7 @@ def test_rotation_invariance_holds_for_graded_algebras(make):
 def test_local_invariants_empty_fiber():
     z, _ = kappa_split(qh_projective(2))
     assert local_invariants(z) == {
-        "geometric_points": 0, "is_single_point": False,
+        "dim": 0, "geometric_point_count": 0, "is_single_point": False,
         "hilbert_function": (), "socle_dim": 0}
 
 
@@ -227,7 +231,7 @@ def test_local_invariants_empty_fiber():
 def test_local_invariants_ig(n):
     z, _ = kappa_split(qh_ig2(n))
     out = local_invariants(z)
-    assert out["geometric_points"] == 1
+    assert out["geometric_point_count"] == 1
     assert out["is_single_point"]
     assert out["hilbert_function"] == (1,) * (n - 1)
     assert out["socle_dim"] == 1
@@ -236,7 +240,7 @@ def test_local_invariants_ig(n):
 def test_local_invariants_g24_fiber_is_reduced():
     z, _ = kappa_split(qh_grassmannian(2, 4))
     out = local_invariants(z)
-    assert out["geometric_points"] == 2
+    assert out["geometric_point_count"] == 2
     assert not out["is_single_point"]
     assert out["hilbert_function"] == (2,)
 
@@ -261,6 +265,12 @@ def test_compare_with_jacobi_dimension_mismatch():
 
 # --- semisimplicity equivalences ------------------------------------------
 
+def squarefree_part(p):
+    """p / gcd(p, p'); it annihilates M exactly when M is diagonalizable."""
+    derivative = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return divmod(p, poly_gcd(p, derivative))[0]
+
+
 @pytest.mark.parametrize("make", PROVIDERS[:6])
 def test_semisimple_iff_squarefree_minimal_polynomials(make):
     # squarefree charpoly is too strong (the unit always has (x-1)^dim);
@@ -278,6 +288,20 @@ def test_semisimple_iff_squarefree_minimal_polynomials(make):
 
 
 # --- full reports ----------------------------------------------------------
+
+@pytest.mark.parametrize("vid", ["IG(2,6)", "D5"])
+def test_report_fields_are_the_analyses_own(vid):
+    A = REGISTRY[vid].provider()
+    r = quantum_spectrum_report(A)
+    A_zero, A_nonzero = kappa_split(A)
+    orbits = orbit_analysis(A_nonzero, A.fano_index)
+    own = {"name", "fano_index", "dim_total", "kappa_charpoly",
+           "dim_zero_part", "dim_nonzero_part", "zero_part"}
+    assert not own & set(orbits)
+    assert set(r.__slots__) == own | set(orbits)
+    assert {key: getattr(r, key) for key in orbits} == orbits
+    assert r.zero_part == local_invariants(A_zero)
+
 
 def test_report_projective():
     r = quantum_spectrum_report(qh_projective(3))
@@ -682,7 +706,8 @@ def test_report_digests_cover_the_registry():
 
 
 @pytest.mark.parametrize("vid", list(REGISTRY))
-def test_report_json_is_byte_stable(vid):
-    run = RunReport(spectrum=quantum_spectrum_report(REGISTRY[vid].provider()))
-    text = json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[vid]
+def test_report_json_is_byte_stable(vid, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["report", vid, "--json", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[vid]
