@@ -357,8 +357,6 @@ def from_presentation(P):
         monos = [e + (i,) for e in monos for i in range(b)]
     basis = sorted((e for e in monos if not any(_divides(lm, e) for lm in lead)),
                    key=key)
-    if not basis:
-        raise ValueError("presentation collapses to the zero ring")
     index = {e: i for i, e in enumerate(basis)}
     d = len(basis)
 
@@ -595,7 +593,7 @@ def _json_fraction(num, den):
 JSON_MAX_DIM = 256
 
 
-def algebra_from_json(obj, check=True):
+def algebra_from_json(obj):
     dim = obj["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError("bad dimension %r" % (dim,))
@@ -625,11 +623,10 @@ def algebra_from_json(obj, check=True):
         anticanonical=[_json_fraction(n, d) for n, d in obj["anticanonical"]],
         dim_X=obj["dim_X"],
     )
-    if check:
-        violations = validate_algebra(A)
-        if violations:
-            raise ValueError("invalid algebra data %r: %s"
-                             % (obj.get("name"), "; ".join(violations[:5])))
+    violations = validate_algebra(A)
+    if violations:
+        raise ValueError("invalid algebra data %r: %s"
+                         % (obj.get("name"), "; ".join(violations[:5])))
     return A
 
 

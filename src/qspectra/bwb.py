@@ -112,26 +112,34 @@ class BundleExpr:
     def __init__(self, k, n, terms):
         if not 0 < k < n:
             raise ValueError("need 0 < k < n")
-        canon = {}
+        checked = []
         for (lam, mu), mult in terms.items():
             if type(mult) is not int:
                 raise TypeError("multiplicities must be ints, got %r"
                                 % (mult,))
             if mult < 0:
                 raise ValueError("multiplicities must be positive")
-            lam = _check_chunk(lam, k, "U* weight")
-            mu = _check_chunk(mu, n - k, "Q* weight")
-            if mult == 0:
-                continue
+            checked.append(((_check_chunk(lam, k, "U* weight"),
+                             _check_chunk(mu, n - k, "Q* weight")), mult))
+        self._canonical(k, n, checked)
+
+    def _canonical(self, k, n, pairs):
+        """Fill self from ((lam, mu), mult) pairs whose weights are already
+        checked: mu shifted to end in 0, zero multiplicities dropped, equal
+        terms merged, terms sorted.  The operations below build their
+        results here from the weights of their operands."""
+        canon = {}
+        for (lam, mu), mult in pairs:
             c = mu[-1]
             if c:
                 lam = tuple(x - c for x in lam)
                 mu = tuple(x - c for x in mu)
-            key = (lam, mu)
-            canon[key] = canon.get(key, 0) + mult
+            if mult:
+                canon[lam, mu] = canon.get((lam, mu), 0) + mult
         self.k = k
         self.n = n
         self.terms = dict(sorted(canon.items()))
+        return self
 
     @classmethod
     def structure_sheaf(cls, k, n):
@@ -148,35 +156,31 @@ class BundleExpr:
         return cls(k, n, {((0,) * k, mu): 1})
 
     def twist(self, t):
-        return BundleExpr(self.k, self.n, {
-            (tuple(x + t for x in lam), mu): m
-            for (lam, mu), m in self.terms.items()})
+        return object.__new__(BundleExpr)._canonical(self.k, self.n, (
+            ((tuple(x + t for x in lam), mu), m)
+            for (lam, mu), m in self.terms.items()))
 
     def dual(self):
-        return BundleExpr(self.k, self.n, {
-            (tuple(-x for x in reversed(lam)),
-             tuple(-x for x in reversed(mu))): m
-            for (lam, mu), m in self.terms.items()})
+        return object.__new__(BundleExpr)._canonical(self.k, self.n, (
+            ((tuple(-x for x in reversed(lam)),
+              tuple(-x for x in reversed(mu))), m)
+            for (lam, mu), m in self.terms.items()))
 
     def __add__(self, other):
         self._same_ambient(other)
-        merged = dict(self.terms)
-        for key, m in other.terms.items():
-            merged[key] = merged.get(key, 0) + m
-        return BundleExpr(self.k, self.n, merged)
+        return object.__new__(BundleExpr)._canonical(
+            self.k, self.n, [*self.terms.items(), *other.terms.items()])
 
     def tensor(self, other):
         self._same_ambient(other)
-        out = {}
+        out = []
         for (la, ma), ca in self.terms.items():
             for (lb, mb), cb in other.terms.items():
                 lams = _lr_restricted(la, lb, self.k)
                 mus = _lr_restricted(ma, mb, self.n - self.k)
-                for lam, cl in lams.items():
-                    for mu, cm in mus.items():
-                        key = (lam, mu)
-                        out[key] = out.get(key, 0) + ca * cb * cl * cm
-        return BundleExpr(self.k, self.n, out)
+                out += [((lam, mu), ca * cb * cl * cm)
+                        for lam, cl in lams.items() for mu, cm in mus.items()]
+        return object.__new__(BundleExpr)._canonical(self.k, self.n, out)
 
     def _same_ambient(self, other):
         if not isinstance(other, BundleExpr):
@@ -243,28 +247,29 @@ def _tokenize(text):
                              % (pos, text[pos]))
         toks.append((m.group(1), pos))
         pos = m.end()
+    # the end token: peek reads None there, and pos the length of the text
+    toks.append((None, len(text)))
     return toks
 
 
 class _Cursor:
-    __slots__ = ("toks", "i", "text")
+    __slots__ = ("toks", "i")
 
-    def __init__(self, toks, text):
+    def __init__(self, toks):
         self.toks = toks
         self.i = 0
-        self.text = text
 
     def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i][0]
 
     def pos(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
+        return self.toks[self.i][1]
 
     def take(self, expected=None):
-        if self.i >= len(self.toks):
-            raise ValueError("parse error at position %d: unexpected end of "
-                             "input" % len(self.text))
         tok, pos = self.toks[self.i]
+        if tok is None:
+            raise ValueError("parse error at position %d: unexpected end of "
+                             "input" % pos)
         if expected is not None and tok != expected:
             raise ValueError("parse error at position %d: expected %r, got %r"
                              % (pos, expected, tok))
@@ -272,7 +277,7 @@ class _Cursor:
         return tok
 
     def take_int(self):
-        tok, pos = self.toks[self.i] if self.i < len(self.toks) else (None, len(self.text))
+        tok, pos = self.toks[self.i]
         if tok is None or not re.fullmatch(r"-?[0-9]+", tok):
             raise ValueError("parse error at position %d: expected an integer"
                              % pos)
@@ -304,19 +309,15 @@ def _parse_factor(cur, k, n):
     elif tok == "S^":
         exps = _parse_exps(cur)
         which = cur.take()
-        if which == "U*":
-            if len(exps) > k:
-                raise ValueError("parse error at position %d: U* weight has "
-                                 "more than %d entries" % (pos, k))
-            expr = BundleExpr.schur_u_dual(exps, k, n)
-        elif which == "Q*":
-            if len(exps) > n - k:
-                raise ValueError("parse error at position %d: Q* weight has "
-                                 "more than %d entries" % (pos, n - k))
-            expr = BundleExpr.schur_q_dual(exps, k, n)
-        else:
+        if which not in ("U*", "Q*"):
             raise ValueError("parse error at position %d: expected U* or Q* "
                              "after the Schur power" % pos)
+        rank = k if which == "U*" else n - k
+        if len(exps) > rank:
+            raise ValueError("parse error at position %d: %s weight has more "
+                             "than %d entries" % (pos, which, rank))
+        expr = (BundleExpr.schur_u_dual if which == "U*"
+                else BundleExpr.schur_q_dual)(exps, k, n)
     else:
         raise ValueError("parse error at position %d: unexpected %r"
                          % (pos, tok))
@@ -333,7 +334,7 @@ def parse_bundle(text, k, n):
     S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t).  The
     total weight spread may not exceed MAX_SPREAD, nor the summands of
     the product MAX_TERMS; twists are unbounded."""
-    cur = _Cursor(_tokenize(text), text)
+    cur = _Cursor(_tokenize(text))
     factors = [_parse_factor(cur, k, n)]
     while cur.peek() == "*":
         cur.take("*")
@@ -359,7 +360,6 @@ def parse_bundle(text, k, n):
 
 def hom_bundle(E, F):
     """Decomposition of E* tensor F into irreducibles."""
-    E._same_ambient(F)
     return E.dual().tensor(F)
 
 

@@ -19,6 +19,7 @@ from math import comb
 
 from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
 from .exactlin import _ONE, _ZERO, Matrix, Solver
+from .schur import _label, _trim
 
 
 def _reflection(alpha):
@@ -234,11 +235,7 @@ def grassmannian_algebra(k, n):
     used to cross-validate both.
     """
     model, reps = _grassmann_reps(k, n)
-    labels = []
-    for w in reps:
-        parts = tuple(p for p in _grassmann_partition(w, k) if p > 0)
-        labels.append("s(%s)" % ",".join(str(p) for p in parts)
-                      if parts else "1")
+    labels = [_label(_trim(_grassmann_partition(w, k))) for w in reps]
     A = _ring_from_divisor("G(%d,%d)" % (k, n), model, reps, n,
                            k * (n - k), labels)
     violations = validate_algebra(A)

@@ -69,7 +69,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, height=None):
-        columns = [vec(c) for c in columns]
+        columns = [tuple(c) for c in columns]
         if columns:
             height = len(columns[0])
         elif height is None:

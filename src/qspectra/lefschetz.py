@@ -223,18 +223,14 @@ def check_collection_json(obj):
     # Fano-index comparison read these fields
     if not isinstance(obj["variety"], str):
         raise ValueError("variety must be a string")
-    if not _is_int(obj["fano_index"]):
+    if type(obj["fano_index"]) is not int:
         raise ValueError("fano_index must be an integer")
     if not isinstance(obj["support"], list) \
-            or not all(_is_int(s) for s in obj["support"]):
+            or not all(type(s) is int for s in obj["support"]):
         raise ValueError("support must be a list of integers")
     if not isinstance(obj["starting_block"], list) \
             or not all(isinstance(e, str) for e in obj["starting_block"]):
         raise ValueError("starting_block must be a list of strings")
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_collection(path):

@@ -10,6 +10,7 @@ no trailing zeros.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 from .algebra import FiniteCommAlgebra
@@ -147,17 +148,6 @@ def quantum_product(lam, mu, k, n):
     return {box: c for box, c in out.items() if c != 0}
 
 
-def _box_shapes(rows, width):
-    if rows == 0:
-        return [()]
-    out = []
-    for first in range(width, 0, -1):
-        for rest in _box_shapes(rows - 1, first):
-            out.append((first,) + rest)
-    out.append(())
-    return out
-
-
 def _label(parts):
     if not parts:
         return "1"
@@ -173,7 +163,8 @@ def qh_grassmannian(k, n):
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
-    shapes = sorted(_box_shapes(k, n - k), key=lambda p: (sum(p), p))
+    shapes = sorted((_trim(p) for p in combinations_with_replacement(
+        range(n - k, -1, -1), k)), key=lambda p: (sum(p), p))
     if len(shapes) != comb(n, k):
         raise AssertionError("box enumeration does not match C(n,k)")
     index = {p: i for i, p in enumerate(shapes)}

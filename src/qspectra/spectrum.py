@@ -314,13 +314,9 @@ def local_invariants(A_zero):
         nxt = span_basis([A_zero.product(v, w) for v in N for w in current])
         hilbert.append(len(current) - len(nxt))
         current = nxt
-    if N:
-        rows = []
-        for v in N:
-            rows.extend(list(r) for r in mult_matrix(A_zero, v).data)
-        socle = len(kernel_basis(Matrix(rows)))
-    else:
-        socle = A_zero.dim
+    # the socle: the kernel of N's operators stacked, all of A_zero if N = []
+    rows = [r for v in N for r in mult_matrix(A_zero, v).data]
+    socle = len(kernel_basis(Matrix(rows, cols=A_zero.dim)))
     return {"dim": A_zero.dim, "geometric_point_count": pts,
             "is_single_point": pts == 1, "hilbert_function": tuple(hilbert),
             "socle_dim": socle}

@@ -602,7 +602,7 @@ def test_json_rejects_malformed_entries(spoil):
     obj = _json_p2()
     spoil(obj)
     with pytest.raises(ValueError):
-        algebra_from_json(obj, check=False)
+        algebra_from_json(obj)
 
 
 def test_json_checks_lengths_before_allocating():
@@ -627,5 +627,5 @@ def test_json_refuses_a_dimension_above_the_limit():
     assert dim > algebra.JSON_MAX_DIM >= math.comb(10, 5)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds the limit"):
-        algebra_from_json(obj, check=False)
+        algebra_from_json(obj)
     assert time.perf_counter() - start < 0.1

@@ -158,10 +158,17 @@ def test_bundle_refuses_non_int_values(terms, match):
     ({((1, 0, 5), (0,)): 0}, r"U\* weight must have 2 entries"),
     ({((0, 0), (0, 1)): 0}, r"Q\* weight must be weakly decreasing"),
     ({((0.5, 0), (0, 0)): 0}, r"U\* weight entries must be ints"),
+    ({((0, 1), (0, 0)): 0}, r"U\* weight must be weakly decreasing"),
 ])
 def test_zero_multiplicity_still_checks_weights(terms, match):
     with pytest.raises((TypeError, ValueError), match=match):
         BundleExpr(2, 4, terms)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_constructor_needs_a_proper_grassmannian(k):
+    with pytest.raises(ValueError, match="need 0 < k < n"):
+        BundleExpr(k, 4, {})
 
 
 @pytest.mark.parametrize("w", [(1.9, 0, 0, 0), (True, 0, 0, 0),
@@ -266,6 +273,22 @@ def test_parse_errors_carry_positions():
         parse_bundle("U*(\u0661)", 2, 4)
 
 
+@pytest.mark.parametrize("text,n,message", [
+    ("S^(1 2) U*", 4, "position 5: expected ')', got '2'"),
+    ("O(1 2)", 4, "position 4: expected ')', got '2'"),
+    ("S^(1,1,1) Q*", 4, "position 0: Q* weight has more than 2 entries"),
+    ("S^(1,1) Q*", 3, "position 0: Q* weight has more than 1 entries"),
+    ("(O)", 4, "position 0: unexpected '('"),
+    ("* O", 4, "position 0: unexpected '*'"),
+    ("1", 4, "position 0: unexpected '1'"),
+    ("O *", 4, "position 3: unexpected end of input"),
+])
+def test_parse_error_messages_are_pinned(text, n, message):
+    with pytest.raises(ValueError) as err:
+        parse_bundle(text, 2, n)
+    assert str(err.value) == "parse error at " + message
+
+
 def test_parse_bounds_the_weight_spread():
     # spreads add over the factors of a tensor product; twists shift every
     # entry alike and are not bounded
@@ -285,6 +308,30 @@ def test_parse_case_sensitive():
         parse_bundle("o", 2, 4)
     with pytest.raises(ValueError):
         parse_bundle("u*", 2, 4)
+
+
+def test_internal_operations_do_not_recheck_weights(monkeypatch):
+    # weights are checked where they enter; the bundle sums build their
+    # results from weights that already passed
+    E = parse_bundle("S^(2,1) U* * Q*(1)", 2, 5)
+    F = parse_bundle("U*(-2) * S^2 Q*", 2, 5)
+    calls = []
+
+    def counted(chunk, length, what):
+        calls.append(what)
+        return check(chunk, length, what)
+
+    check = bwb._check_chunk
+    monkeypatch.setattr(bwb, "_check_chunk", counted)
+    E.twist(3)
+    E.dual()
+    E + F
+    E.tensor(F)
+    hom_bundle(E, F)
+    ext_table(E, F)
+    assert calls == []
+    BundleExpr.schur_u_dual((1,), 2, 5)
+    assert calls == ["U* weight", "Q* weight"]
 
 
 # --- hom bundles --------------------------------------------------------
@@ -554,6 +601,40 @@ def test_hyperplane_ambient_tables_match_two_ext_tables(kn, data):
     F = _small_expr(data, k, n)
     assert ext_hyperplane(E, F)["ambient"] == {
         "hom": ext_table(E, F), "hom_twisted": ext_table(E, F.twist(-1))}
+
+
+def test_hyperplane_shift_on_the_quadric_threefold():
+    # IG(2,4) is the quadric threefold, with canonical bundle O(-3); the
+    # twisted ambient table moves down one degree into the restricted one
+    r = ext_hyperplane(O(2, 4), parse_bundle("O(-3)", 2, 4))
+    assert r["table"] == {3: 1}
+    r = ext_hyperplane(parse_bundle("U*", 2, 4),
+                       parse_bundle("U* * Q*", 2, 4).twist(1))
+    assert r["ambient"] == {"hom": {0: 4}, "hom_twisted": {1: 4}}
+    assert r["table"] == {0: 8}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hyperplane_serre_duality(n):
+    # Ext^i(E, F) = Ext^(dim - i)(F, E(-m)) on IG(2,2n), of dimension
+    # 4n - 5 and Fano index m = 2n - 1, over the decided pairs whose
+    # twisted ambient table is nonempty on one side
+    dim, m = 4 * n - 5, 2 * n - 1
+    base = [parse_bundle(d, 2, 2 * n)
+            for d in ("O", "U*", "S^2 U*", "Q*", "U* * Q*")]
+    checked = 0
+    for E in base:
+        for F in (G.twist(t) for G in base for t in range(-n, n + 1)):
+            lhs = ext_hyperplane(E, F)
+            rhs = ext_hyperplane(F, E.twist(-m))
+            if lhs["table"] is None or rhs["table"] is None or not (
+                    lhs["ambient"]["hom_twisted"]
+                    or rhs["ambient"]["hom_twisted"]):
+                continue
+            assert lhs["table"] == {dim - i: d
+                                    for i, d in rhs["table"].items()}
+            checked += 1
+    assert checked > 0
 
 
 def test_hyperplane_backend_rejects_plain_grassmannian():

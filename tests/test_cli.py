@@ -12,8 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qspectra
 from qspectra import cli, varieties
-from qspectra.algebra import (FiniteCommAlgebra, algebra_from_json,
-                              algebra_to_json, qh_projective,
+from qspectra.algebra import (FiniteCommAlgebra, qh_projective,
                               validate_algebra)
 from qspectra.cli import REGISTRY, main
 from qspectra.varieties import Variety
@@ -383,42 +382,53 @@ def test_selftest_unknown_filter(capsys):
     assert "no selftest entries match" in err
 
 
+# the unit b_0 times b_1 gains a second b_1: the seed's first violation
+_PERTURBED_DETAIL = "(AssertionError: IG(2,4): unit fails on basis element 1"
+
+
 def test_selftest_catches_perturbed_data(capsys, monkeypatch):
     # perturb one structure constant of IG(2,4) in memory; every algebra
     # check that touches the ring must surface the damage
     good = varieties.qh_ig2
 
     def perturbed(n):
+        A = good(n)
         if n != 2:
-            return good(n)
-        obj = algebra_to_json(good(2))
-        assert obj["triples"][1][:3] == [0, 1, 1]
-        obj["triples"][1][3] += 1
-        return algebra_from_json(obj, check=False)
+            return A
+        cells = [[dict(c) for c in row[i:]] for i, row in enumerate(A.rows)]
+        assert cells[0][1] == {1: A.den}
+        cells[0][1][1] += A.den
+        return FiniteCommAlgebra(A.name, A.basis_labels, cells, A.den, A.unit,
+                                 A.degrees, A.fano_index, A.anticanonical,
+                                 A.dim_X)
 
     monkeypatch.setattr(varieties, "qh_ig2", perturbed)
     code, out, _ = run(capsys, "selftest", "--filter", "algebra")
     assert code == 2
     assert "[fail] algebra: every registry provider validates" in out
+    assert _PERTURBED_DETAIL in out
 
 
 # the same perturbation in a fresh interpreter, for runs under python -O
 _PERTURBED_SELFTEST = """
 import sys
 from qspectra import cli, varieties
-from qspectra.algebra import algebra_from_json, algebra_to_json
+from qspectra.algebra import FiniteCommAlgebra
 
 good = varieties.qh_ig2
 
 
 def perturbed(n):
+    A = good(n)
     if n != 2:
-        return good(n)
-    obj = algebra_to_json(good(2))
-    if obj["triples"][1][:3] != [0, 1, 1]:
+        return A
+    cells = [[dict(c) for c in row[i:]] for i, row in enumerate(A.rows)]
+    if cells[0][1] != {1: A.den}:
         sys.exit(3)
-    obj["triples"][1][3] += 1
-    return algebra_from_json(obj, check=False)
+    cells[0][1][1] += A.den
+    return FiniteCommAlgebra(A.name, A.basis_labels, cells, A.den, A.unit,
+                             A.degrees, A.fano_index, A.anticanonical,
+                             A.dim_X)
 
 
 varieties.qh_ig2 = perturbed
@@ -438,6 +448,7 @@ def test_selftest_catches_perturbed_data_under_optimize():
                           timeout=120)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "[fail] algebra: every registry provider validates" in proc.stdout
+    assert _PERTURBED_DETAIL in proc.stdout
 
 
 def test_package_has_no_assert_statements():
