@@ -498,30 +498,19 @@ def qh_ig2(n):
     return A
 
 
-_JACOBI_POTENTIALS = {
-    # (letter, rank) -> f(x, y); the ring is Q[x,y] modulo both partials
-    "A": lambda r: {(r + 1, 0): 1, (0, 2): 1},
-    "D": lambda r: {(r - 1, 0): 1, (1, 2): 1},
-    "E": {
-        6: {(3, 0): 1, (0, 4): 1},
-        7: {(3, 0): 1, (1, 3): 1},
-        8: {(3, 0): 1, (0, 5): 1},
-    },
-}
-
-
 def _jacobi_presentation(label):
     label = str(label).strip()
     letter, rank = label[:1], label[1:]
     if letter not in "ADE" or not (rank.isascii() and rank.isdigit()):
         raise ValueError("unsupported singularity type %r" % (label,))
     r = int(rank)
+    # the potential f(x, y); the ring is Q[x,y] modulo both partials
     if letter == "A" and r >= 1:
-        f = _JACOBI_POTENTIALS["A"](r)
+        f = {(r + 1, 0): 1, (0, 2): 1}
     elif letter == "D" and r >= 4:
-        f = _JACOBI_POTENTIALS["D"](r)
+        f = {(r - 1, 0): 1, (1, 2): 1}
     elif letter == "E" and r in (6, 7, 8):
-        f = _JACOBI_POTENTIALS["E"][r]
+        f = {(3, 0): 1, {6: (0, 4), 7: (1, 3), 8: (0, 5)}[r]: 1}
     else:
         raise ValueError("unsupported singularity type %r" % (label,))
     fx = {(a - 1, b): a * _q(c) for (a, b), c in f.items() if a > 0}
@@ -554,7 +543,7 @@ def jacobi_ring(label):
 
 # ---------------------------------------------------------------------------
 # JSON serialisation: upper-triangle structure constants as exact
-# fractions; reading validates the result unless told not to
+# fractions; reading always validates the result
 
 def _frac_pair(c):
     c = _q(c)

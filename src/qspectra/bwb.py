@@ -17,7 +17,6 @@ the answer is reported as inconclusive, never guessed.
 """
 
 import re
-from fractions import Fraction
 
 from .lefschetz import twisted_objects
 from .schur import lr_coeffs
@@ -38,10 +37,9 @@ def weyl_dim(delta):
         for j in range(i + 1, n):
             num *= delta[i] - delta[j] + j - i
             den *= j - i
-    d = Fraction(num, den)
-    if d.denominator != 1 or d <= 0:
+    if num % den or num <= 0:
         raise AssertionError("Weyl dimension must be a positive integer")
-    return int(d)
+    return num // den
 
 
 def bott(w, k, n):
@@ -223,30 +221,26 @@ class BundleExpr:
 # 10 parts), so the running product's summands are bounded too.  The
 # pair loop of a collection check is quadratic in its objects, so their
 # number is bounded as well.  So is the work of the loop itself: every
-# pair it decides costs the product of the two objects' summands, which
-# may not exceed MAX_TERMS, and their sum over all pairs may not exceed
-# what MAX_OBJECTS irreducible objects need.
+# pair it decides costs at most the product of the two objects' summands,
+# which may not exceed MAX_TERMS, and their sum over all pairs may not
+# exceed what MAX_OBJECTS irreducible objects need.
 
 MAX_SPREAD = 256
 MAX_TERMS = 64
 MAX_OBJECTS = 128
 
-_TOKEN = re.compile(r"(U\*|Q\*|S\^|O|\(|\)|,|\*|-?[0-9]+)")
+# whitespace (\s is str.isspace()), then a token or a character starting none
+_TOKEN = re.compile(r"\s*(?:(U\*|Q\*|S\^|O|\(|\)|,|\*|-?[0-9]+)|(\S))")
 
 
 def _tokenize(text):
     toks = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.groups()
+        if bad:
             raise ValueError("parse error at position %d: unexpected %r"
-                             % (pos, text[pos]))
-        toks.append((m.group(1), pos))
-        pos = m.end()
+                             % (m.start(2), bad))
+        toks.append((tok, m.start(1)))
     # the end token: peek reads None there, and pos the length of the text
     toks.append((None, len(text)))
     return toks
@@ -432,7 +426,9 @@ def _check(c, backend, ext):
     """The pair loop of both routes.  ext(E, F) returns (table, ambient),
     table None when the route cannot decide the pair.  Every object must
     have table {0: 1} and every strictly-later-to-earlier table must be
-    empty; undecided pairs are recorded with their ambient data."""
+    empty; undecided pairs are recorded with their ambient data.  Block 0
+    holds each entry, which is parsed once; the pair (E(s), F(t)) is
+    decided once per (E, F, t - s), as ext(E, F(t - s))."""
     found = parse_variety(c.variety)
     if found is None or found.backend != backend:
         raise ValueError(_NO_BACKEND[backend] % (c.variety,))
@@ -441,12 +437,12 @@ def _check(c, backend, ext):
         raise ValueError("collection has %d objects, more than %d"
                          % (sum(c.support), MAX_OBJECTS))
     objects = twisted_objects(c)
-    exprs = [parse_bundle(desc, found.k, found.n).twist(t)
-             for desc, t in objects]
+    entries = {desc: parse_bundle(desc, found.k, found.n)
+               for desc in dict.fromkeys(c.starting_block[:c.support[0]])}
     labels = ["%s (%d)" % (desc, t) if t else desc for desc, t in objects]
     # the Ext of a pair costs the product of the two sides' summands; an
     # object with itself is the dearest pair it takes part in
-    sizes = [len(E.terms) for E in exprs]
+    sizes = [len(entries[desc].terms) for desc, _ in objects]
     for label, s in zip(labels, sizes):
         if s * s > MAX_TERMS:
             raise ValueError("object %s has %d summands, so its Ext with "
@@ -457,15 +453,18 @@ def _check(c, backend, ext):
     if work > budget:
         raise ValueError("collection needs %d summand pairs, more than %d"
                          % (work, budget))
-    pairs = [({"kind": "exceptional", "object": labels[a]}, E, E, {0: 1})
-             for a, E in enumerate(exprs)]
+    pairs = [({"kind": "exceptional", "object": labels[a]}, o, o, {0: 1})
+             for a, o in enumerate(objects)]
     pairs += [({"kind": "semiorthogonal", "source": labels[b],
-                "target": labels[a]}, exprs[b], exprs[a], {})
-              for b in range(len(exprs)) for a in range(b)]
+                "target": labels[a]}, objects[b], objects[a], {})
+              for b in range(len(objects)) for a in range(b)]
+    decided = {}
     failures = []
     inconclusive = []
-    for record, E, F, want in pairs:
-        table, ambient = ext(E, F)
+    for record, (e, s), (f, t), want in pairs:
+        if (e, f, t - s) not in decided:
+            decided[e, f, t - s] = ext(entries[e], entries[f].twist(t - s))
+        table, ambient = decided[e, f, t - s]
         if table is None:
             inconclusive.append(dict(record, ambient=ambient))
         elif table != want:

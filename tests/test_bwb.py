@@ -8,8 +8,9 @@ from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           check_collection, check_collection_hyperplane,
                           collection_backend, ext_hyperplane, ext_table,
                           euler_char, hom_bundle, parse_bundle, weyl_dim)
-from qspectra.lefschetz import LefschetzCollection, builtin_collection
-from qspectra.varieties import REGISTRY
+from qspectra.lefschetz import (LefschetzCollection, builtin_collection,
+                                twisted_objects)
+from qspectra.varieties import REGISTRY, parse_variety
 
 
 def O(k, n):
@@ -244,6 +245,12 @@ def test_parse_twist_suffix():
         BundleExpr.schur_u_dual((2,), 2, 4).twist(1)
 
 
+def test_parse_skips_any_whitespace():
+    assert parse_bundle("\tU*\n(1) ", 2, 4) == parse_bundle("U*(1)", 2, 4)
+    assert parse_bundle("U* * Q*", 2, 4) == \
+        parse_bundle("U*", 2, 4).tensor(parse_bundle("Q*", 2, 4))
+
+
 def test_parse_tensor():
     U = parse_bundle("U*", 2, 4)
     assert parse_bundle("U* * U*", 2, 4) == U.tensor(U)
@@ -282,6 +289,9 @@ def test_parse_errors_carry_positions():
     ("* O", 4, "position 0: unexpected '*'"),
     ("1", 4, "position 0: unexpected '1'"),
     ("O *", 4, "position 3: unexpected end of input"),
+    (" x", 4, "position 1: unexpected 'x'"),
+    ("S^- U*", 4, "position 2: unexpected '-'"),
+    ("  ", 4, "position 2: unexpected end of input"),
 ])
 def test_parse_error_messages_are_pinned(text, n, message):
     with pytest.raises(ValueError) as err:
@@ -494,6 +504,91 @@ def test_grassmannian_verdict_is_pinned():
     assert [list(f) for f in d["failures"]] == [
         ["kind", "object", "table"]] + [
         ["kind", "source", "target", "table"]] * 3
+
+
+def _reference_verdict(c):
+    """The collection as a flat list of objects: each parsed and twisted
+    on its own, and every ordered pair decided by its own Ext."""
+    found = parse_variety(c.variety)
+    objects = twisted_objects(c)
+    labels = ["%s (%d)" % (d, t) if t else d for d, t in objects]
+    exprs = [parse_bundle(d, found.k, found.n).twist(t) for d, t in objects]
+    failures, inconclusive = [], []
+    pairs = [(a, a) for a in range(len(exprs))]
+    pairs += [(b, a) for b in range(len(exprs)) for a in range(b)]
+    for b, a in pairs:
+        if found.backend == "grassmannian":
+            table, ambient = ext_table(exprs[b], exprs[a]), None
+        else:
+            r = ext_hyperplane(exprs[b], exprs[a])
+            table, ambient = r["table"], r["ambient"]
+        record = ({"kind": "exceptional", "object": labels[a]} if a == b
+                  else {"kind": "semiorthogonal", "source": labels[b],
+                        "target": labels[a]})
+        if table is None:
+            inconclusive.append(dict(record, ambient=ambient))
+        elif table != ({0: 1} if a == b else {}):
+            failures.append(dict(record, table=table))
+    return {"variety": c.variety, "objects": labels, "failures": failures,
+            "inconclusive": inconclusive,
+            "ok": not failures and not inconclusive}
+
+
+def _check_any(c):
+    if collection_backend(c.variety) == "grassmannian":
+        return check_collection(c)
+    return check_collection_hyperplane(c)
+
+
+@pytest.mark.parametrize("c", [
+    builtin_collection("beilinson", 3), builtin_collection("kapranov_g24"),
+    builtin_collection("minimal_g24"), builtin_collection("kuznetsov_ig2", 3),
+    builtin_collection("kuznetsov_ig2", 5),
+    LefschetzCollection("P2", ["O", "O"], (2, 2, 2), 3),
+    LefschetzCollection("IG(2,6)", ["O", "O(1)"], (2, 2, 2, 2, 2), 5),
+    LefschetzCollection("IG(2,4)", ["S^2 U*", "S^3 U*"], (2, 2), 3),
+], ids=["beilinson-3", "kapranov_g24", "minimal_g24", "kuznetsov_ig2-3",
+        "kuznetsov_ig2-5", "repeated-entry", "failing", "inconclusive"])
+def test_check_matches_the_flat_pair_loop(c):
+    # deciding (E(s), F(t)) as Ext(E, F(t - s)) once per question gives
+    # the same records, in the same order, as deciding every pair
+    d = _check_any(c).to_dict()
+    ref = _reference_verdict(c)
+    assert d == ref
+    assert repr(d) == repr(ref)
+
+
+def test_block_with_overlapping_degrees_leaves_pairs_undecided():
+    v = check_collection_hyperplane(
+        LefschetzCollection("IG(2,4)", ["S^2 U*", "S^3 U*"], (2, 2), 3))
+    assert (len(v.inconclusive), len(v.failures)) == (8, 2)
+
+
+@pytest.mark.parametrize("c,parses,exts", [
+    (builtin_collection("kuznetsov_ig2", 5), 5, 190),
+    (builtin_collection("kuznetsov_ig2", 3), 3, 33),
+    (builtin_collection("beilinson", 3), 1, 4),
+    (builtin_collection("kapranov_g24"), 3, 15),
+    (builtin_collection("minimal_g24"), 2, 11),
+], ids=["kuznetsov_ig2-5", "kuznetsov_ig2-3", "beilinson-3", "kapranov_g24",
+        "minimal_g24"])
+def test_check_parses_each_entry_and_decides_each_question_once(
+        monkeypatch, c, parses, exts):
+    calls = []
+
+    def counting(name):
+        fn = getattr(bwb, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for name in ("parse_bundle", "ext_table", "ext_hyperplane"):
+        monkeypatch.setattr(bwb, name, counting(name))
+    _check_any(c)
+    assert calls.count("parse_bundle") == parses
+    assert calls.count("ext_table") + calls.count("ext_hyperplane") == exts
 
 
 @pytest.mark.parametrize("variety,backend", [

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import qspectra.cli  # noqa: F401  (imports every module the tracer patches)
 from qspectra import algebra, spectrum, varieties
+from qspectra.bwb import check_collection_hyperplane
+from qspectra.lefschetz import builtin_collection
 from qspectra.schur import qh_grassmannian
 from qspectra.varieties import REGISTRY
 
@@ -54,3 +56,20 @@ def test_tracer_sees_the_tableau_route_through_lr_coeffs():
     # one product, hence one LR expansion, per pair of the 6 basis classes
     calls, _incl, _self = tracer.per_name()["schur.lr_coeffs"]
     assert calls == A.dim * (A.dim + 1) // 2 == 21
+
+
+def test_tracer_sees_the_collection_check_through_bwb_names():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        check_collection_hyperplane(builtin_collection("kuznetsov_ig2", 3))
+    finally:
+        tracer.uninstall()
+    # three block entries parsed once each, and one ext_hyperplane per
+    # (entry, entry, twist difference) the check asks about
+    per_name = tracer.per_name()
+    assert per_name["bwb.parse"][0] == 3
+    assert per_name["bwb.ext_hyperplane"][0] == 33
+    assert per_name["bwb.bott"][0] >= 1
+    assert tracer.undecided == 0
