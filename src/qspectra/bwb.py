@@ -4,11 +4,11 @@ exceptionality checks built on it.
 The dotted-weight procedure: add the staircase rho, kill weights with a
 repeated entry, otherwise sort and count inversions; the single surviving
 cohomological degree carries the Weyl dimension of the sorted, unshifted
-weight.  The identification of S^lam U* tensor S^mu Q* with the
-concatenated GL(n) weight (lam | mu), and the descending sort, are pinned
-by two calibration requirements rather than by convention: H^0(U*) must
-be the n-dimensional standard representation and H^0(O(1)) must have
-dimension C(n,k).  The calibration tests freeze both.
+weight.  A term S^lam U* tensor S^mu Q* is stored as the GL(n) weight
+(lam | mu) that this procedure reads.  That identification and the
+descending sort are pinned by calibration, not convention, and frozen by
+tests: H^0(U*) must be the n-dimensional standard representation and
+H^0(O(1)) must have dimension C(n,k).
 
 Restriction to the isotropic Grassmannian IG(2,2n), a hyperplane section
 of G(2,2n), is handled by a sufficient criterion on the two ambient Ext
@@ -63,16 +63,17 @@ def bott(w, k, n):
     return {ell: weyl_dim(delta)}
 
 
-def _check_chunk(chunk, length, what):
-    chunk = tuple(chunk)
-    if any(type(x) is not int for x in chunk):
-        raise TypeError("%s entries must be ints, got %r" % (what, chunk))
-    if len(chunk) != length:
-        raise ValueError("%s must have %d entries, got %d"
-                         % (what, length, len(chunk)))
-    if any(chunk[i] < chunk[i + 1] for i in range(len(chunk) - 1)):
-        raise ValueError("%s must be weakly decreasing" % what)
-    return chunk
+def _check_weight(w, k, n):
+    """w as a tuple of n ints, each of w[:k] and w[k:] weakly decreasing."""
+    w = tuple(w)
+    if len(w) != n:
+        raise ValueError("weight must have %d entries, got %d" % (n, len(w)))
+    for what, block in (("U* weight", w[:k]), ("Q* weight", w[k:])):
+        if any(type(x) is not int for x in block):
+            raise TypeError("%s entries must be ints, got %r" % (what, block))
+        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+            raise ValueError("%s must be weakly decreasing" % what)
+    return w
 
 
 def _lr_restricted(a, b, rows):
@@ -97,12 +98,13 @@ def _lr_restricted(a, b, rows):
 
 
 class BundleExpr:
-    """Formal sum of bundles S^lam U* tensor S^mu Q* on one G(k,n).
+    """Formal sum of bundles S^lam U* tensor S^mu Q* on one G(k,n); terms
+    maps each weight lam | mu, a tuple of n ints, to its multiplicity.
 
-    Stored canonically: twists live in lam (O(t) = det(U*)^t), and any
-    det Q* power in mu is moved across using det Q* = O(-1), so canonical
-    mu ends in 0.  Both rewrites shift the full GL(n) weight by a central
-    vector, which the cohomology of the weight never sees.
+    Stored canonically: twists live in lam (O(t) = det(U*)^t), and any det
+    Q* power in mu is moved across using det Q* = O(-1), so a canonical
+    weight ends in 0.  Both rewrites shift the weight by a central vector,
+    which its cohomology never sees.
     """
 
     __slots__ = ("k", "n", "terms")
@@ -111,29 +113,27 @@ class BundleExpr:
         if not 0 < k < n:
             raise ValueError("need 0 < k < n")
         checked = []
-        for (lam, mu), mult in terms.items():
+        for w, mult in terms.items():
             if type(mult) is not int:
                 raise TypeError("multiplicities must be ints, got %r"
                                 % (mult,))
             if mult < 0:
                 raise ValueError("multiplicities must be positive")
-            checked.append(((_check_chunk(lam, k, "U* weight"),
-                             _check_chunk(mu, n - k, "Q* weight")), mult))
+            checked.append((_check_weight(w, k, n), mult))
         self._canonical(k, n, checked)
 
     def _canonical(self, k, n, pairs):
-        """Fill self from ((lam, mu), mult) pairs whose weights are already
-        checked: mu shifted to end in 0, zero multiplicities dropped, equal
-        terms merged, terms sorted.  The operations below build their
-        results here from the weights of their operands."""
+        """Fill self from (weight, mult) pairs whose weights are already
+        checked: each weight shifted to end in 0, zero multiplicities
+        dropped, equal terms merged, terms sorted.  The operations below
+        build their results here from the weights of their operands."""
         canon = {}
-        for (lam, mu), mult in pairs:
-            c = mu[-1]
+        for w, mult in pairs:
+            c = w[-1]
             if c:
-                lam = tuple(x - c for x in lam)
-                mu = tuple(x - c for x in mu)
+                w = tuple(x - c for x in w)
             if mult:
-                canon[lam, mu] = canon.get((lam, mu), 0) + mult
+                canon[w] = canon.get(w, 0) + mult
         self.k = k
         self.n = n
         self.terms = dict(sorted(canon.items()))
@@ -141,28 +141,28 @@ class BundleExpr:
 
     @classmethod
     def structure_sheaf(cls, k, n):
-        return cls(k, n, {((0,) * k, (0,) * (n - k)): 1})
+        return cls(k, n, {(0,) * n: 1})
 
+    # each block is padded on its own, so an overlong one fails the length
     @classmethod
     def schur_u_dual(cls, lam, k, n):
-        lam = tuple(lam) + (0,) * (k - len(lam))
-        return cls(k, n, {(lam, (0,) * (n - k)): 1})
+        lam = tuple(lam)
+        return cls(k, n, {lam + (0,) * (k - len(lam)) + (0,) * (n - k): 1})
 
     @classmethod
     def schur_q_dual(cls, mu, k, n):
-        mu = tuple(mu) + (0,) * (n - k - len(mu))
-        return cls(k, n, {((0,) * k, mu): 1})
+        mu = tuple(mu)
+        return cls(k, n, {(0,) * k + mu + (0,) * (n - k - len(mu)): 1})
 
     def twist(self, t):
         return object.__new__(BundleExpr)._canonical(self.k, self.n, (
-            ((tuple(x + t for x in lam), mu), m)
-            for (lam, mu), m in self.terms.items()))
+            (tuple(x + t for x in w[:self.k]) + w[self.k:], m)
+            for w, m in self.terms.items()))
 
     def dual(self):
         return object.__new__(BundleExpr)._canonical(self.k, self.n, (
-            ((tuple(-x for x in reversed(lam)),
-              tuple(-x for x in reversed(mu))), m)
-            for (lam, mu), m in self.terms.items()))
+            (tuple(-x for x in w[:self.k][::-1] + w[self.k:][::-1]), m)
+            for w, m in self.terms.items()))
 
     def __add__(self, other):
         self._same_ambient(other)
@@ -171,14 +171,15 @@ class BundleExpr:
 
     def tensor(self, other):
         self._same_ambient(other)
+        k, n = self.k, self.n
         out = []
-        for (la, ma), ca in self.terms.items():
-            for (lb, mb), cb in other.terms.items():
-                lams = _lr_restricted(la, lb, self.k)
-                mus = _lr_restricted(ma, mb, self.n - self.k)
-                out += [((lam, mu), ca * cb * cl * cm)
-                        for lam, cl in lams.items() for mu, cm in mus.items()]
-        return object.__new__(BundleExpr)._canonical(self.k, self.n, out)
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                us = _lr_restricted(a[:k], b[:k], k)
+                qs = _lr_restricted(a[k:], b[k:], n - k)
+                out += [(u + q, ca * cb * cu * cq)
+                        for u, cu in us.items() for q, cq in qs.items()]
+        return object.__new__(BundleExpr)._canonical(k, n, out)
 
     def _same_ambient(self, other):
         if not isinstance(other, BundleExpr):
@@ -189,10 +190,9 @@ class BundleExpr:
 
     @property
     def rank(self):
-        total = 0
-        for (lam, mu), m in self.terms.items():
-            total += m * weyl_dim(lam) * weyl_dim(mu)
-        return total
+        k = self.k
+        return sum(m * weyl_dim(w[:k]) * weyl_dim(w[k:])
+                   for w, m in self.terms.items())
 
     def __eq__(self, other):
         return (isinstance(other, BundleExpr)
@@ -211,8 +211,8 @@ class BundleExpr:
 #   exps   := int | "(" int ("," int)* ")"
 #   twist  := "(" int ")"
 #
-# The weight spread of a factor is first minus last entry of its U* weight
-# plus the same of its Q* weight; a twist shifts every entry alike and
+# The weight spread of a factor is first minus last entry of its U* block
+# plus the same of its Q* block; a twist shifts every entry alike and
 # leaves it unchanged.  Spreads add under tensor product (the Cartan
 # component adds the weights), and the Littlewood-Richardson cost grows
 # with them, so a descriptor's total spread is bounded.  A small spread
@@ -338,8 +338,8 @@ def parse_bundle(text, k, n):
                          % (cur.pos(), cur.peek()))
     spread = 0
     for f in factors:
-        (lam, mu), = f.terms
-        spread += lam[0] - lam[-1] + mu[0] - mu[-1]
+        (w,) = f.terms
+        spread += w[0] - w[k - 1] + w[k] - w[-1]
     if spread > MAX_SPREAD:
         raise ValueError("descriptor %r has weight spread %d, more than %d"
                          % (text, spread, MAX_SPREAD))
@@ -362,8 +362,8 @@ def _cohomology(H):
     summing the Bott table of every summand."""
     top = H.k * (H.n - H.k)
     table = {}
-    for (lam, mu), mult in H.terms.items():
-        for deg, d in bott(lam + mu, H.k, H.n).items():
+    for w, mult in H.terms.items():
+        for deg, d in bott(w, H.k, H.n).items():
             if not 0 <= deg <= top:
                 raise AssertionError("degree outside [0, dim]")
             table[deg] = table.get(deg, 0) + mult * d

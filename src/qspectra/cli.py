@@ -273,11 +273,11 @@ def _selftest_checks():
         for k, n in ((2, 4), (2, 5)):
             top = k * (n - k)
             for _ in range(40):
-                lam = tuple(sorted((rng.randint(-2, 2) for _ in range(k)),
-                                   reverse=True))
-                mu = tuple(sorted((rng.randint(-2, 2)
-                                   for _ in range(n - k)), reverse=True))
-                E = BundleExpr(k, n, {(lam, mu): 1})
+                w = tuple(sorted((rng.randint(-2, 2) for _ in range(k)),
+                                 reverse=True))
+                w += tuple(sorted((rng.randint(-2, 2) for _ in range(n - k)),
+                                  reverse=True))
+                E = BundleExpr(k, n, {w: 1})
                 F = BundleExpr.structure_sheaf(k, n).twist(rng.randint(-2, 2))
                 lhs = ext_table(E, F)
                 rhs = ext_table(F, E.twist(-n))

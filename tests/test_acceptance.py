@@ -149,16 +149,16 @@ def test_criterion_6_bwb_suite():
     pair_count = 0
     while pair_count < 10 ** 3:
         for k, n in ((2, 4), (2, 5), (3, 6)):
-            lam = tuple(sorted((rng.randint(-2, 2) for _ in range(k)),
-                               reverse=True))
-            mu = tuple(sorted((rng.randint(-2, 2) for _ in range(n - k)),
+            w = tuple(sorted((rng.randint(-2, 2) for _ in range(k)),
+                             reverse=True))
+            w += tuple(sorted((rng.randint(-2, 2) for _ in range(n - k)),
                               reverse=True))
-            E = BundleExpr(k, n, {(lam, mu): 1})
+            E = BundleExpr(k, n, {w: 1})
             F = BundleExpr.structure_sheaf(k, n).twist(rng.randint(-3, 3))
             top = k * (n - k)
             lhs = ext_table(E, F)
             rhs = ext_table(F, E.twist(-n))
-            assert lhs == {top - i: d for i, d in rhs.items()}, (k, n, lam)
+            assert lhs == {top - i: d for i, d in rhs.items()}, (k, n, w)
             pair_count += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, "took %.2f s" % elapsed

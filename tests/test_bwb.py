@@ -103,13 +103,13 @@ def test_bott_single_degree(kn, data):
 
 def test_twist_is_normalized_into_lambda():
     E = O(2, 4).twist(3)
-    assert E.terms == {((3, 3), (0, 0)): 1}
+    assert E.terms == {(3, 3, 0, 0): 1}
     assert parse_bundle("O(3)", 2, 4) == E
 
 
 def test_mu_canonicalized_to_end_in_zero():
-    E = BundleExpr(2, 5, {((0, 0), (2, 1, 1)): 1})
-    assert E.terms == {((-1, -1), (1, 0, 0)): 1}
+    E = BundleExpr(2, 5, {(0, 0, 2, 1, 1): 1})
+    assert E.terms == {(-1, -1, 1, 0, 0): 1}
 
 
 def test_det_q_dual_is_anti_hyperplane():
@@ -125,7 +125,16 @@ def test_dual_is_an_involution():
 
 def test_dual_reverses_and_negates():
     E = BundleExpr.schur_u_dual((2, 1), 2, 4)
-    assert E.dual().terms == {((-1, -2), (0, 0)): 1}
+    assert E.dual().terms == {(-1, -2, 0, 0): 1}
+
+
+@pytest.mark.parametrize("make", [BundleExpr.schur_u_dual,
+                                  BundleExpr.schur_q_dual])
+def test_schur_weight_longer_than_its_block_is_refused(make):
+    # padding (1, 1, 1) to n = 4 as a whole would spill it into the other
+    # block and pass
+    with pytest.raises(ValueError, match="weight must have 4 entries, got 5"):
+        make((1, 1, 1), 2, 4)
 
 
 def test_tensor_with_line_bundle_is_twist():
@@ -142,15 +151,15 @@ def test_mismatched_ambient_rejected():
 
 def test_multiplicities_positive():
     with pytest.raises(ValueError, match="positive"):
-        BundleExpr(2, 4, {((0, 0), (0, 0)): -1})
+        BundleExpr(2, 4, {(0, 0, 0, 0): -1})
 
 
 @pytest.mark.parametrize("terms,match", [
-    ({((1.5, 0), (0, 0)): 1}, r"U\* weight entries must be ints"),
-    ({(("1", 0), (0, 0)): 1}, r"U\* weight entries must be ints"),
-    ({((1, 0), (True, 0)): 1}, r"Q\* weight entries must be ints"),
-    ({((0, 0), (0, 0)): 1.7}, "multiplicities must be ints"),
-    ({((0, 0), (0, 0)): True}, "multiplicities must be ints"),
+    ({(1.5, 0, 0, 0): 1}, r"U\* weight entries must be ints"),
+    ({("1", 0, 0, 0): 1}, r"U\* weight entries must be ints"),
+    ({(1, 0, True, 0): 1}, r"Q\* weight entries must be ints"),
+    ({(0, 0, 0, 0): 1.7}, "multiplicities must be ints"),
+    ({(0, 0, 0, 0): True}, "multiplicities must be ints"),
 ])
 def test_bundle_refuses_non_int_values(terms, match):
     with pytest.raises(TypeError, match=match):
@@ -158,10 +167,11 @@ def test_bundle_refuses_non_int_values(terms, match):
 
 
 @pytest.mark.parametrize("terms,match", [
-    ({((1, 0, 5), (0,)): 0}, r"U\* weight must have 2 entries"),
-    ({((0, 0), (0, 1)): 0}, r"Q\* weight must be weakly decreasing"),
-    ({((0.5, 0), (0, 0)): 0}, r"U\* weight entries must be ints"),
-    ({((0, 1), (0, 0)): 0}, r"U\* weight must be weakly decreasing"),
+    ({(5, 1, 0): 0}, r"^weight must have 4 entries, got 3$"),
+    ({(0, 0, 0, 1): 0}, r"Q\* weight must be weakly decreasing"),
+    ({(0.5, 0, 0, 0): 0}, r"U\* weight entries must be ints"),
+    ({(0, 1, 0, 0): 0}, r"U\* weight must be weakly decreasing"),
+    ({(5, 1, 0, 0, 0): 0}, r"^weight must have 4 entries, got 5$"),
 ])
 def test_zero_multiplicity_still_checks_weights(terms, match):
     with pytest.raises((TypeError, ValueError), match=match):
@@ -196,7 +206,7 @@ def _small_chunk(data, size):
 def _small_expr(data, k, n):
     terms = {}
     for _ in range(data.draw(st.integers(1, 2))):
-        key = (_small_chunk(data, k), _small_chunk(data, n - k))
+        key = _small_chunk(data, k) + _small_chunk(data, n - k)
         terms[key] = terms.get(key, 0) + data.draw(st.integers(1, 2))
     return BundleExpr(k, n, terms)
 
@@ -306,9 +316,9 @@ def test_parse_bounds_the_weight_spread():
     # entry alike and are not bounded
     assert parse_bundle("S^256 U*", 2, 4) == BundleExpr.schur_u_dual((256,), 2, 4)
     assert parse_bundle("S^(9,9) U*(-10) * S^(200,-40) U*", 2, 4).terms == {
-        ((199, -41), (0, 0)): 1}
+        (199, -41, 0, 0): 1}
     assert parse_bundle("S^(10,4) U*(1000000000000)", 2, 4).terms == {
-        ((10**12 + 10, 10**12 + 4), (0, 0)): 1}
+        (10**12 + 10, 10**12 + 4, 0, 0): 1}
     for text in ("S^257 U*", "U* * S^256 U*", "S^(300,0) Q*",
                  "S^200 U* * S^(57,0) Q*", "S^(0,-257) U*"):
         with pytest.raises(ValueError, match="weight spread"):
@@ -324,9 +334,8 @@ def test_parse_case_sensitive():
 
 # A seeded sweep of random descriptors, valid and malformed, on six
 # ambients.  Each descriptor gives its error type and message, or the rank
-# of the bundle and its Ext from O; none of that depends on how a
-# BundleExpr stores its terms.  The digest was taken before the terms
-# became single GL(n) weights.
+# of the bundle and its Ext from O.  None of that depends on how a
+# BundleExpr stores its terms, so the digest holds across that format.
 SWEEP_AMBIENTS = ((1, 3), (2, 4), (2, 5), (3, 6), (2, 10), (3, 7))
 SWEEP_NOISE = "OUQS^*(),-0123456789 \tx ٢"
 SWEEP_SHA256 = "36b611681df30898a6bfa631b3acd4433f842debe146df02e68009e6a6a31e85"
@@ -384,12 +393,12 @@ def test_internal_operations_do_not_recheck_weights(monkeypatch):
     F = parse_bundle("U*(-2) * S^2 Q*", 2, 5)
     calls = []
 
-    def counted(chunk, length, what):
-        calls.append(what)
-        return check(chunk, length, what)
+    def counted(w, k, n):
+        calls.append(tuple(w))
+        return check(w, k, n)
 
-    check = bwb._check_chunk
-    monkeypatch.setattr(bwb, "_check_chunk", counted)
+    check = bwb._check_weight
+    monkeypatch.setattr(bwb, "_check_weight", counted)
     E.twist(3)
     E.dual()
     E + F
@@ -398,25 +407,25 @@ def test_internal_operations_do_not_recheck_weights(monkeypatch):
     ext_table(E, F)
     assert calls == []
     BundleExpr.schur_u_dual((1,), 2, 5)
-    assert calls == ["U* weight", "Q* weight"]
+    assert calls == [(1, 0, 0, 0, 0)]
 
 
 # --- hom bundles --------------------------------------------------------
 
 def test_hom_into_hyperplane_bundle():
     H = hom_bundle(O(2, 4), parse_bundle("O(1)", 2, 4))
-    assert H.terms == {((1, 1), (0, 0)): 1}
+    assert H.terms == {(1, 1, 0, 0): 1}
 
 
 def test_endomorphisms_of_standard_dual():
     U = parse_bundle("U*", 2, 4)
     H = hom_bundle(U, U)
-    assert H.terms == {((0, 0), (0, 0)): 1, ((1, -1), (0, 0)): 1}
+    assert H.terms == {(0, 0, 0, 0): 1, (1, -1, 0, 0): 1}
 
 
 def test_hom_from_symmetric_square():
     H = hom_bundle(parse_bundle("S^2 U*", 2, 4), parse_bundle("U*", 2, 4))
-    assert H.terms == {((0, -1), (0, 0)): 1, ((1, -2), (0, 0)): 1}
+    assert H.terms == {(0, -1, 0, 0): 1, (1, -2, 0, 0): 1}
 
 
 def _char2(lam):
@@ -440,9 +449,9 @@ def test_hom_decomposition_against_character_oracle():
     # GL(2) characters of S^(0,-2) and S^(1,0)
     H = hom_bundle(parse_bundle("S^2 U*", 2, 4), parse_bundle("U*", 2, 4))
     total = {}
-    for (lam, mu), mult in H.terms.items():
-        assert mu == (0, 0)
-        for key, c in _char2(lam).items():
+    for w, mult in H.terms.items():
+        assert w[2:] == (0, 0)
+        for key, c in _char2(w[:2]).items():
             total[key] = total.get(key, 0) + mult * c
     assert total == _char2_mul(_char2((0, -2)), _char2((1, 0)))
 
@@ -450,12 +459,10 @@ def test_hom_decomposition_against_character_oracle():
 @given(st.data())
 def test_endomorphisms_contain_trivial_once(data):
     k, n = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 6)]))
-    lam = _small_chunk(data, k)
-    mu = _small_chunk(data, n - k)
-    E = BundleExpr(k, n, {(lam, mu): 1})
+    w = _small_chunk(data, k) + _small_chunk(data, n - k)
+    E = BundleExpr(k, n, {w: 1})
     H = hom_bundle(E, E)
-    zero = ((0,) * k, (0,) * (n - k))
-    assert H.terms[zero] == 1
+    assert H.terms[(0,) * n] == 1
 
 
 # --- Ext tables ---------------------------------------------------------
