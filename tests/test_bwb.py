@@ -167,11 +167,13 @@ def test_bundle_refuses_non_int_values(terms, match):
 
 
 @pytest.mark.parametrize("terms,match", [
-    ({(5, 1, 0): 0}, r"^weight must have 4 entries, got 3$"),
+    pytest.param({(5, 1, 0): 0}, r"^weight must have 4 entries, got 3$",
+                 id="weight-too-short"),
     ({(0, 0, 0, 1): 0}, r"Q\* weight must be weakly decreasing"),
     ({(0.5, 0, 0, 0): 0}, r"U\* weight entries must be ints"),
     ({(0, 1, 0, 0): 0}, r"U\* weight must be weakly decreasing"),
-    ({(5, 1, 0, 0, 0): 0}, r"^weight must have 4 entries, got 5$"),
+    pytest.param({(5, 1, 0, 0, 0): 0}, r"^weight must have 4 entries, got 5$",
+                 id="weight-too-long"),
 ])
 def test_zero_multiplicity_still_checks_weights(terms, match):
     with pytest.raises((TypeError, ValueError), match=match):
