@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices, univariate polynomials, characteristic polynomials, kernels and
-the Bezout identity: the arithmetic kernel everything else is built on.
+Matrices, univariate polynomials, characteristic polynomials and kernels:
+the arithmetic kernel everything else is built on.
 All entries are fractions.Fraction; floating point never enters.
 """
 
@@ -38,10 +38,6 @@ def clear_denominators(v):
     return tuple(c.numerator * (d // c.denominator) for c in v), d
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 class Matrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
@@ -53,6 +49,8 @@ class Matrix:
             width = len(data[0])
             if any(len(row) != width for row in data):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError("rows of width %d, not %d" % (width, cols))
         else:
             width = 0 if cols is None else cols
         self.data = data
@@ -71,6 +69,11 @@ class Matrix:
     def from_columns(cls, columns, height=None):
         columns = [tuple(c) for c in columns]
         if columns:
+            if any(len(c) != len(columns[0]) for c in columns):
+                raise ValueError("ragged columns")
+            if height is not None and height != len(columns[0]):
+                raise ValueError("columns of height %d, not %d"
+                                 % (len(columns[0]), height))
             height = len(columns[0])
         elif height is None:
             height = 0
@@ -89,8 +92,8 @@ class Matrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return Matrix([vec_add(a, b) for a, b in zip(self.data, other.data)],
-                      cols=self.cols)
+        return Matrix([[a + b for a, b in zip(r, s)]
+                       for r, s in zip(self.data, other.data)], cols=self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -114,14 +117,6 @@ class Matrix:
         v = vec(v)
         return tuple(sum((a * b for a, b in zip(row, v)), _ZERO)
                      for row in self.data)
-
-    def transpose(self):
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
-
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -234,10 +229,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x_power(cls, a):
-        return cls([_ZERO] * a + [_ONE])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -248,76 +239,8 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def monic(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self.coeffs])
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = _q(other)
-            return Poly([c * a for a in self.coeffs])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) \
-            if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Poly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= d:
-            return Poly([]), Poly(rem)
-        quo = [_ZERO] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / lead
-            quo[i - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= f * b
-        return Poly(quo), Poly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __call__(self, x):
         """Evaluate by Horner; x may be a Fraction, int, or square Matrix."""
@@ -340,7 +263,7 @@ class Poly:
         return "Poly(%s)" % (poly_str(self),)
 
 
-def poly_str(p, var="x"):
+def poly_str(p):
     """Readable form, highest degree first: 'x^4 - 2*x + 1'."""
     if p.is_zero():
         return "0"
@@ -352,9 +275,9 @@ def poly_str(p, var="x"):
         if i == 0:
             mono = ""
         elif i == 1:
-            mono = var
+            mono = "x"
         else:
-            mono = "%s^%d" % (var, i)
+            mono = "x^%d" % i
         mag = abs(c)
         if mag == 1 and mono:
             body = mono
@@ -394,11 +317,18 @@ def charpoly(M):
                 H[r] = [a - f * b for a, b in zip(H[r], H[c + 1])]
                 for row in H:
                     row[c + 1] += f * row[r]
-    # cofactor recurrence along last columns of leading blocks
-    x = Poly.x_power(1)
-    ps = [Poly([1])]
+    # cofactor recurrence along last columns of leading blocks, on
+    # coefficient lists (index = degree); zero coefficients are skipped,
+    # since the charpolys of the divisor operators are mostly zero
+    ps = [[_ONE]]
     for m in range(1, n + 1):
-        p = (x - H[m - 1][m - 1]) * ps[m - 1]
+        q = ps[m - 1]
+        p = [_ZERO] + q
+        h = H[m - 1][m - 1]
+        if h != 0:
+            for k, c in enumerate(q):
+                if c != 0:
+                    p[k] -= h * c
         prod = _ONE
         for i in range(1, m):
             prod *= H[m - i][m - i - 1]
@@ -406,19 +336,11 @@ def charpoly(M):
                 break
             coef = H[m - 1 - i][m - 1] * prod
             if coef != 0:
-                p = p - coef * ps[m - 1 - i]
+                for k, c in enumerate(ps[m - 1 - i]):
+                    if c != 0:
+                        p[k] -= coef * c
         ps.append(p)
-    return ps[n]
-
-
-def poly_gcd(p, q):
-    """Monic gcd by the Euclidean remainder sequence."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    return Poly(ps[n])
 
 
 def split_at_zero(p):
@@ -429,31 +351,3 @@ def split_at_zero(p):
     while p.coeffs[a] == 0:
         a += 1
     return a, Poly(p.coeffs[a:])
-
-
-def bezout_coprime(p, q):
-    """(u, v) with u*p + v*q = 1, deg u < deg q, deg v < deg p.
-
-    Inputs must be coprime; otherwise the (monic) gcd is reported.
-    """
-    r0, r1 = p, q
-    s0, s1 = Poly([1]), Poly([])
-    t0, t1 = Poly([]), Poly([1])
-    while not r1.is_zero():
-        quo, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    if r0.is_zero() or r0.degree != 0:
-        raise ValueError("inputs are not coprime; gcd = %s"
-                         % (poly_str(r0.monic()) if r0 else "0"))
-    c = r0.coeffs[0]
-    u = s0 * (1 / c)
-    if q.is_zero():
-        return u, Poly([])
-    # normalize degrees: u mod q, then v forced by exactness
-    u = u % q
-    v, rem = divmod(Poly([1]) - u * p, q)
-    if not rem.is_zero():
-        raise AssertionError("Bezout normalization failed")
-    return u, v

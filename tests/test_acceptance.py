@@ -11,8 +11,8 @@ from qspectra.algebra import (PolyPresentation, from_presentation,
                               qh_projective, validate_algebra)
 from qspectra.bwb import BundleExpr, bott, check_collection, ext_table
 from qspectra.cli import REGISTRY
-from qspectra.exactlin import (Matrix, Poly, bezout_coprime, charpoly,
-                               split_at_zero)
+from qspectra.exactlin import (Matrix, Solver, charpoly, kernel_basis,
+                               span_basis, split_at_zero)
 from qspectra.lefschetz import (LefschetzCollection, builtin_collection,
                                 conjecture_numerology, lengths)
 from qspectra.schur import qh_grassmannian
@@ -183,15 +183,21 @@ def test_criterion_7_property_suites():
         A = desc.provider()
         report = validate_algebra(A)
         assert not report, (desc.id, report)
-        # rebuild the zero-fiber idempotent from scratch and square it
+        # rebuild the zero-fiber idempotent from scratch and square it:
+        # A = ker M^a + im M^a (Fitting), a the order of p at zero, and e0
+        # is the ker component of the unit
         M = mult_matrix(A, A.anticanonical)
-        p = charpoly(M)
-        a, g = split_at_zero(p)
-        _u, v = bezout_coprime(Poly.x_power(a), g)
-        # Horner on the unit vector: e0 = (v g)(M) 1
-        e0 = (Fraction(0),) * A.dim
-        for c in reversed((v * g).coeffs):
-            e0 = tuple(x + c * y for x, y in zip(M.apply(e0), A.unit))
+        a, _g = split_at_zero(charpoly(M))
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in M.data]
+        cols = [A.basis_vector(i) for i in range(A.dim)]
+        for _ in range(a):
+            cols = [tuple(sum((x * v[j] for j, x in row), Fraction(0))
+                          for row in rows) for v in cols]
+        kernel = kernel_basis(Matrix.from_columns(cols, A.dim))
+        image = span_basis(cols)
+        unit = Solver(Matrix.from_columns(kernel + image)).solve(A.unit)
+        e0 = tuple(sum((c * v[i] for c, v in zip(unit, kernel)), Fraction(0))
+                   for i in range(A.dim))
         assert A.product(e0, e0) == e0, desc.id
         kappa_split(A)
     _announce(7, "Cayley-Hamilton, structure-constant nonnegativity, "

@@ -23,10 +23,8 @@ from qspectra.cli import REGISTRY, main
 from qspectra.exactlin import (
     Matrix,
     Poly,
-    bezout_coprime,
     charpoly,
     kernel_basis,
-    poly_gcd,
     rank,
     span_basis,
     split_at_zero,
@@ -265,23 +263,43 @@ def test_compare_with_jacobi_dimension_mismatch():
 
 # --- semisimplicity equivalences ------------------------------------------
 
-def squarefree_part(p):
-    """p / gcd(p, p'); it annihilates M exactly when M is diagonalizable."""
+def sylvester(p, q):
+    """Sylvester matrix of p and q; its rank is deg p + deg q minus the
+    degree of gcd(p, q)."""
+    m, n = p.degree, q.degree
+    rows = [[0] * i + list(reversed(f.coeffs)) + [0] * (k - 1 - i)
+            for f, k in ((p, n), (q, m)) for i in range(k)]
+    return Matrix(rows, cols=m + n)
+
+
+def distinct_root_count(p):
+    """deg p - deg gcd(p, p'), the degree of the squarefree part of p."""
     derivative = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
-    return divmod(p, poly_gcd(p, derivative))[0]
+    return rank(sylvester(p, derivative)) - derivative.degree
+
+
+def minimal_polynomial_degree(M):
+    """dim span{I, M, ..., M^(n-1)}."""
+    powers, P = [], Matrix.identity(M.rows)
+    for _ in range(M.rows):
+        powers.append([x for row in P.data for x in row])
+        P = P * M
+    return rank(Matrix(powers))
 
 
 @pytest.mark.parametrize("make", PROVIDERS[:6])
 def test_semisimple_iff_squarefree_minimal_polynomials(make):
     # squarefree charpoly is too strong (the unit always has (x-1)^dim);
-    # the right certificate is the squarefree part annihilating the operator
+    # the right certificate is a squarefree minimal polynomial: its degree
+    # is then the number of distinct roots of the charpoly
     A = make()
     ss = nilradical(A) == []
     assert ss == (point_count(A) == A.dim)
     diagonalizable = True
     for i in range(A.dim):
         M = mult_matrix(A, A.basis_vector(i))
-        if not squarefree_part(charpoly(M))(M).is_zero():
+        if minimal_polynomial_degree(M) \
+                != distinct_root_count(charpoly(M)):
             diagonalizable = False
             break
     assert ss == diagonalizable
@@ -556,17 +574,18 @@ def test_report_never_builds_the_dense_table(monkeypatch):
 
 # --- the graded route against the dense operator ----------------------------
 
-def _dense_idempotent(A, p):
-    """e0 = (v g)(M) 1 by Horner on the dense operator, for p = x^a g."""
-    a, g = split_at_zero(p)
-    _u, v = bezout_coprime(Poly.x_power(a), g)
+def _dense_fitting_ideals(A, p):
+    """Reduced echelon bases of ker M^a and im M^a, for M the dense
+    anticanonical operator and a the order of p at zero."""
+    a, _g = split_at_zero(p)
     M = [[(j, x) for j, x in enumerate(row) if x]
          for row in mult_matrix(A, A.anticanonical).data]
-    e = (Fraction(0),) * A.dim
-    for c in reversed((v * g).coeffs):
-        e = tuple(sum(x * e[j] for j, x in row) + c * y
-                  for row, y in zip(M, A.unit))
-    return e
+    cols = [A.basis_vector(i) for i in range(A.dim)]
+    for _ in range(a):
+        cols = [tuple(sum((x * v[j] for j, x in row), Fraction(0))
+                      for row in M) for v in cols]
+    return (span_basis(kernel_basis(Matrix.from_columns(cols, A.dim))),
+            span_basis(cols))
 
 
 def _fitting_ring():
@@ -598,22 +617,18 @@ def test_graded_route_matches_the_dense_operator(make):
     assert span_basis(nilradical(A)) \
         == span_basis(kernel_basis(trace_gram(A)))
     # the split by kernel and image of a power of kappa, against the
-    # quotients by the ideals of the dense idempotent
-    e0 = _dense_idempotent(A, p)
-    e0_ideal = span_basis(A.product(e0, A.basis_vector(i))
-                          for i in range(A.dim))
-    rest_ideal = span_basis(tuple(x - y for x, y in zip(b, A.product(e0, b)))
-                            for b in map(A.basis_vector, range(A.dim)))
+    # quotients by ker M^a and im M^a of the dense operator
+    kernel, image = _dense_fitting_ideals(A, p)
     zero, nonzero = kappa_split(A, p, cycle)
     if 0 < zero.dim < A.dim:
         assert _fields(zero) == _fields(qspectra.spectrum._quotient(
-            A, "%s (zero fiber)" % A.name, rest_ideal))
+            A, "%s (zero fiber)" % A.name, image))
         assert _fields(nonzero) == _fields(qspectra.spectrum._quotient(
-            A, "%s (invertible fiber)" % A.name, e0_ideal))
+            A, "%s (invertible fiber)" % A.name, kernel))
     else:
-        # one fiber is A itself, and e0 is 1 or 0
+        # one fiber is A itself, and M^a is 0 or invertible
         assert A in (zero, nonzero)
-        assert len(e0_ideal) == zero.dim
+        assert len(kernel) == zero.dim
 
 
 def test_fitting_ring_fibers_are_pinned():
