@@ -376,10 +376,6 @@ def ext_table(E, F):
     return _cohomology(hom_bundle(E, F))
 
 
-def euler_char(table):
-    return sum(d if deg % 2 == 0 else -d for deg, d in table.items())
-
-
 def collection_backend(variety):
     """Which Ext backend covers a variety id: "grassmannian" for G(k,n)
     and Pn, "hyperplane" for IG(2,2n), None otherwise."""

@@ -84,15 +84,14 @@ class NumerologyVerdict:
     """Outcome of the shape-versus-spectrum comparison."""
 
     __slots__ = ("variety", "total_length", "rect_length",
-                 "residual_expected", "k_required", "checks")
+                 "residual_expected", "checks")
 
     def __init__(self, variety, total_length, rect_length, residual_expected,
-                 k_required, checks):
+                 checks):
         self.variety = variety
         self.total_length = total_length
         self.rect_length = rect_length
         self.residual_expected = residual_expected
-        self.k_required = k_required
         self.checks = checks
 
     @property
@@ -150,7 +149,6 @@ def conjecture_numerology(report, c):
         total_length=sizes["total"],
         rect_length=sizes["rectangular"],
         residual_expected=sizes["residual_expected"],
-        k_required=k,
         checks=checks,
     )
 

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -133,6 +134,18 @@ def test_report_exits_two_on_kappa_outside_degree_one(capsys, monkeypatch):
     assert out == ""
     assert err.strip() == ("internal invariant violation: kappa * b0 has a "
                            "component in degree 0, not 1")
+
+
+def test_report_exits_two_on_a_radical_that_is_not_nilpotent(
+        capsys, monkeypatch, stalled_radical_ring):
+    monkeypatch.setitem(REGISTRY, "P1", Variety(
+        "P1", lambda: stalled_radical_ring, None, None, None))
+    code, out, err = run(capsys, "report", "P1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("internal invariant violation: the radical "
+                           "filtration stalls at dimension 1: N is not "
+                           "nilpotent")
 
 
 def test_usage_error_exit_code():
@@ -460,6 +473,76 @@ def test_package_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _defined(node):
+    """The names a top-level statement of a module defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _mentioned(tree, strings=False):
+    """Every name the tree reads, imports or (with strings) gives as a
+    string, whatever module it comes from."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _taken_from(tree, module):
+    """Names the tree imports from the sibling module, or reads as
+    module.<name>."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == module:
+            out.add(node.attr)
+    return out
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public name that only tests reach is dead weight in the program;
+    # it must be used elsewhere in the package, looked up by the benchmark
+    # (the tracer names some functions by string) or documented in README
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(qspectra.__file__).parent.glob("*.py")}
+    bench = set()
+    for path in (repo / "perfbench").glob("*.py"):
+        bench |= _mentioned(ast.parse(path.read_text(encoding="utf-8")),
+                            strings=True)
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for module, tree in sorted(trees.items()):
+        used = set(bench)
+        for other, t in trees.items():
+            if other != module:
+                used |= _taken_from(t, module)
+        mentions = [_mentioned(node) for node in tree.body]
+        for i, node in enumerate(tree.body):
+            here = set().union(*mentions[:i], *mentions[i + 1:])
+            unused += ["%s.%s" % (module, name)
+                       for name in sorted(_defined(node))
+                       if not name.startswith("_")
+                       and name not in used and name not in here
+                       and not re.search(r"`(?:[\w.]*\.)?%s\b"
+                                         % re.escape(name), readme)]
+    assert unused == []
 
 
 def test_non_integral_orbit_counts_serialize_as_pairs():

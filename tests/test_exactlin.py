@@ -1,6 +1,4 @@
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -232,44 +230,3 @@ def test_vec_refuses_a_bool(bad):
         vec([1, bad])
     with pytest.raises(TypeError, match="expected int or Fraction"):
         Matrix([[bad]])
-
-
-# ---------------------------------------------------------------- tooling
-
-_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _ROOT / "src" / "qspectra"
-
-
-def _exactlin_names(path, strings=False):
-    """Names the module at path takes from exactlin: imported from it,
-    read as exactlin.<name>, or (with strings) given as a string."""
-    out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and node.module == "exactlin":
-            out.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "exactlin":
-            out.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) \
-                and isinstance(node.value, str):
-            out.add(node.value)
-    return out
-
-
-def test_every_public_exactlin_name_has_a_program_caller():
-    # a public name that only tests reach is dead weight in the program;
-    # the benchmark tracer looks some names up by string
-    public = set()
-    for node in ast.parse((_SRC / "exactlin.py").read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            public.add(node.name)
-        elif isinstance(node, ast.Assign):
-            public.update(t.id for t in node.targets
-                          if isinstance(t, ast.Name))
-    public = {name for name in public if not name.startswith("_")}
-    used = _exactlin_names(_ROOT / "perfbench" / "tracer.py", strings=True)
-    for path in _SRC.glob("*.py"):
-        if path.name != "exactlin.py":
-            used |= _exactlin_names(path)
-    assert sorted(public - used) == []

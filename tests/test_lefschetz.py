@@ -168,7 +168,7 @@ def test_numerology_projective_space(report_p3):
     assert v.total_length == 4
     assert v.rect_length == 4
     assert v.residual_expected == 0
-    assert v.k_required == 1
+    assert report_p3.orbit_count_by_length == 1
     # zero fiber is empty, hence trivially reduced: the point-count
     # comparison is present and reads 0 vs 0
     assert v.checks["residual_vs_zero_points"]["ok"]
@@ -178,7 +178,7 @@ def test_numerology_minimal_g24(report_g24):
     v = conjecture_numerology(report_g24, builtin_collection("minimal_g24"))
     assert v.ok
     assert v.residual_expected == 2
-    assert v.k_required == 1
+    assert report_g24.orbit_count_by_length == 1
     assert set(v.checks) == {"total_vs_dim", "smallest_block_vs_orbits",
                              "residual_vs_zero_fiber",
                              "residual_vs_zero_points"}
@@ -198,7 +198,7 @@ def test_numerology_ig6(report_ig6):
     v = conjecture_numerology(report_ig6,
                               builtin_collection("kuznetsov_ig2", 3))
     assert v.ok
-    assert v.k_required == 2
+    assert report_ig6.orbit_count_by_length == 2
     # fat zero fiber: the per-point comparison is not applicable
     assert "residual_vs_zero_points" not in v.checks
 

@@ -166,24 +166,29 @@ def test_idempotent_is_exact():
 
 # --- orbit analysis --------------------------------------------------------
 
+def _fiber_charpoly(nz):
+    """kappa's charpoly on the invertible fiber, from the dense operator."""
+    return charpoly(mult_matrix(nz, nz.anticanonical))
+
+
 def test_orbit_analysis_projective():
     for n in (2, 4):
         A = qh_projective(n)
         _, nz = kappa_split(A)
-        out = orbit_analysis(nz, n + 1)
+        g = _fiber_charpoly(nz)
+        out = orbit_analysis(nz, n + 1, g)
         assert out["orbit_count_by_length"] == 1
         assert out["orbit_length_integral"]
         assert out["orbit_count_by_points"] == 1
         assert out["orbit_points_integral"]
         assert out["charpoly_rotation_invariant"]
-        g = charpoly(mult_matrix(nz, nz.anticanonical))
         want = [-Fraction((n + 1) ** (n + 1))] + [0] * n + [1]
         assert list(g.coeffs) == want
 
 
 def test_orbit_analysis_ig6():
     _, nz = kappa_split(qh_ig2(3))
-    out = orbit_analysis(nz, 5)
+    out = orbit_analysis(nz, 5, _fiber_charpoly(nz))
     assert out["orbit_count_by_length"] == 2
     assert out["orbit_count_by_points"] == 2
     assert out["charpoly_rotation_invariant"]
@@ -191,7 +196,7 @@ def test_orbit_analysis_ig6():
 
 def test_orbit_analysis_g24():
     _, nz = kappa_split(qh_grassmannian(2, 4))
-    out = orbit_analysis(nz, 4)
+    out = orbit_analysis(nz, 4, _fiber_charpoly(nz))
     assert out["orbit_count_by_length"] == 1
     assert out["orbit_count_by_points"] == 1
 
@@ -199,12 +204,12 @@ def test_orbit_analysis_g24():
 def test_orbit_analysis_rejects_bad_m():
     _, nz = kappa_split(qh_projective(1))
     with pytest.raises(ValueError):
-        orbit_analysis(nz, 0)
+        orbit_analysis(nz, 0, _fiber_charpoly(nz))
 
 
 def test_orbit_analysis_reports_non_integrality():
     _, nz = kappa_split(qh_projective(2))
-    out = orbit_analysis(nz, 2)
+    out = orbit_analysis(nz, 2, _fiber_charpoly(nz))
     assert not out["orbit_length_integral"]
     assert out["orbit_count_by_length"] == Fraction(3, 2)
 
@@ -213,7 +218,8 @@ def test_orbit_analysis_reports_non_integrality():
 def test_rotation_invariance_holds_for_graded_algebras(make):
     A = make()
     _, nz = kappa_split(A)
-    assert orbit_analysis(nz, A.fano_index)["charpoly_rotation_invariant"]
+    assert orbit_analysis(nz, A.fano_index, _fiber_charpoly(nz))[
+        "charpoly_rotation_invariant"]
 
 
 # --- local invariants ------------------------------------------------------
@@ -244,6 +250,19 @@ def test_local_invariants_g24_fiber_is_reduced():
 
 
 # --- Jacobi comparison -----------------------------------------------------
+
+def test_local_invariants_refuse_a_radical_that_is_not_nilpotent(
+        stalled_radical_ring):
+    A = stalled_radical_ring
+    assert nilradical(A) == [(1, -1)]
+    assert A.product((1, -1), (1, -1)) == (0, 2)
+    with pytest.raises(AssertionError, match="radical filtration stalls "
+                       "at dimension 1"):
+        local_invariants(A)
+    with pytest.raises(AssertionError, match="radical filtration stalls "
+                       "at dimension 1"):
+        quantum_spectrum_report(A)
+
 
 def test_compare_with_jacobi_ig8():
     z, _ = kappa_split(qh_ig2(4))
@@ -312,7 +331,8 @@ def test_report_fields_are_the_analyses_own(vid):
     A = REGISTRY[vid].provider()
     r = quantum_spectrum_report(A)
     A_zero, A_nonzero = kappa_split(A)
-    orbits = orbit_analysis(A_nonzero, A.fano_index)
+    orbits = orbit_analysis(A_nonzero, A.fano_index,
+                            split_at_zero(r.kappa_charpoly)[1])
     own = {"name", "fano_index", "dim_total", "kappa_charpoly",
            "dim_zero_part", "dim_nonzero_part", "zero_part"}
     assert not own & set(orbits)
@@ -726,3 +746,8 @@ def test_report_json_is_byte_stable(vid, tmp_path, capsys):
     assert main(["report", vid, "--json", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[vid]
+    # A is the product of its two fibers, so their points add up
+    spectrum = json.loads(path.read_text())["spectrum"]
+    assert point_count(REGISTRY[vid].provider()) == (
+        spectrum["nonzero_point_count"]
+        + spectrum["zero_part"]["geometric_point_count"])
