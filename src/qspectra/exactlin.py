@@ -2,11 +2,12 @@
 
 Matrices, univariate polynomials, characteristic polynomials and kernels:
 the arithmetic kernel everything else is built on.
-All entries are fractions.Fraction; floating point never enters.
+All entries are fractions.Fraction, except in integer_echelon, which
+eliminates integer vectors without division; floating point never enters.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -188,6 +189,40 @@ def span_basis(vectors):
     rows = [list(v) for v in vectors]
     _rref(rows, width)
     return [tuple(r) for r in rows if any(x != 0 for x in r)]
+
+
+def integer_echelon(vectors, basis=()):
+    """Fraction-free echelon form of the span of basis and vectors, all
+    integer vectors of one width.
+
+    Each vector in turn, basis first, is reduced against the rows kept so
+    far by integer combinations, so that it is 0 at their pivots; if it is
+    not then 0, it is divided by its content and kept, with its first
+    nonzero entry, made positive, as its pivot.  Returns the kept rows as
+    lists of ints, and the indices of the vectors (not of basis) that
+    raised the rank.
+    """
+    rows, pivots, raised = [], [], []
+    offset = len(basis)
+    for i, v in enumerate([*basis, *vectors]):
+        for p, r in zip(pivots, rows):
+            c = v[p]
+            if c:
+                a = r[p]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                v = [a * x - c * y for x, y in zip(v, r)]
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        g = gcd(*v)
+        if v[p] < 0:
+            g = -g
+        rows.append([x // g for x in v])
+        pivots.append(p)
+        if i >= offset:
+            raised.append(i - offset)
+    return rows, raised
 
 
 class Solver:

@@ -26,13 +26,14 @@ of scale.
 from fractions import Fraction
 from math import lcm
 
-from .algebra import FiniteCommAlgebra, jacobi_ring, mult_matrix
+from .algebra import FiniteCommAlgebra, _nonzero, jacobi_ring
 from .exactlin import (
     _ZERO,
     Matrix,
     Poly,
     charpoly,
     clear_denominators,
+    integer_echelon,
     kernel_basis,
     poly_str,
     span_basis,
@@ -298,30 +299,47 @@ def orbit_analysis(A_nonzero, m, g):
 
 def local_invariants(A_zero):
     """The report's zero_part: length, point count, Hilbert function of
-    the radical filtration, and socle dimension of the fiber over zero."""
+    the radical filtration, and socle dimension of the fiber over zero.
+
+    The filtration is walked as N, N^2, G N^2, G N^3, ...: the vectors G
+    of N that raise the rank over N^2 lift a basis of N/N^2, so by
+    Nakayama they generate the nilpotent ideal N, which gives N^(k+1) =
+    G N^k and socle = Ann(N) = Ann(G).  Every product is of integer
+    vectors, and every span is an integer echelon: only dimensions are
+    read, and scaling a vector leaves them as they are.
+    """
     if A_zero.dim == 0:
         return {"dim": 0, "geometric_point_count": 0,
                 "is_single_point": False, "hilbert_function": (),
                 "socle_dim": 0}
-    N = nilradical(A_zero)
+    N = [clear_denominators(v)[0] for v in nilradical(A_zero)]
     pts = A_zero.dim - len(N)
+    terms = [_nonzero(v) for v in N]
+    times = A_zero.sparse_product
+    power, _ = integer_echelon([times(u, v) for i, u in enumerate(terms)
+                                for v in terms[i:]])
+    _, lifted = integer_echelon(N, power)
+    gens = [terms[i] for i in lifted]
     # N A = N, so the filtration starts at N with the point count
     hilbert = [pts]
-    current = N
-    while current:
-        nxt = span_basis([A_zero.product(v, w) for v in N for w in current])
+    size = len(N)
+    while size:
         # N is nilpotent on a valid ring, so by Nakayama each step shrinks
-        if len(nxt) >= len(current):
+        if len(power) >= size:
             raise AssertionError("the radical filtration stalls at "
-                                 "dimension %d: N is not nilpotent" % len(nxt))
-        hilbert.append(len(current) - len(nxt))
-        current = nxt
-    # the socle: the kernel of N's operators stacked, all of A_zero if N = []
-    rows = [r for v in N for r in mult_matrix(A_zero, v).data]
-    socle = len(kernel_basis(Matrix(rows, cols=A_zero.dim)))
+                                 "dimension %d: N is not nilpotent"
+                                 % len(power))
+        hilbert.append(size - len(power))
+        size = len(power)
+        power, _ = integer_echelon([times(g, _nonzero(w)) for g in gens
+                                    for w in power])
+    # the socle: the kernel of G's operators stacked, all of A_zero if G = [];
+    # column j of the stack is the products g b_j
+    ops, _ = integer_echelon([[x for g in gens for x in times(g, ((j, 1),))]
+                              for j in range(A_zero.dim)])
     return {"dim": A_zero.dim, "geometric_point_count": pts,
             "is_single_point": pts == 1, "hilbert_function": tuple(hilbert),
-            "socle_dim": socle}
+            "socle_dim": A_zero.dim - len(ops)}
 
 
 def compare_with_jacobi(A_zero, label):

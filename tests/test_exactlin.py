@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from qspectra.exactlin import (
     Poly,
     Solver,
     charpoly,
+    integer_echelon,
     kernel_basis,
     poly_str,
     rank,
@@ -158,6 +160,61 @@ def test_span_basis_is_canonical():
     a = span_basis([(F(1), F(1)), (F(2), F(2)), (F(0), F(1))])
     b = span_basis([(F(0), F(3)), (F(5), F(5))])
     assert a == b == [(F(1), F(0)), (F(0), F(1))]
+
+
+def test_integer_echelon_examples():
+    assert integer_echelon([[2, 4], [1, 2], [0, 3]]) == ([[1, 2], [0, 1]],
+                                                         [0, 2])
+    # the basis comes first, and only the vectors' indices are reported
+    assert integer_echelon([[3, 6], [5, 1]], basis=[[1, 2]]) \
+        == ([[1, 2], [0, 1]], [1])
+    assert integer_echelon([[0, 0, 0]]) == ([], [])
+    assert integer_echelon([]) == ([], [])
+
+
+@st.composite
+def integer_vector_lists(draw):
+    """(basis, vectors) of one width: random, zero, and integer
+    combinations of at most four generators, so often rank-deficient,
+    and wide when the width passes the count."""
+    width = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(st.integers(min_value=-9, max_value=9),
+                   min_size=width, max_size=width)
+    gens = draw(st.lists(row, min_size=1, max_size=4))
+    combination = st.lists(
+        st.integers(min_value=-3, max_value=3),
+        min_size=len(gens), max_size=len(gens)).map(
+            lambda cs: [sum(c * g[k] for c, g in zip(cs, gens))
+                        for k in range(width)])
+    vector = st.one_of(combination, row, st.just([0] * width))
+    return (draw(st.lists(vector, max_size=3)),
+            draw(st.lists(vector, max_size=8)))
+
+
+def _span_rank(vectors):
+    return len(span_basis(vectors))
+
+
+@given(integer_vector_lists(), st.booleans())
+def test_integer_echelon_matches_span_basis(lists, extend):
+    basis, vectors = lists
+    if not extend:
+        basis = []
+    rows, raised = integer_echelon(vectors, basis)
+    reference = span_basis(basis + vectors)
+    assert len(rows) == len(reference)
+    # each side's rows lie in the other side's span
+    for r in rows:
+        assert _span_rank(reference + [r]) == len(reference)
+    for r in reference:
+        assert _span_rank(rows + [r]) == len(rows)
+    # primitive integer rows
+    for r in rows:
+        assert all(type(x) is int for x in r)
+        assert gcd(*r) == 1
+    assert raised == [i for i in range(len(vectors))
+                      if _span_rank(basis + vectors[:i + 1])
+                      > _span_rank(basis + vectors[:i])]
 
 
 # ---------------------------------------------------------------- charpoly

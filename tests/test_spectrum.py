@@ -249,6 +249,61 @@ def test_local_invariants_g24_fiber_is_reduced():
     assert out["hilbert_function"] == (2,)
 
 
+def _local_invariants_by_every_vector(A):
+    """local_invariants by the route that reads no generators: N N^k
+    spanned with every vector of N, and the socle as the kernel of
+    mult_matrix(A, v) stacked for every v in N, all over Fractions."""
+    N = nilradical(A)
+    pts = A.dim - len(N)
+    hilbert = [pts] if A.dim else []
+    current = N
+    while current:
+        nxt = span_basis([A.product(v, w) for v in N for w in current])
+        assert len(nxt) < len(current)
+        hilbert.append(len(current) - len(nxt))
+        current = nxt
+    rows = [r for v in N for r in mult_matrix(A, v).data]
+    socle = len(kernel_basis(Matrix(rows, cols=A.dim))) if A.dim else 0
+    return {"dim": A.dim, "geometric_point_count": pts,
+            "is_single_point": pts == 1, "hilbert_function": tuple(hilbert),
+            "socle_dim": socle}
+
+
+_ORACLE_RINGS = (
+    [pytest.param(lambda d=d: kappa_split(d.provider())[0], id=vid)
+     for vid, d in REGISTRY.items()]
+    + [pytest.param(lambda n=n: kappa_split(qh_ig2(n))[0],
+                    id="IG(2,%d)" % (2 * n)) for n in (6, 7, 8)]
+    + [pytest.param(lambda label=label: jacobi_ring(label),
+                    id="jacobi-" + label)
+       for label in "A1 A2 A3 A4 A5 A6 A7 A8 D4 D5 D6 D7 E6 E7 E8".split()])
+
+
+@pytest.mark.parametrize("make", _ORACLE_RINGS)
+def test_local_invariants_match_the_route_through_every_vector(make):
+    A = make()
+    assert local_invariants(A) == _local_invariants_by_every_vector(A)
+
+
+@pytest.mark.parametrize("label, calls", [("A8", 57), ("E8", 62)])
+def test_local_invariants_multiply_by_generators_only(monkeypatch, label,
+                                                      calls):
+    # the route through every vector of N makes 252 and 168 calls; this
+    # one forms N^2 from the pairs i <= j, then G N^k and G's operators,
+    # with |G| = 1 for A8 = Q[x]/x^8 and |G| = 2 for E8 = Q[x, y]/(x^2, y^4)
+    A = jacobi_ring(label)
+    seen = []
+    original = FiniteCommAlgebra.sparse_product
+
+    def counted(self, u, v):
+        seen.append(None)
+        return original(self, u, v)
+
+    monkeypatch.setattr(FiniteCommAlgebra, "sparse_product", counted)
+    local_invariants(A)
+    assert len(seen) == calls
+
+
 # --- Jacobi comparison -----------------------------------------------------
 
 def test_local_invariants_refuse_a_radical_that_is_not_nilpotent(
