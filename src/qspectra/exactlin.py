@@ -1,9 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices, univariate polynomials, characteristic polynomials and kernels:
-the arithmetic kernel everything else is built on.
-All entries are fractions.Fraction, except in integer_echelon, which
-eliminates integer vectors without division; floating point never enters.
+the arithmetic kernel everything else is built on.  Entries are ints or
+fractions.Fraction; floating point never enters.  Kernels, spans, ranks
+and solves all run on one division-free elimination, integer_echelon;
+only charpoly's Hessenberg reduction works in Fractions.
 """
 
 from fractions import Fraction
@@ -29,13 +30,13 @@ def vec(entries):
 def clear_denominators(v):
     """Integers and their common denominator d, with v equal to ints / d.
 
-    d is the least common multiple of the entries' denominators.
+    d is the least common multiple of the entries' denominators; int
+    entries are read as they are.
     """
-    v = vec(v)
-    d = 1
-    for c in v:
-        if c.denominator != 1:
-            d = lcm(d, c.denominator)
+    v = [c if type(c) is int else _q(c) for c in v]
+    d = lcm(*[c.denominator for c in v if type(c) is not int])
+    if d == 1:
+        return tuple(c if type(c) is int else c.numerator for c in v), 1
     return tuple(c.numerator * (d // c.denominator) for c in v), d
 
 
@@ -126,71 +127,6 @@ class Matrix:
         return "Matrix(%r)" % ([[str(x) for x in row] for row in self.data],)
 
 
-def _rref(rows, width):
-    """Row-reduce a list of row lists in place; return pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def rank(M):
-    rows = [list(row) for row in M.data]
-    return len(_rref(rows, M.cols))
-
-
-def kernel_basis(M):
-    """Basis of the right kernel of M, as a list of tuples.
-
-    Canonical: one vector per free column of the reduced row echelon form,
-    scaled so the first nonzero coordinate is 1.
-    """
-    rows = [list(row) for row in M.data]
-    pivots = _rref(rows, M.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * M.cols
-        v[free] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        lead = next(x for x in v if x != 0)
-        basis.append(tuple(x / lead for x in v))
-    return basis
-
-
-def span_basis(vectors):
-    """Echelonized basis of the span of the given vectors (canonical, ordered)."""
-    vectors = [vec(v) for v in vectors]
-    if not vectors:
-        return []
-    width = len(vectors[0])
-    rows = [list(v) for v in vectors]
-    _rref(rows, width)
-    return [tuple(r) for r in rows if any(x != 0 for x in r)]
-
-
 def integer_echelon(vectors, basis=()):
     """Fraction-free echelon form of the span of basis and vectors, all
     integer vectors of one width.
@@ -225,32 +161,94 @@ def integer_echelon(vectors, basis=()):
     return rows, raised
 
 
+def _reduced(vectors):
+    """The reduced echelon form of the span of vectors of ints or
+    Fractions, all of one width, kept in integers.
+
+    integer_echelon's rows are sorted by pivot, and each pivot is cleared
+    from the rows above it by integer combinations, kept primitive.
+    Returns the rows, each positive at its own pivot and 0 at the others,
+    and their pivots: row / row[pivot] is the unique reduced row echelon
+    form over Q.
+    """
+    rows, _ = integer_echelon([clear_denominators(v)[0] for v in vectors])
+    rows.sort(key=_lead)
+    pivots = [_lead(r) for r in rows]
+    for j, (p, r) in enumerate(zip(pivots, rows)):
+        for i in range(j):
+            c = rows[i][p]
+            if c:
+                g = gcd(r[p], c)
+                v = [r[p] // g * x - c // g * y for x, y in zip(rows[i], r)]
+                g = gcd(*v)
+                rows[i] = [x // g for x in v]
+    return rows, pivots
+
+
+def _lead(v):
+    return next(k for k, x in enumerate(v) if x)
+
+
+def rank(M):
+    return len(_reduced(M.data)[1])
+
+
+def span_basis(vectors):
+    """Echelonized basis of the span of the given vectors (canonical, ordered):
+    the nonzero rows of their reduced row echelon form, as Fraction tuples."""
+    rows, pivots = _reduced(vectors)
+    return [tuple(Fraction(x, r[p]) if x else _ZERO for x in r)
+            for r, p in zip(rows, pivots)]
+
+
+def kernel_basis(rows, width):
+    """Basis of the right kernel of the matrix with the given rows, vectors
+    of ints or Fractions of length width, as a list of tuples.
+
+    Canonical: one vector per free column of the reduced row echelon form,
+    scaled so the first nonzero coordinate is 1.
+    """
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows of a width other than %d" % width)
+    rows, pivots = _reduced(rows)
+    basis = []
+    for free in sorted(set(range(width)).difference(pivots)):
+        v = [_ZERO] * width
+        v[free] = _ONE
+        for r, p in zip(rows, pivots):
+            if r[free]:
+                v[p] = Fraction(-r[free], r[p])
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
 class Solver:
     """Repeated solving of S x = b against a fixed full-column-rank S."""
 
-    __slots__ = ("_transform", "_ncols", "_nrows")
+    __slots__ = ("_transform", "_ncols")
 
     def __init__(self, S):
         n, m = S.rows, S.cols
-        rows = [list(S.data[i]) + [_ONE if j == i else _ZERO for j in range(n)]
-                for i in range(n)]
-        pivots = _rref(rows, m)
-        if len(pivots) != m:
+        # the reduced echelon rows of [S | I] are [a e_r | a T_r], with
+        # T_r S = e_r, for r < m, then [0 | L] with L S = 0
+        rows, pivots = _reduced([[*S.data[i], *(int(j == i) for j in range(n))]
+                                 for i in range(n)])
+        if pivots[:m] != list(range(m)):
             raise ValueError("matrix does not have full column rank")
-        self._transform = [row[m:] for row in rows]
+        self._transform = [(r[m:], r[p]) for r, p in zip(rows, pivots)]
         self._ncols = m
-        self._nrows = n
 
     def solve(self, b):
         """Coordinates x with S x = b; raises if b is outside the column span."""
-        if len(b) != self._nrows:
+        if len(b) != len(self._transform):
             raise ValueError("length mismatch")
-        b = vec(b)
-        t = [sum((a * x for a, x in zip(row, b)), _ZERO) for row in self._transform]
-        for r in range(self._ncols, self._nrows):
-            if t[r] != 0:
-                raise ValueError("vector outside the span")
-        return tuple(t[: self._ncols])
+        b, d = clear_denominators(b)
+        t = [(sum(x * y for x, y in zip(row, b)), a)
+             for row, a in self._transform]
+        if any(s for s, _a in t[self._ncols:]):
+            raise ValueError("vector outside the span")
+        return tuple(Fraction(s, a * d) for s, a in t[:self._ncols])
 
 
 class Poly:

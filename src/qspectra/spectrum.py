@@ -86,9 +86,10 @@ def nilradical(A):
     for d, idx in enumerate(pieces):
         if not idx:
             continue
-        block = Matrix([[sum(c * tau[l] for l, c in rows[i][j]) for j in idx]
-                        for i in pieces[-d % A.fano_index]], cols=len(idx))
-        basis.extend(_embed(A.dim, idx, v) for v in kernel_basis(block))
+        block = [[sum(c * tau[l] for l, c in rows[i][j]) for j in idx]
+                 for i in pieces[-d % A.fano_index]]
+        basis.extend(_embed(A.dim, idx, v)
+                     for v in kernel_basis(block, len(idx)))
     basis.sort(key=_last_nonzero)
     return basis
 
@@ -253,8 +254,8 @@ def kappa_split(A, p=None, cycle=None):
     for r in range(1, a + 1):
         cols = [[_apply(cycle.blocks[(d + r - 1) % m], w) for w in piece]
                 for d, piece in enumerate(cols)]
-        kernels = [kernel_basis(Matrix.from_columns(
-            piece, len(pieces[(d + r) % m]))) for d, piece in enumerate(cols)]
+        kernels = [kernel_basis(list(zip(*piece)), len(piece))
+                   for piece in cols]
         if sum(map(len, kernels)) == a:
             break
     ideal_zero, ideal_one = [], []  # ker M^r and im M^r

@@ -193,7 +193,7 @@ def test_criterion_7_property_suites():
         for _ in range(a):
             cols = [tuple(sum((x * v[j] for j, x in row), Fraction(0))
                           for row in rows) for v in cols]
-        kernel = kernel_basis(Matrix.from_columns(cols, A.dim))
+        kernel = kernel_basis(list(zip(*cols)), len(cols))
         image = span_basis(cols)
         unit = Solver(Matrix.from_columns(kernel + image)).solve(A.unit)
         e0 = tuple(sum((c * v[i] for c, v in zip(unit, kernel)), Fraction(0))

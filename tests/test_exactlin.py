@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qspectra.exactlin import (
@@ -10,6 +10,7 @@ from qspectra.exactlin import (
     Poly,
     Solver,
     charpoly,
+    clear_denominators,
     integer_echelon,
     kernel_basis,
     poly_str,
@@ -64,6 +65,40 @@ def bareiss_det(M):
     return sign * a[n - 1][n - 1]
 
 
+def gauss_jordan(rows, width):
+    """The nonzero rows of the reduced row echelon form, eliminated over
+    Fractions with a division at every pivot, and their pivot columns."""
+    rows = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows[:len(pivots)]], pivots
+
+
+def gauss_jordan_kernel(rows, width):
+    reduced, pivots = gauss_jordan(rows, width)
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            v = [F(0)] * width
+            v[free] = F(1)
+            for r, p in zip(reduced, pivots):
+                v[p] = -r[free]
+            lead = next(x for x in v if x)
+            basis.append(tuple(x / lead for x in v))
+    return basis
+
+
 # ---------------------------------------------------------------- strategies
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -96,6 +131,26 @@ def matrices(draw, max_dim=5):
     return Matrix(rows)
 
 
+@st.composite
+def rational_rows(draw, max_dim=6):
+    """(rows, width): 0-row, 0-width, wide, tall, zero and rank-deficient
+    matrices of ints and Fractions of mixed denominators."""
+    width = draw(st.integers(min_value=0, max_value=max_dim))
+    height = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.one_of(st.integers(min_value=-5, max_value=5),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=6))
+    row = st.lists(entry, min_size=width, max_size=width)
+    gens = draw(st.lists(row, min_size=1, max_size=3))
+    combination = st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        min_size=len(gens), max_size=len(gens)).map(
+            lambda cs: [sum((c * g[k] for c, g in zip(cs, gens)), F(0))
+                        for k in range(width)])
+    vector = st.one_of(row, combination, st.just([0] * width))
+    return draw(st.lists(vector, min_size=height, max_size=height)), width
+
+
 polys = st.builds(Poly, st.lists(rationals, min_size=0, max_size=6))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
@@ -103,27 +158,94 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 # ---------------------------------------------------------------- kernels
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(Matrix.identity(2)) == []
+    assert kernel_basis(Matrix.identity(2).data, 2) == []
 
 
 def test_kernel_of_row_vector():
-    assert kernel_basis(Matrix([[1, 1]])) == [(F(1), F(-1))]
+    assert kernel_basis([[1, 1]], 2) == [(F(1), F(-1))]
 
 
 def test_kernel_of_zero_matrix():
-    basis = kernel_basis(Matrix.zeros(3, 3))
+    basis = kernel_basis(Matrix.zeros(3, 3).data, 3)
     assert len(basis) == 3
     assert rank(Matrix.from_columns(basis)) == 3
 
 
 @given(matrices())
 def test_kernel_vectors_annihilated_and_counted(M):
-    basis = kernel_basis(M)
+    basis = kernel_basis(M.data, M.cols)
     for v in basis:
         assert M.apply(v) == (F(0),) * M.rows
     assert len(basis) == M.cols - rank(M)
     if basis:
         assert rank(Matrix.from_columns(basis)) == len(basis)
+
+
+# empty, zero, tall, and wide with a pivot to clear from the row above
+shapes = [([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0], [0, 0, 0]], 3),
+          ([[1, F(1, 2), 3]], 3), ([[1], [F(-2, 3)], [0]], 1),
+          ([[1, 1, 1], [0, 1, 2]], 3),
+          ([[1, F(1, 2), 3, 0], [2, 0, F(1, 3), 1]], 4)]
+
+
+def _with_shapes(test):
+    for case in shapes:
+        test = example(case)(test)
+    return given(rational_rows())(test)
+
+
+@_with_shapes
+def test_kernel_basis_matches_gauss_jordan(case):
+    rows, width = case
+    assert kernel_basis(rows, width) == gauss_jordan_kernel(rows, width)
+
+
+@_with_shapes
+def test_span_basis_matches_gauss_jordan(case):
+    rows, width = case
+    assert span_basis(rows) == gauss_jordan(rows, width)[0]
+
+
+@_with_shapes
+def test_rank_matches_gauss_jordan(case):
+    rows, width = case
+    assert rank(Matrix(rows, cols=width)) == len(gauss_jordan(rows, width)[1])
+
+
+@st.composite
+def systems(draw):
+    """(rows, width, x, b): a matrix S as in rational_rows, a vector x of
+    its width and a vector b of its height."""
+    rows, width = draw(rational_rows())
+    return (rows, width, draw(st.lists(rationals, min_size=width,
+                                       max_size=width)),
+            draw(st.lists(rationals, min_size=len(rows),
+                          max_size=len(rows))))
+
+
+@given(systems())
+@example(([], 0, [], []))
+@example(([[], []], 0, [], [0, 0]))
+@example(([[], []], 0, [], [1, 0]))
+@example(([[1, 2], [2, 4]], 2, [1, 1], [1, 2]))
+@example(([[1, 0], [F(1, 2), 1], [0, 3]], 2, [F(3, 4), -1], [1, 0, 0]))
+def test_solver_matches_gauss_jordan(system):
+    rows, width, x, b = system
+    S = Matrix(rows, cols=width)
+    if len(gauss_jordan(rows, width)[1]) < width:
+        with pytest.raises(ValueError, match="full column rank"):
+            Solver(S)
+        return
+    solver = Solver(S)
+    assert solver.solve(S.apply(x)) == tuple(x)
+    # b is in the span of S's columns when [S | b] has no pivot in b
+    reduced, pivots = gauss_jordan([(*r, y) for r, y in zip(rows, b)],
+                                   width + 1)
+    if width in pivots:
+        with pytest.raises(ValueError, match="outside the span"):
+            solver.solve(b)
+    else:
+        assert solver.solve(b) == tuple(r[width] for r in reduced)
 
 
 @given(matrices())
@@ -150,7 +272,9 @@ def test_solver_rejects_rank_deficiency():
     lambda: Matrix.from_columns([(1,), (2, 3)]),
     lambda: Matrix.from_columns([(1, 2, 3), (4, 5)]),
     lambda: Matrix.from_columns([(1, 2)], height=3),
-], ids=["cols", "short-first-column", "long-first-column", "height"])
+    lambda: kernel_basis([[1, 2], [3]], 2),
+], ids=["cols", "short-first-column", "long-first-column", "height",
+        "kernel-rows"])
 def test_matrix_refuses_a_shape_its_data_disagrees_with(build):
     with pytest.raises(ValueError):
         build()
@@ -191,17 +315,21 @@ def integer_vector_lists(draw):
             draw(st.lists(vector, max_size=8)))
 
 
+def _reference_span(vectors):
+    return gauss_jordan(vectors, len(vectors[0]) if vectors else 0)[0]
+
+
 def _span_rank(vectors):
-    return len(span_basis(vectors))
+    return len(_reference_span(vectors))
 
 
 @given(integer_vector_lists(), st.booleans())
-def test_integer_echelon_matches_span_basis(lists, extend):
+def test_integer_echelon_matches_gauss_jordan(lists, extend):
     basis, vectors = lists
     if not extend:
         basis = []
     rows, raised = integer_echelon(vectors, basis)
-    reference = span_basis(basis + vectors)
+    reference = _reference_span(basis + vectors)
     assert len(rows) == len(reference)
     # each side's rows lie in the other side's span
     for r in rows:
@@ -287,3 +415,10 @@ def test_vec_refuses_a_bool(bad):
         vec([1, bad])
     with pytest.raises(TypeError, match="expected int or Fraction"):
         Matrix([[bad]])
+    # the clearing that every elimination starts from refuses it too, and
+    # a float, although it reads int entries without a Fraction
+    for v in ([1, bad], [F(1, 2), float(bad)]):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            clear_denominators(v)
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            kernel_basis([v], 2)

@@ -73,3 +73,20 @@ def test_tracer_sees_the_collection_check_through_bwb_names():
     assert per_name["bwb.ext_hyperplane"][0] == 33
     assert per_name["bwb.bott"][0] >= 1
     assert tracer.undecided == 0
+
+
+def test_tracer_sees_the_report_through_exactlin_names():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    ring = REGISTRY["IG(2,6)"].provider()
+    assert tracer.install() > 0
+    try:
+        spectrum.quantum_spectrum_report(ring)
+    finally:
+        tracer.uninstall()
+    # the layer metrics exactlin.*_s read these spans: a report that went
+    # round the public names would leave them at 0 without failing
+    per_name = tracer.per_name()
+    for name in ("exactlin.kernel_basis", "exactlin.span_basis",
+                 "exactlin.charpoly"):
+        assert per_name.get(name, (0,))[0] > 0, name
