@@ -194,7 +194,7 @@ def _selftest_checks():
             return fn
         return wrap
 
-    @add("schur", "tableau ring matches divisor reconstruction on G(2,5)")
+    @add("schur", "Pieri ring matches divisor reconstruction on G(2,5)")
     def _():
         from .chevalley import grassmannian_algebra
         A = qh_grassmannian(2, 5)
@@ -203,12 +203,23 @@ def _selftest_checks():
                  "structure constants differ")
         _require(A.anticanonical == B.anticanonical)
 
-    @add("schur", "rim-hook ring matches polynomial presentation on P4")
+    @add("schur", "Pieri ring matches polynomial presentation on P4")
     def _():
         A = qh_grassmannian(1, 5)
         B = qh_projective(4)
         _require((A.rows, A.den) == (B.rows, B.den),
                  "structure constants differ")
+
+    @add("schur", "Pieri ring matches the tableau ring on G(2,4)..G(3,6)")
+    def _():
+        from .schur import _qh_grassmannian_pairwise
+        for k, n in ((2, 4), (2, 5), (2, 6), (3, 6)):
+            A = qh_grassmannian(k, n)
+            B = _qh_grassmannian_pairwise(k, n)
+            for name in ("rows", "den", "unit", "anticanonical", "degrees",
+                         "basis_labels"):
+                _require(getattr(A, name) == getattr(B, name),
+                         "G(%d,%d) %s" % (k, n, name))
 
     @add("algebra", "every registry provider validates")
     def _():
@@ -231,7 +242,7 @@ def _selftest_checks():
             _require(sorted(A.degrees) == sorted(l % m for l in lengths),
                      "IG(2,%d) graded dimensions" % (2 * n))
 
-    @add("algebra", "grassmannian divisor operator matches the tableau ring")
+    @add("algebra", "grassmannian divisor operator matches the Pieri ring")
     def _():
         for k, n in ((2, 4), (2, 5), (3, 6)):
             A = qh_grassmannian(k, n)

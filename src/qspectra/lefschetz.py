@@ -234,9 +234,3 @@ def check_collection_json(obj):
 def load_collection(path):
     with open(path, "r", encoding="utf-8") as fh:
         return collection_from_json(json.load(fh))
-
-
-def save_collection(c, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(collection_to_json(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")

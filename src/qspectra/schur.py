@@ -1,8 +1,12 @@
 """Partitions, Littlewood-Richardson coefficients, and the rim-hook model
 of the quantum cohomology of G(k,n) at q = 1.
 
-Products are computed classically by tableau enumeration and then folded
-into the k x (n-k) box by removing rim hooks of size n; the fold sign is
+G(k,n) is built from the quantum Pieri operators: multiplication by each
+complete class h_r adds horizontal strips and folds the result into the
+k x (n-k) box by removing rim hooks of size n (Bertram, Quantum Schubert
+calculus, 1997; Bertram-Ciocan-Fontanine-Fulton, 1999).  The tableau
+route, a classical Littlewood-Richardson product folded the same way for
+each pair of classes, is kept as an independent oracle; its fold sign is
 pinned by the nonnegativity of the resulting structure constants.
 A partition is a plain tuple of positive, weakly decreasing ints with
 no trailing zeros.
@@ -154,34 +158,111 @@ def _label(parts):
     return "s(%s)" % ",".join(str(p) for p in parts)
 
 
-@lru_cache(maxsize=None)
-def qh_grassmannian(k, n):
-    """Quantum cohomology of G(k,n) at q = 1, built from the rim-hook fold.
-
-    Basis the box partitions sorted by weight, grading |lam| mod n,
-    anticanonical class n times the first special class.
-    """
+def _box_shapes(k, n):
+    """The box partitions of G(k,n), sorted by weight, then as tuples."""
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
     shapes = sorted((_trim(p) for p in combinations_with_replacement(
         range(n - k, -1, -1), k)), key=lambda p: (sum(p), p))
     if len(shapes) != comb(n, k):
         raise AssertionError("box enumeration does not match C(n,k)")
-    index = {p: i for i, p in enumerate(shapes)}
-    dim = len(shapes)
+    return shapes
 
-    cells = [[{index[box]: c for box, c
-               in quantum_product(shapes[i], shapes[j], k, n).items()}
-              for j in range(i, dim)] for i in range(dim)]
 
+def _ring(k, n, shapes, cells):
+    """QH(G(k,n)) from the upper triangle of its integer table."""
+    if any(c < 0 for row in cells for cell in row for c in cell.values()):
+        raise AssertionError("negative structure constant in G(%d,%d) product"
+                             % (k, n))
+    unit, sigma1 = shapes.index(()), shapes.index((1,))
     return FiniteCommAlgebra(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
         cells=cells, den=1,
-        unit=tuple(_ONE if i == index[()] else _ZERO for i in range(dim)),
+        unit=tuple(_ONE if i == unit else _ZERO for i in range(len(shapes))),
         degrees=[sum(p) % n for p in shapes],
         fano_index=n,
-        anticanonical=tuple(Fraction(n) if i == index[(1,)] else _ZERO
-                            for i in range(dim)),
+        anticanonical=tuple(Fraction(n) if i == sigma1 else _ZERO
+                            for i in range(len(shapes))),
         dim_X=k * (n - k),
     )
+
+
+def _pieri_operators(shapes, index, k, n):
+    """ops[r][j] for r = 1..n-k: h_r times s of shapes[j], as the nonzero
+    (index, coefficient) pairs of its fold into the box.
+
+    The classical Pieri rule adds a horizontal r-strip on at most k rows
+    (Bertram, Quantum Schubert calculus, 1997); each result is folded by
+    rim_hook_reduce.
+    """
+    ops = [None]
+    for r in range(1, n - k + 1):
+        op = []
+        for mu in shapes:
+            acc = {}
+            for nu, _cum in _strips(mu + (0,) * (k - len(mu)), r, None):
+                red = rim_hook_reduce(_trim(nu), k, n)
+                if red is not None:
+                    l = index[red[0]]
+                    acc[l] = acc.get(l, 0) + red[1]
+            op.append(tuple((l, c) for l, c in acc.items() if c))
+        ops.append(op)
+    return ops
+
+
+@lru_cache(maxsize=None)
+def qh_grassmannian(k, n):
+    """Quantum cohomology of G(k,n) at q = 1, built from the quantum Pieri
+    operators H_r of multiplication by h_r.
+
+    Basis the box partitions sorted by weight, grading |lam| mod n,
+    anticanonical class n times the first special class.  Write lam' for
+    lam without its first row: h_{lam_1} s_{lam'} is s_lam plus Pieri
+    terms s_nu with nu_1 > lam_1.  Each of those is a box class of lam's
+    weight and a larger tuple, or folds to zero: lam' has fewer than k
+    rows, so the quantum Pieri rule gives it no q-term.  So
+    s_lam s_mu = H_{lam_1}(s_{lam'} s_mu) minus those terms times s_mu,
+    and the rows fill by weight and, within a weight, from the largest
+    tuple down.
+    """
+    shapes = _box_shapes(k, n)
+    index = {p: i for i, p in enumerate(shapes)}
+    dim = len(shapes)
+    ops = _pieri_operators(shapes, index, k, n)
+    # row i holds s_lam * s_mu_j for every j from lo[i], the first index
+    # of lam's weight: the terms above need the products with classes of
+    # that weight that come before lam
+    first = {}
+    lo = [first.setdefault(sum(p), i) for i, p in enumerate(shapes)]
+    rows = [None] * dim
+    rows[0] = [{j: 1} for j in range(dim)]
+    for i in sorted(range(1, dim), key=lambda i: (lo[i], -i)):
+        lam = shapes[i]
+        i0 = index[lam[1:]]
+        op = ops[lam[0]]
+        terms = [(b, c) for b, c in op[i0] if b != i]
+        src, lo0 = rows[i0], lo[i0]
+        row = []
+        for j in range(lo[i], dim):
+            acc = {}
+            for m, c in src[j - lo0].items():
+                for l, s in op[m]:
+                    acc[l] = acc.get(l, 0) + c * s
+            for b, c in terms:
+                for l, s in rows[b][j - lo[b]].items():
+                    acc[l] = acc.get(l, 0) - c * s
+            row.append(acc)
+        rows[i] = row
+    return _ring(k, n, shapes, [row[i - lo[i]:] for i, row in enumerate(rows)])
+
+
+def _qh_grassmannian_pairwise(k, n):
+    """QH(G(k,n)) from quantum_product on every pair of box classes: the
+    tableau route, kept as an independent oracle for the Pieri walk."""
+    shapes = _box_shapes(k, n)
+    index = {p: i for i, p in enumerate(shapes)}
+    return _ring(k, n, shapes, [
+        [{index[box]: c for box, c
+          in quantum_product(shapes[i], shapes[j], k, n).items()}
+         for j in range(i, len(shapes))] for i in range(len(shapes))])

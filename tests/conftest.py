@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from qspectra.algebra import FiniteCommAlgebra
+from qspectra.lefschetz import collection_to_json
 
 settings.register_profile(
     "suite",
@@ -11,6 +14,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture()
+def collection_file(tmp_path):
+    """write(c, name) puts collection c in the file form, the JSON of
+    collection_to_json, at tmp_path / name and returns that path."""
+    def write(c, name):
+        path = tmp_path / name
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(collection_to_json(c), fh, indent=2, sort_keys=True)
+        return path
+    return write
 
 
 @pytest.fixture()

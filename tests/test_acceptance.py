@@ -108,7 +108,7 @@ def test_criterion_4_g24_presentation_cross_validation():
     assert valuation == 2
     assert cofactor.degree == 4
     assert all(c == 0 for i, c in enumerate(cofactor.coeffs) if i % 4 != 0)
-    _announce(4, "G(2,4) tableau ring and presentation agree: charpoly "
+    _announce(4, "G(2,4) Pieri ring and presentation agree: charpoly "
                  "x^6 - 1024 x^2, valuation 2, cofactor on degrees 0 mod 4")
 
 

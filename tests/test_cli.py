@@ -17,7 +17,7 @@ from qspectra.algebra import (FiniteCommAlgebra, qh_projective,
                               validate_algebra)
 from qspectra.cli import REGISTRY, main
 from qspectra.varieties import Variety
-from qspectra.lefschetz import builtin_collection, save_collection
+from qspectra.lefschetz import builtin_collection
 from qspectra.spectrum import quantum_spectrum_report
 
 
@@ -160,10 +160,9 @@ def test_usage_error_exit_code():
 # --- check --------------------------------------------------------------
 
 @pytest.fixture()
-def minimal_file(tmp_path):
-    path = tmp_path / "minimal.json"
-    save_collection(builtin_collection("minimal_g24"), path)
-    return str(path)
+def minimal_file(collection_file):
+    return str(collection_file(builtin_collection("minimal_g24"),
+                               "minimal.json"))
 
 
 def test_check_minimal_with_bwb(capsys, minimal_file):
@@ -175,9 +174,8 @@ def test_check_minimal_with_bwb(capsys, minimal_file):
     assert "all pairs pass" in out
 
 
-def test_check_kapranov_shape_reported_not_failed(capsys, tmp_path):
-    path = tmp_path / "kapranov.json"
-    save_collection(builtin_collection("kapranov_g24"), path)
+def test_check_kapranov_shape_reported_not_failed(capsys, collection_file):
+    path = collection_file(builtin_collection("kapranov_g24"), "kapranov.json")
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert "rectangular 0, residual 6" in out
@@ -195,9 +193,8 @@ def test_check_bwb_reads_ascii_digits_only(capsys, tmp_path):
     assert "parse error at position 2" in err
 
 
-def test_check_isotropic_with_bwb(capsys, tmp_path):
-    path = tmp_path / "kuz.json"
-    save_collection(builtin_collection("kuznetsov_ig2", 3), path)
+def test_check_isotropic_with_bwb(capsys, collection_file):
+    path = collection_file(builtin_collection("kuznetsov_ig2", 3), "kuz.json")
     code, out, _ = run(capsys, "check", str(path), "--bwb")
     assert code == 0
     assert "hyperplane backend" in out
@@ -386,7 +383,7 @@ def test_selftest_runs_every_row(capsys):
     # Kuznetsov's IG(2,6) collection through the hyperplane checker
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "selftest: 11 passed, 0 failed" in out
+    assert "selftest: 12 passed, 0 failed" in out
 
 
 def test_selftest_unknown_filter(capsys):

@@ -5,7 +5,7 @@ from qspectra.algebra import qh_ig2, qh_projective
 from qspectra.lefschetz import (LefschetzCollection, builtin_collection,
                                 collection_from_json, collection_to_json,
                                 conjecture_numerology, lengths,
-                                load_collection, save_collection,
+                                load_collection,
                                 twisted_objects)
 from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import quantum_spectrum_report
@@ -216,10 +216,9 @@ def test_numerology_unasserted_collection(report_g24):
     assert "no fullness asserted" in v.checks["total_vs_dim"]["explanation"]
 
 
-def test_collection_json_roundtrip(tmp_path):
+def test_collection_json_roundtrip(collection_file):
     c = builtin_collection("kuznetsov_ig2", 3)
-    path = tmp_path / "c.json"
-    save_collection(c, path)
+    path = collection_file(c, "c.json")
     back = load_collection(path)
     assert back.variety == c.variety
     assert back.starting_block == c.starting_block

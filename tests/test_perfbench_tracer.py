@@ -10,7 +10,7 @@ import qspectra.cli  # noqa: F401  (imports every module the tracer patches)
 from qspectra import algebra, spectrum, varieties
 from qspectra.bwb import check_collection_hyperplane
 from qspectra.lefschetz import builtin_collection
-from qspectra.schur import qh_grassmannian
+from qspectra.schur import _qh_grassmannian_pairwise
 from qspectra.varieties import REGISTRY
 
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -46,11 +46,13 @@ def test_tracer_sees_providers_and_split():
 
 
 def test_tracer_sees_the_tableau_route_through_lr_coeffs():
+    # the program builds G(k,n) by the Pieri walk, which expands no pairs;
+    # the tableau oracle still goes through the traced name
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     assert tracer.install() > 0
     try:
-        A = qh_grassmannian.__wrapped__(2, 4)
+        A = _qh_grassmannian_pairwise(2, 4)
     finally:
         tracer.uninstall()
     # one product, hence one LR expansion, per pair of the 6 basis classes

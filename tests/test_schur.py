@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from qspectra.algebra import mult_matrix, qh_projective, validate_algebra
 from qspectra.exactlin import charpoly
 from qspectra.schur import (
+    _box_shapes,
+    _qh_grassmannian_pairwise,
+    _ring,
     lr_coeffs,
     qh_grassmannian,
     quantum_product,
@@ -206,6 +209,37 @@ def test_poincare_pairing_at_degree_zero():
         table = quantum_product(parts, dual, k, n)
         tops = {b: c for b, c in table.items() if b == top}
         assert tops == {top: 1}
+
+
+# the Pieri walk against the tableau route, which folds a full
+# Littlewood-Richardson product for every pair: every G(k,n) with n <= 8,
+# and G(3,9), whose first rows run longest past the box
+TABLEAU_ORACLE_CASES = [(k, n) for n in range(2, 9) for k in range(1, n)]
+TABLEAU_ORACLE_CASES.append((3, 9))
+
+
+@pytest.mark.parametrize("k,n", TABLEAU_ORACLE_CASES)
+def test_pieri_walk_matches_tableau_ring(k, n):
+    A = qh_grassmannian(k, n)
+    B = _qh_grassmannian_pairwise(k, n)
+    for name in ("rows", "den", "unit", "anticanonical", "degrees",
+                 "basis_labels"):
+        assert getattr(A, name) == getattr(B, name), name
+
+
+@pytest.mark.parametrize("k,n", [(0, 4), (4, 4), (5, 4), (-1, 3), (1, 1)])
+def test_grassmannian_needs_k_strictly_inside(k, n):
+    for build in (qh_grassmannian, _qh_grassmannian_pairwise):
+        with pytest.raises(ValueError, match=r"^need 0 < k < n$"):
+            build(k, n)
+
+
+def test_negative_structure_constant_is_refused():
+    # b_1 * b_1 = -1 on the basis of G(1,2)
+    cells = [[{0: 1}, {1: 1}], [{0: -1}]]
+    with pytest.raises(AssertionError,
+                       match=r"negative structure constant in G\(1,2\)"):
+        _ring(1, 2, _box_shapes(1, 2), cells)
 
 
 def test_sigma1_charpoly_agrees_with_projective_presentation():
