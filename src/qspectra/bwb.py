@@ -4,11 +4,16 @@ exceptionality checks built on it.
 The dotted-weight procedure: add the staircase rho, kill weights with a
 repeated entry, otherwise sort and count inversions; the single surviving
 cohomological degree carries the Weyl dimension of the sorted, unshifted
-weight.  A term S^lam U* tensor S^mu Q* is stored as the GL(n) weight
-(lam | mu) that this procedure reads.  That identification and the
-descending sort are pinned by calibration, not convention, and frozen by
-tests: H^0(U*) must be the n-dimensional standard representation and
-H^0(O(1)) must have dimension C(n,k).
+weight, which is the product of the sorted dotted weight's pairwise
+differences over the superfactorial.  Both run as one pass over the
+pairs of entries in itertools.  A term S^lam U* tensor S^mu Q* is
+stored as the GL(n) weight (lam | mu) that this procedure reads.  That
+identification and the descending sort are pinned by calibration, not
+convention, and frozen by tests: H^0(U*) must be the n-dimensional
+standard representation and H^0(O(1)) must have dimension C(n,k).
+Tensor products expand each block by Littlewood-Richardson, except that
+a det power shifts the other factor; the descriptor parser builds each
+factor's weight once.
 
 Restriction to the isotropic Grassmannian IG(2,2n), a hyperplane section
 of G(2,2n), is handled by a sufficient criterion on the two ambient Ext
@@ -17,50 +22,49 @@ the answer is reported as inconclusive, never guessed.
 """
 
 import re
+from itertools import combinations, starmap
+from math import factorial, prod
+from operator import add, lt, sub
 
 from .lefschetz import twisted_objects
 from .schur import lr_coeffs
 from .varieties import parse_variety
 
 
-def _rho(n):
-    return tuple(range(n - 1, -1, -1))
+def _weyl_quotient(dotted):
+    """The Weyl dimension formula on a dotted weight: the product of its
+    pairwise differences over the superfactorial 0! 1! ... (n-1)!."""
+    num = prod(starmap(sub, combinations(dotted, 2)))
+    den = prod(map(factorial, range(len(dotted))))
+    if num % den or num <= 0:
+        raise AssertionError("Weyl dimension must be a positive integer")
+    return num // den
 
 
 def weyl_dim(delta):
     """Dimension of the GL(n) irrep with highest weight delta, as the
     product over positive roots of (delta_i - delta_j + j - i)/(j - i)."""
     n = len(delta)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= delta[i] - delta[j] + j - i
-            den *= j - i
-    if num % den or num <= 0:
-        raise AssertionError("Weyl dimension must be a positive integer")
-    return num // den
+    return _weyl_quotient(tuple(map(add, delta, range(n - 1, -1, -1))))
 
 
 def bott(w, k, n):
     """Cohomology table {degree: dim} of the irreducible bundle with
     GL(n) weight w on G(k,n); empty when the dotted weight degenerates."""
     w = tuple(w)
-    if any(type(x) is not int for x in w):
+    if {*map(type, w)} - {int}:
         raise TypeError("weight entries must be ints, got %r" % (w,))
     if len(w) != n:
         raise ValueError("weight length %d, expected %d" % (len(w), n))
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
-    rho = _rho(n)
-    dotted = tuple(w[i] + rho[i] for i in range(n))
+    dotted = tuple(map(add, w, range(n - 1, -1, -1)))
     if len(set(dotted)) < n:
         return {}
-    ell = sum(1 for i in range(n) for j in range(i + 1, n)
-              if dotted[i] < dotted[j])
-    srt = sorted(dotted, reverse=True)
-    delta = tuple(srt[i] - rho[i] for i in range(n))
-    return {ell: weyl_dim(delta)}
+    # the degree is the number of inversions of the dotted weight, and the
+    # dimension that of the dominant weight it sorts to, read dotted
+    ell = sum(starmap(lt, combinations(dotted, 2)))
+    return {ell: _weyl_quotient(sorted(dotted, reverse=True))}
 
 
 def _check_weight(w, k, n):
@@ -82,8 +86,15 @@ def _lr_restricted(a, b, rows):
     Shift both factors into partitions with last entry 0, expand with at
     most rows parts, unshift.  Equivariance under det twists makes the
     shift harmless; a property test pins it.  Shifting down as well as up
-    keeps the cost of a twist O(t) independent of t.
+    keeps the cost of a twist O(t) independent of t.  A constant factor
+    is a det power, and tensoring by it shifts the other factor.
     """
+    if a[0] == a[-1]:
+        c = a[0]
+        return {tuple([x + c for x in b]): 1}
+    if b[0] == b[-1]:
+        c = b[0]
+        return {tuple([x + c for x in a]): 1}
     sa = -a[-1]
     sb = -b[-1]
     # the shifted entries are nonnegative and weakly decreasing, so
@@ -272,7 +283,8 @@ class _Cursor:
 
     def take_int(self):
         tok, pos = self.toks[self.i]
-        if tok is None or not re.fullmatch(r"-?[0-9]+", tok):
+        # of the tokens, only the integers end in a digit
+        if tok is None or tok[-1] not in "0123456789":
             raise ValueError("parse error at position %d: expected an integer"
                              % pos)
         self.i += 1
@@ -292,14 +304,16 @@ def _parse_exps(cur):
 
 
 def _parse_factor(cur, k, n):
+    """One factor as a BundleExpr: its weight is built once, checked only
+    when a Schur power spells it out, twisted, and made canonical."""
     pos = cur.pos()
     tok = cur.take()
     if tok == "O":
-        expr = BundleExpr.structure_sheaf(k, n)
+        w = (0,) * n
     elif tok == "U*":
-        expr = BundleExpr.schur_u_dual((1,), k, n)
+        w = (1,) + (0,) * (n - 1)
     elif tok == "Q*":
-        expr = BundleExpr.schur_q_dual((1,), k, n)
+        w = (0,) * k + (1,) + (0,) * (n - k - 1)
     elif tok == "S^":
         exps = _parse_exps(cur)
         which = cur.take()
@@ -310,17 +324,22 @@ def _parse_factor(cur, k, n):
         if len(exps) > rank:
             raise ValueError("parse error at position %d: %s weight has more "
                              "than %d entries" % (pos, which, rank))
-        expr = (BundleExpr.schur_u_dual if which == "U*"
-                else BundleExpr.schur_q_dual)(exps, k, n)
+        pad = (0,) * (rank - len(exps))
+        w = (exps + pad + (0,) * (n - k) if which == "U*"
+             else (0,) * k + exps + pad)
     else:
         raise ValueError("parse error at position %d: unexpected %r"
                          % (pos, tok))
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    if tok == "S^":
+        _check_weight(w, k, n)
     if cur.peek() == "(":
         cur.take("(")
         t = cur.take_int()
         cur.take(")")
-        expr = expr.twist(t)
-    return expr
+        w = tuple([x + t for x in w[:k]]) + w[k:]
+    return object.__new__(BundleExpr)._canonical(k, n, ((w, 1),))
 
 
 def parse_bundle(text, k, n):

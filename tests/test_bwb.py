@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from qspectra.bwb import (BundleExpr, CollectionVerdict, bott,
                           hom_bundle, parse_bundle, weyl_dim)
 from qspectra.lefschetz import (LefschetzCollection, builtin_collection,
                                 twisted_objects)
+from qspectra.schur import lr_coeffs
 from qspectra.varieties import REGISTRY, parse_variety
 
 
@@ -97,6 +99,100 @@ def test_bott_single_degree(kn, data):
     for deg, d in table.items():
         assert 0 <= deg <= n * (n - 1) // 2
         assert d > 0
+
+
+# The double loops over positive roots that weyl_dim and bott ran before
+# they moved into itertools: an independent reading of the same formulas.
+
+def _loop_weyl_dim(delta):
+    n = len(delta)
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= delta[i] - delta[j] + j - i
+            den *= j - i
+    if num % den or num <= 0:
+        raise AssertionError("Weyl dimension must be a positive integer")
+    return num // den
+
+
+def _loop_bott(w, k, n):
+    w = tuple(w)
+    if any(type(x) is not int for x in w):
+        raise TypeError("weight entries must be ints, got %r" % (w,))
+    if len(w) != n:
+        raise ValueError("weight length %d, expected %d" % (len(w), n))
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    rho = tuple(range(n - 1, -1, -1))
+    dotted = tuple(w[i] + rho[i] for i in range(n))
+    if len(set(dotted)) < n:
+        return {}
+    ell = sum(1 for i in range(n) for j in range(i + 1, n)
+              if dotted[i] < dotted[j])
+    srt = sorted(dotted, reverse=True)
+    delta = tuple(srt[i] - rho[i] for i in range(n))
+    return {ell: _loop_weyl_dim(delta)}
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError, AssertionError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_bott_matches_the_loops_on_every_small_weight():
+    for n in range(2, 6):
+        weights = list(product(range(-3, 4), repeat=n))
+        for k in range(1, n):
+            for w in weights:
+                assert bott(w, k, n) == _loop_bott(w, k, n), (w, k)
+
+
+def test_weyl_dim_matches_the_loops_on_every_small_weight():
+    # the non-dominant weights among these raise, with the same message
+    raised = 0
+    for n in range(1, 6):
+        for delta in product(range(-3, 4), repeat=n):
+            got = _outcome(weyl_dim, delta)
+            assert got == _outcome(_loop_weyl_dim, delta), delta
+            raised += type(got) is tuple
+    assert raised > 10000
+
+
+@pytest.mark.parametrize("w,k,n", [
+    ((0, 1, 0, 0), 2, 4),                  # dotted (3, 3, 1, 0)
+    ((0, 0, 0, 3), 1, 4),                  # dotted (3, 2, 1, 3)
+    ((-3, -2, -1, 0), 2, 4),               # anti-dominant, degenerate
+    ((-6, -4, -2, 0), 2, 4),               # anti-dominant, longest element
+    ((-5, -5, -5, -5, 0), 4, 5),
+    ((10**12 + 1, 10**12, 0, 0), 2, 4),
+    ((-10**12, -10**12, 0, 0, 0), 2, 5),
+    ((0, 0, 10**12, 10**12 - 1, -10**12), 2, 5),
+    ((10**12, 0, -10**12), 1, 3),
+    ((1.9, 0, 0, 0), 2, 4),
+    ((True, 0, 0, 0), 2, 4),
+    (("1", 0, 0, 0), 2, 4),
+    ((0, 0, 0), 2, 4),
+    ((0,) * 5, 2, 4),
+    ((), 0, 0),
+    ((0, 0, 0, 0), 0, 4),
+    ((0, 0, 0, 0), 4, 4),
+    ((0, 0, 0, 0), -1, 4),
+])
+def test_bott_matches_the_loops_on_edge_weights(w, k, n):
+    assert _outcome(bott, w, k, n) == _outcome(_loop_bott, w, k, n)
+
+
+@pytest.mark.parametrize("delta", [
+    (), (0,), (-7,), (10**12,), (10**12 + 3, 10**12, 10**12, -10**12),
+    (0, 1), (-3, -2, -1, 0), (0, 0, 0, 5), (2, 3, 1), (1, 0, -1, -1),
+])
+def test_weyl_dim_matches_the_loops_on_edge_weights(delta):
+    assert _outcome(weyl_dim, delta) == _outcome(_loop_weyl_dim, delta)
 
 
 # --- BundleExpr algebra -------------------------------------------------
@@ -238,6 +334,38 @@ def test_tensor_commutes(kn, data):
     assert E.tensor(F) == F.tensor(E)
 
 
+def _lr_shifted(a, b, rows):
+    """S^a tensor S^b for GL(rows) through the Littlewood-Richardson rule
+    alone: shift both into partitions, expand, shift back."""
+    sa, sb = -a[-1], -b[-1]
+    pa = tuple(x + sa for x in a if x + sa)
+    pb = tuple(x + sb for x in b if x + sb)
+    return {tuple(x - sa - sb for x in nu + (0,) * (rows - len(nu))): c
+            for nu, c in lr_coeffs(pa, pb, rows)}
+
+
+def _dominant_weights(rows, shift):
+    """Every weakly decreasing weight with entries in shift - 2..shift + 2."""
+    return [w for w in product(range(shift + 2, shift - 3, -1), repeat=rows)
+            if all(x >= y for x, y in zip(w, w[1:]))]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_det_power_factor_is_a_shift(rows):
+    shifts = (-5, 0, 7)
+    for c in shifts:
+        det = (c,) * rows
+        for s in shifts:
+            for w in _dominant_weights(rows, s):
+                assert bwb._lr_restricted(det, w, rows) == \
+                    _lr_shifted(det, w, rows), (det, w)
+                assert bwb._lr_restricted(w, det, rows) == \
+                    _lr_shifted(w, det, rows), (w, det)
+            other = (s,) * rows
+            assert bwb._lr_restricted(det, other, rows) == \
+                _lr_shifted(det, other, rows) == {(c + s,) * rows: 1}
+
+
 # --- descriptor grammar -------------------------------------------------
 
 def test_parse_basic_descriptors():
@@ -306,11 +434,26 @@ def test_parse_errors_carry_positions():
     (" x", 4, "position 1: unexpected 'x'"),
     ("S^- U*", 4, "position 2: unexpected '-'"),
     ("  ", 4, "position 2: unexpected end of input"),
+    # integers are ASCII digits, and the tokenizer already refuses others
+    ("S^\u0662 U*", 4, "position 2: unexpected '\u0662'"),
+    ("O(\u0662)", 4, "position 2: unexpected '\u0662'"),
 ])
 def test_parse_error_messages_are_pinned(text, n, message):
     with pytest.raises(ValueError) as err:
         parse_bundle(text, 2, n)
     assert str(err.value) == "parse error at " + message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("S^(1,2) U*()", "U* weight must be weakly decreasing"),
+    ("S^(1,2) U*(1", "U* weight must be weakly decreasing"),
+    ("S^(0,1) Q*(", "Q* weight must be weakly decreasing"),
+    ("S^(0,1) Q*(1,2)", "Q* weight must be weakly decreasing"),
+])
+def test_schur_weight_is_checked_before_the_twist(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_bundle(text, 2, 4)
+    assert str(err.value) == message
 
 
 def test_parse_bounds_the_weight_spread():
@@ -410,6 +553,11 @@ def test_internal_operations_do_not_recheck_weights(monkeypatch):
     assert calls == []
     BundleExpr.schur_u_dual((1,), 2, 5)
     assert calls == [(1, 0, 0, 0, 0)]
+    # a parse checks the weight each Schur power spells out, once, and
+    # builds O, U* and Q* from weights that are valid as written
+    calls.clear()
+    parse_bundle("O(1) * S^(2,1) U*(-1) * U* * Q*(2) * S^2 Q* * O", 2, 5)
+    assert calls == [(2, 1, 0, 0, 0), (0, 0, 2, 0, 0)]
 
 
 # --- hom bundles --------------------------------------------------------
