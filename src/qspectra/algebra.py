@@ -26,6 +26,17 @@ def integer_cells(cells):
              for cell in row] for row in cells], den
 
 
+def _lowest_terms(upper, den):
+    """The upper triangle of (k, int) cells and den, divided by their gcd."""
+    if den == 1:
+        return upper, den
+    g = gcd(den, *(c for row in upper for cell in row for _k, c in cell))
+    if g == 1:
+        return upper, den
+    return [[tuple([(k, c // g) for k, c in cell]) for cell in row]
+            for row in upper], den // g
+
+
 def _square(upper):
     """The square of the upper triangle upper[i][j - i]; (j, i) is (i, j)."""
     return tuple(tuple([upper[j][i - j] for j in range(i)] + upper[i])
@@ -72,22 +83,36 @@ class FiniteCommAlgebra:
                     raise TypeError("expected an int cell value, got %r" % (c,))
             if items and not (0 <= items[0][0] and items[-1][0] < dim):
                 raise ValueError("basis index out of range in table")
-            return [(k, c) for k, c in items if c]
+            return tuple([(k, c) for k, c in items if c])
 
-        upper = [[exact(cell) for cell in row] for row in cells]
-        g = gcd(den, *(c for row in upper for cell in row for _k, c in cell))
-        self.rows = _square([[tuple([(k, c // g) for k, c in cell])
-                              for cell in row] for row in upper])
+        upper, den = _lowest_terms([[exact(cell) for cell in row]
+                                    for row in cells], den)
+        self._store(name, basis_labels, upper, den, vec(unit),
+                    tuple(d % fano_index for d in degrees), fano_index,
+                    vec(anticanonical), dim_X)
+
+    def _store(self, name, basis_labels, upper, den, unit, degrees,
+               fano_index, anticanonical, dim_X):
+        """Store a table as it is given, with no check: upper[i] is the
+        list of cells upper[i][j - i], j >= i, each the tuple of the
+        nonzero (k, int) pairs of den * b_i * b_j sorted by k; den is in
+        lowest terms with the cells; degrees are reduced mod fano_index;
+        unit and anticanonical are tuples of Fractions.  The constructor
+        ends here, and the package's own builders, whose tables are made
+        from checked ints, call it directly:
+        object.__new__(FiniteCommAlgebra)._store(...)."""
+        self.rows = _square(upper)
         self.name = name
         self.basis_labels = tuple(basis_labels)
-        self.dim = dim
-        self.den = den // g
-        self.unit = vec(unit)
-        self.degrees = tuple(d % fano_index for d in degrees)
+        self.dim = len(self.basis_labels)
+        self.den = den
+        self.unit = unit
+        self.degrees = degrees
         self.fano_index = fano_index
-        self.anticanonical = vec(anticanonical)
+        self.anticanonical = anticanonical
         self.dim_X = dim_X
         self._structure = None
+        return self
 
     @property
     def structure(self):
@@ -101,9 +126,6 @@ class FiniteCommAlgebra:
             self._structure = _square([[dense(cell) for cell in row[i:]]
                                        for i, row in enumerate(self.rows)])
         return self._structure
-
-    def basis_vector(self, i):
-        return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
     def sparse_product(self, u, v):
         """den times the product of two integer vectors, each given by its
@@ -375,8 +397,8 @@ def from_presentation(P):
     ops = [[tuple(cell.items()) for cell in op] for op in ops]
 
     # rows[i][j - i], j >= i: D^|b_i| b_i * b_j, |b_i| the total degree
-    # (one variable per step), zeros kept for the constructor to drop;
-    # b_0 = 1 and b_i' precedes b_i, so its row reaches every j >= i
+    # (one variable per step); b_0 = 1 and b_i' precedes b_i, so its row
+    # reaches every j >= i
     rows = [[{j: 1} for j in range(d)]]
     for i in range(1, d):
         t = next(t for t, x in enumerate(basis[i]) if x)
@@ -393,6 +415,11 @@ def from_presentation(P):
         rows.append(row)
     # the basis runs by weight, so its last monomial need not be the deepest
     top = max(map(sum, basis))
+    upper, den = _lowest_terms(
+        [[tuple(sorted([(k, c * s) for k, c in cell.items() if c]))
+          for cell in row]
+         for row, s in zip(rows, (D ** (top - sum(e)) for e in basis))],
+        D ** top)
 
     names = [v for v, _ in P.variables]
 
@@ -406,15 +433,14 @@ def from_presentation(P):
         return "*".join(parts) if parts else "1"
 
     m = P.fano_index
-    degrees = [sum(w * x for w, x in zip(weights, e)) % m for e in basis]
-    return FiniteCommAlgebra(
+    return object.__new__(FiniteCommAlgebra)._store(
         name=P.name,
         basis_labels=[label(e) for e in basis],
-        cells=[[{k: c * s for k, c in cell.items()} for cell in row]
-               for row, s in zip(rows, (D ** (top - sum(e)) for e in basis))],
-        den=D ** top,
+        upper=upper,
+        den=den,
         unit=dense({0: _ONE}),
-        degrees=degrees,
+        degrees=tuple(sum(w * x for w, x in zip(weights, e)) % m
+                      for e in basis),
         fano_index=m,
         anticanonical=dense(reduce(P.anticanonical)),
         dim_X=P.dim_X,

@@ -154,17 +154,6 @@ class BundleExpr:
     def structure_sheaf(cls, k, n):
         return cls(k, n, {(0,) * n: 1})
 
-    # each block is padded on its own, so an overlong one fails the length
-    @classmethod
-    def schur_u_dual(cls, lam, k, n):
-        lam = tuple(lam)
-        return cls(k, n, {lam + (0,) * (k - len(lam)) + (0,) * (n - k): 1})
-
-    @classmethod
-    def schur_q_dual(cls, mu, k, n):
-        mu = tuple(mu)
-        return cls(k, n, {(0,) * k + mu + (0,) * (n - k - len(mu)): 1})
-
     def twist(self, t):
         return object.__new__(BundleExpr)._canonical(self.k, self.n, (
             (tuple(x + t for x in w[:self.k]) + w[self.k:], m)

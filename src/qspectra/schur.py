@@ -175,12 +175,14 @@ def _ring(k, n, shapes, cells):
         raise AssertionError("negative structure constant in G(%d,%d) product"
                              % (k, n))
     unit, sigma1 = shapes.index(()), shapes.index((1,))
-    return FiniteCommAlgebra(
+    return object.__new__(FiniteCommAlgebra)._store(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
-        cells=cells, den=1,
+        upper=[[tuple(sorted([(l, c) for l, c in cell.items() if c]))
+                for cell in row] for row in cells],
+        den=1,
         unit=tuple(_ONE if i == unit else _ZERO for i in range(len(shapes))),
-        degrees=[sum(p) % n for p in shapes],
+        degrees=tuple(sum(p) % n for p in shapes),
         fano_index=n,
         anticanonical=tuple(Fraction(n) if i == sigma1 else _ZERO
                             for i in range(len(shapes))),

@@ -8,6 +8,12 @@ ideals, so the two fibers are quotients of the algebra by them.
 Everything downstream -- orbit counts, Hilbert functions, comparisons with
 Milnor algebras -- is linear algebra over the two pieces.
 
+The report builds only the zero fiber, the object compared with the
+residual category.  Of the invertible fiber it needs the dimension and
+the point count: the algebra is the product of the two fibers and trace
+forms add, so those are the ring's less the zero fiber's.  kappa_split
+builds both fibers through the same quotient and is kept as the oracle.
+
 The work follows the Z/m grading by the Fano index m.  kappa has degree
 1, so its operator M maps each graded piece V_d to V_{d+1} and is read
 as the cycle of those m blocks: the characteristic polynomial comes from
@@ -26,7 +32,8 @@ of scale.
 from fractions import Fraction
 from math import lcm
 
-from .algebra import FiniteCommAlgebra, _nonzero, jacobi_ring
+from .algebra import (FiniteCommAlgebra, _lowest_terms, _nonzero,
+                      jacobi_ring)
 from .exactlin import (
     _ZERO,
     Matrix,
@@ -170,57 +177,96 @@ class _KappaCycle:
 
 
 def _empty_part(A, name):
-    return FiniteCommAlgebra(
-        name=name, basis_labels=(), cells=(), den=1, unit=(), degrees=(),
+    return object.__new__(FiniteCommAlgebra)._store(
+        name=name, basis_labels=(), upper=[], den=1, unit=(), degrees=(),
         fano_index=A.fano_index, anticanonical=(), dim_X=A.dim_X)
 
 
 def _quotient(A, name, ideal):
-    """A modulo the ideal spanned by the reduced echelon vectors ideal.
+    """A modulo the ideal spanned by the integer rows ideal.
 
-    Each vector is 1 at its pivot p and 0 at the other pivots, so modulo
-    the ideal b_p is minus the tail of p's vector, and A's b_k at the other
-    columns, with their labels and degrees, are a basis of the quotient.
-    Cells, unit and kappa are images of A's, read off the integer rows
-    with the tails cleared once over the lcm L of their denominators; the
-    cells stay integers over A.den * L.
+    Each row is the sorted nonzero (k, int) pairs of a reduced echelon
+    vector times the positive value s at its pivot p, its first entry,
+    and is 0 at the other pivots; so modulo the ideal b_p is minus the
+    tail of p's row over s, and A's b_k at the other columns, with their
+    labels and degrees, are a basis of the quotient.  Cells, unit and
+    kappa are images of A's, read off the integer rows with the tails
+    cleared once over the lcm L of the pivot values; the cells stay
+    integers over A.den * L and go to the constructor's private step.
     """
-    cleared = [clear_denominators(v) for v in ideal]
-    L = lcm(*(s for _v, s in cleared))
-    pivots = [next(k for k, x in enumerate(v) if x) for v, _s in cleared]
+    L = lcm(*(row[0][1] for row in ideal))
+    pivots = [row[0][0] for row in ideal]
     keep = sorted(set(range(A.dim)).difference(pivots))
     new = {k: i for i, k in enumerate(keep)}
     # L times the image of each b_k, in the quotient basis
     image = {k: [(i, L)] for k, i in new.items()}
-    for p, (v, s) in zip(pivots, cleared):
-        image[p] = [(new[k], -(L // s) * x) for k, x in enumerate(v)
-                    if x and k != p]
+    for row in ideal:
+        s = L // row[0][1]
+        image[row[0][0]] = [(new[k], -s * x) for k, x in row[1:]]
 
     def reduce(pairs):
-        # pairs are (k, c) with ints c; L times their image
+        # pairs are (k, c) with ints c; L times their image, as sorted
+        # nonzero pairs
         out = {}
         for k, c in pairs:
             for i, x in image[k]:
                 out[i] = out.get(i, 0) + c * x
-        return out
+        return tuple(sorted([(i, x) for i, x in out.items() if x]))
 
     def dense(v):
         ints, d = clear_denominators(v)
-        cell = reduce(enumerate(ints))
-        return [Fraction(cell.get(i, 0), d * L) for i in range(len(keep))]
+        cell = dict(reduce(enumerate(ints)))
+        return tuple(Fraction(cell.get(i, 0), d * L)
+                     for i in range(len(keep)))
 
-    return FiniteCommAlgebra(
+    upper, den = _lowest_terms([[reduce(A.rows[i][k]) for k in keep[a:]]
+                                for a, i in enumerate(keep)], A.den * L)
+    return object.__new__(FiniteCommAlgebra)._store(
         name=name,
         basis_labels=[A.basis_labels[k] for k in keep],
-        cells=[[reduce(A.rows[i][k]) for k in keep[a:]]
-               for a, i in enumerate(keep)],
-        den=A.den * L,
+        upper=upper,
+        den=den,
         unit=dense(A.unit),
-        degrees=[A.degrees[k] for k in keep],
+        degrees=tuple(A.degrees[k] for k in keep),
         fano_index=A.fano_index,
         anticanonical=dense(A.anticanonical),
         dim_X=A.dim_X,
     )
+
+
+def _integer_rows(pieces, bases):
+    """The vectors of each bases[t], which live on the piece pieces[t], as
+    _quotient's integer rows of A's width: each is cleared of denominators
+    at its piece's own width, and its nonzero entries are moved to A's
+    indices, which keeps them sorted."""
+    return [[(idx[i], x) for i, x in enumerate(clear_denominators(v)[0]) if x]
+            for idx, basis in zip(pieces, bases) for v in basis]
+
+
+def _fitting_power(A, a, cycle):
+    """The columns of scale^r M^r on each piece and the integer rows of
+    im M^r, for the least r at which the kernels of M^r on the pieces add
+    up to a.
+
+    M^r maps each piece V_d to V_{d+r}, so r steps through the blocks; the
+    kernel on V_d has dimension |V_d| minus the rank of its image, the
+    length of the image's reduced echelon basis, so r comes from ranks
+    alone.  By Fitting's lemma r never passes a.
+    """
+    pieces, m = cycle.pieces, len(cycle.blocks)
+    # cols[d] is scale^r times M^r on V_d, column by column in V_{d+r}
+    cols = [[[int(i == j) for i in range(len(idx))] for j in range(len(idx))]
+            for idx in pieces]
+    for r in range(1, a + 1):
+        cols = [[_apply(cycle.blocks[(d + r - 1) % m], w) for w in piece]
+                for d, piece in enumerate(cols)]
+        images = [span_basis(piece) for piece in cols]
+        if sum(map(len, images)) == A.dim - a:
+            break
+    else:
+        raise AssertionError("fiber dimensions disagree with the charpoly")
+    return cols, _integer_rows([pieces[(d + r) % m] for d in range(m)],
+                               images)
 
 
 def kappa_split(A, p=None, cycle=None):
@@ -232,11 +278,10 @@ def kappa_split(A, p=None, cycle=None):
     Fitting's lemma A is the direct sum of the ideals ker M^r and im M^r
     once r reaches the nilpotency index of M on its generalized kernel,
     whose dimension a is the order of p at zero; then A_zero = A / im M^r
-    and A_nonzero = A / ker M^r.  M^r maps each piece V_d to V_{d+r}, so
-    r steps through the blocks until the kernels on the pieces add up to
-    a, and the reduced echelon bases of both ideals are collected piece by
-    piece: both quotients are graded algebras on some of A's own basis
-    elements.
+    and A_nonzero = A / ker M^r.  The reduced echelon bases of both ideals
+    are collected piece by piece, so both quotients are graded algebras on
+    some of A's own basis elements.  The report builds only A_zero, the
+    same way; this full split is kept as its oracle.
     """
     if cycle is None:
         cycle = _KappaCycle(A)
@@ -247,31 +292,17 @@ def kappa_split(A, p=None, cycle=None):
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:
         return A, _empty_part(A, "%s (invertible fiber)" % A.name)
-    pieces, m = cycle.pieces, len(cycle.blocks)
-    # cols[d] is scale^r times M^r on V_d, column by column in V_{d+r}
-    cols = [[[int(i == j) for i in range(len(idx))] for j in range(len(idx))]
-            for idx in pieces]
-    for r in range(1, a + 1):
-        cols = [[_apply(cycle.blocks[(d + r - 1) % m], w) for w in piece]
-                for d, piece in enumerate(cols)]
-        kernels = [kernel_basis(list(zip(*piece)), len(piece))
-                   for piece in cols]
-        if sum(map(len, kernels)) == a:
-            break
-    ideal_zero, ideal_one = [], []  # ker M^r and im M^r
-    for d, (kernel, piece) in enumerate(zip(kernels, cols)):
-        ideal_zero.extend(_embed(A.dim, pieces[d], v)
-                          for v in span_basis(kernel))
-        ideal_one.extend(_embed(A.dim, pieces[(d + r) % m], v)
-                         for v in span_basis(piece))
-    if len(ideal_zero) != a or len(ideal_one) != A.dim - a:
-        raise AssertionError("fiber dimensions disagree with the charpoly")
-    return (_quotient(A, "%s (zero fiber)" % A.name, ideal_one),
-            _quotient(A, "%s (invertible fiber)" % A.name, ideal_zero))
+    cols, image = _fitting_power(A, a, cycle)
+    kernels = [span_basis(kernel_basis(list(zip(*piece)), len(piece)))
+               for piece in cols]
+    return (_quotient(A, "%s (zero fiber)" % A.name, image),
+            _quotient(A, "%s (invertible fiber)" % A.name,
+                      _integer_rows(cycle.pieces, kernels)))
 
 
-def orbit_analysis(A_nonzero, m, g):
-    """Orbit counts for the root-of-unity action on the invertible fiber.
+def orbit_analysis(dim, points, m, g):
+    """Orbit counts for the root-of-unity action on the invertible fiber,
+    from its dimension dim and its number of geometric points.
 
     orbit_count_by_length divides the vector-space length by m,
     orbit_count_by_points the geometric points; charpoly_rotation_invariant
@@ -281,12 +312,11 @@ def orbit_analysis(A_nonzero, m, g):
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    points = point_count(A_nonzero)
-    k_len = Fraction(A_nonzero.dim, m)
+    k_len = Fraction(dim, m)
     k_pts = Fraction(points, m)
     return {
         "nonzero_point_count": points,
-        "nonzero_semisimple": points == A_nonzero.dim,
+        "nonzero_semisimple": points == dim,
         "orbit_count_by_length":
             int(k_len) if k_len.denominator == 1 else k_len,
         "orbit_length_integral": k_len.denominator == 1,
@@ -397,15 +427,27 @@ class SpectrumReport:
 
 
 def quantum_spectrum_report(A):
-    """Compose the split, orbit, and local analyses into one report."""
+    """Compose the split, orbit, and local analyses into one report.
+
+    Only the zero fiber A / im kappa^r is built: the invertible fiber has
+    the ring's dimension and points less the zero fiber's, and kappa's
+    charpoly on it is p with the factor x^a removed.
+    """
     cycle = _KappaCycle(A)
     p = cycle.charpoly()
-    A_zero, A_nonzero = kappa_split(A, p, cycle)
-    # kappa is nilpotent on the zero fiber and invertible on the other, so
-    # the invertible fiber's charpoly is p with its factor x^a removed
-    orbits = orbit_analysis(A_nonzero, A.fano_index, split_at_zero(p)[1])
+    a, g = split_at_zero(p)
+    if a == 0:
+        A_zero = _empty_part(A, "%s (zero fiber)" % A.name)
+    elif a == A.dim:
+        A_zero = A
+    else:
+        A_zero = _quotient(A, "%s (zero fiber)" % A.name,
+                           _fitting_power(A, a, cycle)[1])
     local = local_invariants(A_zero)
+    points = 0 if a == A.dim else (
+        point_count(A) - local["geometric_point_count"])
+    orbits = orbit_analysis(A.dim - a, points, A.fano_index, g)
     return SpectrumReport(
         name=A.name, fano_index=A.fano_index, dim_total=A.dim,
-        kappa_charpoly=p, dim_zero_part=A_zero.dim,
-        dim_nonzero_part=A_nonzero.dim, zero_part=local, **orbits)
+        kappa_charpoly=p, dim_zero_part=a,
+        dim_nonzero_part=A.dim - a, zero_part=local, **orbits)

@@ -21,6 +21,11 @@ from qspectra.spectrum import (compare_with_jacobi, kappa_split,
                                quantum_spectrum_report)
 
 
+def _basis_vector(A, i):
+    """The coordinates of b_i in A's basis."""
+    return tuple(int(j == i) for j in range(A.dim))
+
+
 def _announce(i, text):
     print("ACCEPTANCE %d PASS: %s" % (i, text))
 
@@ -189,7 +194,7 @@ def test_criterion_7_property_suites():
         M = mult_matrix(A, A.anticanonical)
         a, _g = split_at_zero(charpoly(M))
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in M.data]
-        cols = [A.basis_vector(i) for i in range(A.dim)]
+        cols = [_basis_vector(A, i) for i in range(A.dim)]
         for _ in range(a):
             cols = [tuple(sum((x * v[j] for j, x in row), Fraction(0))
                           for row in rows) for v in cols]

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qspectra import algebra, spectrum
 from qspectra.algebra import (
@@ -29,18 +31,23 @@ from qspectra.varieties import REGISTRY
 F = Fraction
 
 
+def _basis_vector(A, i):
+    """The coordinates of b_i in A's basis."""
+    return tuple(int(j == i) for j in range(A.dim))
+
+
 # ---------------------------------------------------------------- projective
 
 def test_projective_line():
     A = qh_projective(1)
     assert A.dim == 2
-    assert A.product(A.basis_vector(1), A.basis_vector(1)) == A.unit
+    assert A.product(_basis_vector(A, 1), _basis_vector(A, 1)) == A.unit
     assert A.anticanonical == (F(0), F(2))
 
 
 def test_projective_plane_wraps():
     A = qh_projective(2)
-    h, h2 = A.basis_vector(1), A.basis_vector(2)
+    h, h2 = _basis_vector(A, 1), _basis_vector(A, 2)
     assert A.product(h, h2) == A.unit
 
 
@@ -129,7 +136,7 @@ def test_mult_by_unit_is_identity():
 
 def test_mult_matrix_projective_line_swap():
     A = qh_projective(1)
-    assert mult_matrix(A, A.basis_vector(1)) == Matrix([[0, 1], [1, 0]])
+    assert mult_matrix(A, _basis_vector(A, 1)) == Matrix([[0, 1], [1, 0]])
 
 
 def test_mult_matrix_is_linear_and_commuting():
@@ -279,16 +286,18 @@ def test_rows_and_denominator_stay_canonical(monkeypatch):
     # the invertible fiber of IG(2,2n) arrives over A.den * L = n with
     # every cell divisible by n, and comes out over 1; D5 given with six
     # times every cell over six times its den comes out as D5
-    arrived = {}
+    arrived = []
+    lowest = spectrum._lowest_terms
 
-    def build(**fields):
-        arrived[fields["name"]] = fields["den"]
-        return FiniteCommAlgebra(**fields)
+    def recorded(upper, den):
+        arrived.append(den)
+        return lowest(upper, den)
 
-    monkeypatch.setattr(spectrum, "FiniteCommAlgebra", build)
+    monkeypatch.setattr(spectrum, "_lowest_terms", recorded)
     for n in range(2, 6):
         zero, nonzero = kappa_split(qh_ig2(n))
-        assert arrived[nonzero.name] == n
+        # the zero fiber's quotient comes first, the invertible fiber's last
+        assert arrived[-1] == n
         assert (zero.den, nonzero.den) == (1, 1)
     A = jacobi_ring("D5")
     zero, _nonzero = kappa_split(A)
@@ -296,6 +305,155 @@ def test_rows_and_denominator_stay_canonical(monkeypatch):
     B = _with_cells(A, [[{k: 6 * c for k, c in cell.items()} for cell in row]
                         for row in _cells(A)], 6 * A.den)
     assert (B.rows, B.den) == (A.rows, A.den)
+
+
+# the public constructor against its private step
+
+def _stored(A):
+    return (A.name, A.basis_labels, A.dim, A.rows, A.den, A.unit, A.degrees,
+            A.fano_index, A.anticanonical, A.dim_X)
+
+
+def _fields(A):
+    """The public constructor's arguments for A's own table."""
+    return {"name": A.name, "basis_labels": A.basis_labels,
+            "cells": _cells(A), "den": A.den, "unit": A.unit,
+            "degrees": A.degrees, "fano_index": A.fano_index,
+            "anticanonical": A.anticanonical, "dim_X": A.dim_X}
+
+
+def _private_route(fields):
+    """The table of fields through the private step alone, brought into
+    its contract here: sorted nonzero int cells in lowest terms with den,
+    degrees reduced, unit and kappa as Fractions."""
+    upper = [[tuple(sorted((k, c) for k, c in cell.items() if c))
+              for cell in row] for row in fields["cells"]]
+    g = math.gcd(fields["den"], *(c for row in upper for cell in row
+                                  for _k, c in cell))
+    m = fields["fano_index"]
+    return object.__new__(FiniteCommAlgebra)._store(
+        name=fields["name"], basis_labels=fields["basis_labels"],
+        upper=[[tuple((k, c // g) for k, c in cell) for cell in row]
+               for row in upper],
+        den=fields["den"] // g,
+        unit=tuple(map(Fraction, fields["unit"])),
+        degrees=tuple(d % m for d in fields["degrees"]),
+        fano_index=m,
+        anticanonical=tuple(map(Fraction, fields["anticanonical"])),
+        dim_X=fields["dim_X"])
+
+
+@st.composite
+def _valid_tables(draw):
+    # any int cells over any positive den are a valid table for the
+    # constructor, which checks types and shapes, not ring axioms; a common
+    # factor t gives its gcd step something to divide
+    dim = draw(st.integers(0, 4))
+    t = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    cells = [[{k: t * c for k, c in draw(st.dictionaries(
+                  st.integers(0, dim - 1), st.integers(-6, 6),
+                  max_size=dim)).items()}
+              for _j in range(i, dim)] for i in range(dim)]
+    return {"name": "T", "basis_labels": ["b%d" % i for i in range(dim)],
+            "cells": cells, "den": t * draw(st.integers(1, 12)),
+            "unit": draw(st.lists(entry, min_size=dim, max_size=dim)),
+            "degrees": draw(st.lists(st.integers(-5, 9), min_size=dim,
+                                     max_size=dim)),
+            "fano_index": draw(st.integers(1, 4)),
+            "anticanonical": draw(st.lists(entry, min_size=dim,
+                                           max_size=dim)),
+            "dim_X": dim}
+
+
+@given(_valid_tables())
+def test_public_and_private_routes_store_the_same_table(fields):
+    A = FiniteCommAlgebra(**fields)
+    assert _stored(A) == _stored(_private_route(fields))
+    assert all(type(c) is int for row in A.rows for cell in row
+               for _k, c in cell)
+    assert all(type(x) is Fraction for x in A.unit + A.anticanonical)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qh_projective(1),
+    lambda: jacobi_ring("E8"),
+    lambda: _with_cells(qh_projective(3),
+                        [[{k: 6 * c for k, c in cell.items()} for cell in row]
+                         for row in _cells(qh_projective(3))], 6),
+    lambda: FiniteCommAlgebra(
+        name="T", basis_labels=("1", "x"),
+        cells=[[{1: 0, 0: 4}, {1: 4, 0: 0}], [{0: -2, 1: 6}]], den=8,
+        unit=(1, 0), degrees=(0, -1), fano_index=2,
+        anticanonical=(0, F(1, 2)), dim_X=1),
+])
+def test_public_and_private_routes_store_explicit_tables_alike(make):
+    A = make()
+    fields = _fields(A)
+    assert _stored(A) == _stored(_private_route(fields)) \
+        == _stored(FiniteCommAlgebra(**fields))
+
+
+def test_the_builders_store_what_the_public_route_would():
+    # every table the package builds through the private step (the
+    # presentations, the Pieri walk and both kappa fibers) is what the
+    # public constructor makes of its own cells
+    rings = [d.provider() for d in REGISTRY.values()]
+    rings += [qh_ig2(6), qh_grassmannian(3, 7)]
+    for A in list(rings):
+        rings.extend(kappa_split(A))
+    for A in rings:
+        assert _stored(A) == _stored(_with_cells(A, _cells(A), A.den)), A.name
+
+
+def _bad(field, value):
+    def make():
+        fields = _fields(qh_projective(2))
+        if field == "cell":
+            fields["cells"][1][0].update(value)
+        else:
+            fields[field] = value(fields[field]) if callable(value) \
+                else value
+        return fields
+    return make
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (_bad("cells", lambda c: c[:-1]), ValueError, "cells shape mismatch"),
+    (_bad("cells", lambda c: [row + [{}] for row in c]), ValueError,
+     "cells shape mismatch"),
+    (_bad("unit", lambda v: v[:-1]), ValueError, "vector length mismatch"),
+    (_bad("anticanonical", lambda v: v + (0,)), ValueError,
+     "vector length mismatch"),
+    (_bad("degrees", lambda v: v[:-1]), ValueError,
+     "vector length mismatch"),
+    (_bad("den", 0), ValueError, "den must be a positive int, got 0"),
+    (_bad("den", 1.0), ValueError, "den must be a positive int, got 1.0"),
+    (_bad("den", True), ValueError, "den must be a positive int, got True"),
+    (_bad("fano_index", 3.0), TypeError,
+     "fano_index must be an int, got 3.0"),
+    (_bad("fano_index", 0), ValueError, "fano_index must be positive"),
+    (_bad("cell", {1: 1.5}), TypeError, "expected an int cell value, got 1.5"),
+    (_bad("cell", {1: F(1)}), TypeError,
+     "expected an int cell value, got Fraction(1, 1)"),
+    (_bad("cell", {1: True}), TypeError,
+     "expected an int cell value, got True"),
+    (_bad("cell", {3: 1}), ValueError, "basis index out of range in table"),
+    (_bad("cell", {-1: 1}), ValueError, "basis index out of range in table"),
+    (_bad("unit", (True, 0, 0)), TypeError,
+     "expected int or Fraction, got True"),
+    (_bad("anticanonical", (0, 0.5, 0)), TypeError,
+     "expected int or Fraction, got 0.5"),
+], ids=["short-triangle", "long-rows", "short-unit", "long-kappa",
+        "short-degrees", "den-0", "den-float", "den-bool", "m-float", "m-0",
+        "cell-float", "cell-fraction", "cell-bool", "index-high",
+        "index-negative", "unit-bool", "kappa-float"])
+def test_public_route_refuses_each_bad_table_as_before(make, error, message):
+    with pytest.raises(error) as caught:
+        FiniteCommAlgebra(**make())
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_lower_cells_are_their_mirrors():
@@ -344,7 +502,7 @@ def test_presentation_truncated_line():
         fano_index=1))
     assert A.dim == 4
     assert A.basis_labels == ("1", "x", "x^2", "x^3")
-    x = A.basis_vector(1)
+    x = _basis_vector(A, 1)
     x3 = A.product(x, A.product(x, x))
     assert A.product(x, x3) == (F(0),) * 4
 
@@ -370,8 +528,8 @@ def test_presentation_g24_cross_check():
     assert A.dim == 6
     assert not validate_algebra(A)
     B = qh_grassmannian(2, 4)
-    pa = charpoly(mult_matrix(A, A.basis_vector(1)))
-    pb = charpoly(mult_matrix(B, B.basis_vector(1)))
+    pa = charpoly(mult_matrix(A, _basis_vector(A, 1)))
+    pb = charpoly(mult_matrix(B, _basis_vector(B, 1)))
     assert pa == pb
     assert charpoly(mult_matrix(A, A.anticanonical)) \
         == charpoly(mult_matrix(B, B.anticanonical))
@@ -541,7 +699,7 @@ def test_jacobi_dimensions(label, dim):
 
 def test_jacobi_top_powers_vanish():
     A = jacobi_ring("D4")
-    x = A.basis_vector(A.basis_labels.index("x"))
+    x = _basis_vector(A, A.basis_labels.index("x"))
     acc = x
     for _ in range(A.dim):
         acc = A.product(acc, x)

@@ -24,6 +24,7 @@ from qspectra.exactlin import (
     Matrix,
     Poly,
     charpoly,
+    clear_denominators,
     kernel_basis,
     rank,
     span_basis,
@@ -39,6 +40,11 @@ from qspectra.spectrum import (
     point_count,
     quantum_spectrum_report,
 )
+
+
+def _basis_vector(A, i):
+    """The coordinates of b_i in A's basis."""
+    return tuple(int(j == i) for j in range(A.dim))
 
 
 def dual_numbers():
@@ -171,12 +177,17 @@ def _fiber_charpoly(nz):
     return charpoly(mult_matrix(nz, nz.anticanonical))
 
 
+def _orbits(nz, m):
+    """orbit_analysis on the counts of the invertible fiber nz."""
+    return orbit_analysis(nz.dim, point_count(nz), m, _fiber_charpoly(nz))
+
+
 def test_orbit_analysis_projective():
     for n in (2, 4):
         A = qh_projective(n)
         _, nz = kappa_split(A)
         g = _fiber_charpoly(nz)
-        out = orbit_analysis(nz, n + 1, g)
+        out = orbit_analysis(nz.dim, point_count(nz), n + 1, g)
         assert out["orbit_count_by_length"] == 1
         assert out["orbit_length_integral"]
         assert out["orbit_count_by_points"] == 1
@@ -188,7 +199,7 @@ def test_orbit_analysis_projective():
 
 def test_orbit_analysis_ig6():
     _, nz = kappa_split(qh_ig2(3))
-    out = orbit_analysis(nz, 5, _fiber_charpoly(nz))
+    out = _orbits(nz, 5)
     assert out["orbit_count_by_length"] == 2
     assert out["orbit_count_by_points"] == 2
     assert out["charpoly_rotation_invariant"]
@@ -196,7 +207,7 @@ def test_orbit_analysis_ig6():
 
 def test_orbit_analysis_g24():
     _, nz = kappa_split(qh_grassmannian(2, 4))
-    out = orbit_analysis(nz, 4, _fiber_charpoly(nz))
+    out = _orbits(nz, 4)
     assert out["orbit_count_by_length"] == 1
     assert out["orbit_count_by_points"] == 1
 
@@ -204,12 +215,12 @@ def test_orbit_analysis_g24():
 def test_orbit_analysis_rejects_bad_m():
     _, nz = kappa_split(qh_projective(1))
     with pytest.raises(ValueError):
-        orbit_analysis(nz, 0, _fiber_charpoly(nz))
+        _orbits(nz, 0)
 
 
 def test_orbit_analysis_reports_non_integrality():
     _, nz = kappa_split(qh_projective(2))
-    out = orbit_analysis(nz, 2, _fiber_charpoly(nz))
+    out = _orbits(nz, 2)
     assert not out["orbit_length_integral"]
     assert out["orbit_count_by_length"] == Fraction(3, 2)
 
@@ -218,8 +229,7 @@ def test_orbit_analysis_reports_non_integrality():
 def test_rotation_invariance_holds_for_graded_algebras(make):
     A = make()
     _, nz = kappa_split(A)
-    assert orbit_analysis(nz, A.fano_index, _fiber_charpoly(nz))[
-        "charpoly_rotation_invariant"]
+    assert _orbits(nz, A.fano_index)["charpoly_rotation_invariant"]
 
 
 # --- local invariants ------------------------------------------------------
@@ -371,7 +381,7 @@ def test_semisimple_iff_squarefree_minimal_polynomials(make):
     assert ss == (point_count(A) == A.dim)
     diagonalizable = True
     for i in range(A.dim):
-        M = mult_matrix(A, A.basis_vector(i))
+        M = mult_matrix(A, _basis_vector(A, i))
         if minimal_polynomial_degree(M) \
                 != distinct_root_count(charpoly(M)):
             diagonalizable = False
@@ -386,8 +396,8 @@ def test_report_fields_are_the_analyses_own(vid):
     A = REGISTRY[vid].provider()
     r = quantum_spectrum_report(A)
     A_zero, A_nonzero = kappa_split(A)
-    orbits = orbit_analysis(A_nonzero, A.fano_index,
-                            split_at_zero(r.kappa_charpoly)[1])
+    orbits = orbit_analysis(A_nonzero.dim, point_count(A_nonzero),
+                            A.fano_index, split_at_zero(r.kappa_charpoly)[1])
     own = {"name", "fano_index", "dim_total", "kappa_charpoly",
            "dim_zero_part", "dim_nonzero_part", "zero_part"}
     assert not own & set(orbits)
@@ -601,7 +611,7 @@ def test_integer_kernels_match_fractions_on_rescaled_rings(make):
             assert B.product(x, y) == _reference_product(table, x, y)
     for i in range(n):
         for j in range(n):
-            assert B.product(B.basis_vector(i), B.basis_vector(j)) \
+            assert B.product(_basis_vector(B, i), _basis_vector(B, j)) \
                 == table[i][j]
     assert nilradical(B) == _reference_nilradical(table)
     for part in kappa_split(B):
@@ -611,7 +621,7 @@ def test_integer_kernels_match_fractions_on_rescaled_rings(make):
 
 
 def _table(B):
-    return [[B.product(B.basis_vector(i), B.basis_vector(j))
+    return [[B.product(_basis_vector(B, i), _basis_vector(B, j))
              for j in range(B.dim)] for i in range(B.dim)]
 
 
@@ -654,12 +664,18 @@ def _dense_fitting_ideals(A, p):
     a, _g = split_at_zero(p)
     M = [[(j, x) for j, x in enumerate(row) if x]
          for row in mult_matrix(A, A.anticanonical).data]
-    cols = [A.basis_vector(i) for i in range(A.dim)]
+    cols = [_basis_vector(A, i) for i in range(A.dim)]
     for _ in range(a):
         cols = [tuple(sum((x * v[j] for j, x in row), Fraction(0))
                       for row in M) for v in cols]
     return (span_basis(kernel_basis(list(zip(*cols)), len(cols))),
             span_basis(cols))
+
+
+def _integer_rows(vectors):
+    """Full-width reduced echelon vectors as _quotient's integer rows."""
+    return [[(k, x) for k, x in enumerate(clear_denominators(v)[0]) if x]
+            for v in vectors]
 
 
 def _fitting_ring():
@@ -696,9 +712,9 @@ def test_graded_route_matches_the_dense_operator(make):
     zero, nonzero = kappa_split(A, p, cycle)
     if 0 < zero.dim < A.dim:
         assert _fields(zero) == _fields(qspectra.spectrum._quotient(
-            A, "%s (zero fiber)" % A.name, image))
+            A, "%s (zero fiber)" % A.name, _integer_rows(image)))
         assert _fields(nonzero) == _fields(qspectra.spectrum._quotient(
-            A, "%s (invertible fiber)" % A.name, kernel))
+            A, "%s (invertible fiber)" % A.name, _integer_rows(kernel)))
     else:
         # one fiber is A itself, and M^a is 0 or invertible
         assert A in (zero, nonzero)
@@ -718,6 +734,57 @@ def test_fitting_ring_fibers_are_pinned():
     assert n.unit == (1,)
     assert n.anticanonical == (1,)
     assert _table(n) == [[(1,)]]
+
+
+# --- the report's zero-fiber route against the full split -----------------
+
+_SPLIT_ORACLE_RINGS = (
+    [pytest.param(lambda d=d: d.provider(), id=vid)
+     for vid, d in REGISTRY.items()]
+    + [pytest.param(lambda n=n: qh_ig2(n), id="IG(2,%d)" % (2 * n))
+       for n in (6, 8)]
+    + [pytest.param(lambda k=k, n=n: qh_grassmannian(k, n),
+                    id="G(%d,%d)" % (k, n))
+       for k, n in ((3, 7), (3, 8), (4, 8), (3, 9))]
+    + [pytest.param(_fitting_ring, id="fitting")])
+
+
+def _split_oracle(A):
+    """dim_zero_part, nonzero_point_count and zero_part from both fibers
+    of the full split."""
+    zero, nonzero = kappa_split(A)
+    return zero.dim, point_count(nonzero), local_invariants(zero)
+
+
+@pytest.mark.parametrize("make", _SPLIT_ORACLE_RINGS)
+def test_report_reads_the_full_split(make):
+    A = make()
+    r = quantum_spectrum_report(A)
+    assert (r.dim_zero_part, r.nonzero_point_count, r.zero_part) \
+        == _split_oracle(A)
+    assert r.dim_nonzero_part == A.dim - r.dim_zero_part
+
+
+def test_report_reads_the_full_split_at_the_edges():
+    # a = 0: the invertible fiber is all of P3; a = dim: E8 is all zero
+    # fiber; the Fitting ring needs kappa^2, as kappa is not 0 on its zero
+    # fiber Q[x] / x^2
+    P3, E8, T = qh_projective(3), jacobi_ring("E8"), _fitting_ring()
+    assert kappa_split(P3)[1] is P3
+    assert kappa_split(E8)[0] is E8
+    cycle = qspectra.spectrum._KappaCycle(T)
+    a, _g = split_at_zero(cycle.charpoly())
+    assert a == 2
+    # the columns of M^2, which sends 1, x and x^2 to x^2: M^1 has rank 2,
+    # so its kernel falls one short of a
+    cols, image = qspectra.spectrum._fitting_power(T, a, cycle)
+    assert cols == [[[0, 0, 1]] * 3]
+    assert image == [[(2, 1)]]
+    for A, points in ((P3, 4), (E8, 0), (T, 1)):
+        r = quantum_spectrum_report(A)
+        assert r.nonzero_point_count == points
+        assert (r.dim_zero_part, r.nonzero_point_count, r.zero_part) \
+            == _split_oracle(A)
 
 
 # sha256 of every registry report JSON, as written by `report --json`,
