@@ -76,36 +76,34 @@ class FiniteCommAlgebra:
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
 
-        def exact(cell):
-            items = sorted(cell.items())
-            for _k, c in items:
-                if type(c) is not int:
-                    raise TypeError("expected an int cell value, got %r" % (c,))
-            if items and not (0 <= items[0][0] and items[-1][0] < dim):
-                raise ValueError("basis index out of range in table")
-            return tuple([(k, c) for k, c in items if c])
-
-        upper, den = _lowest_terms([[exact(cell) for cell in row]
-                                    for row in cells], den)
-        self._store(name, basis_labels, upper, den, vec(unit),
+        for row in cells:
+            for cell in row:
+                bad = [k for k, c in cell.items() if type(c) is not int]
+                if bad:
+                    raise TypeError("expected an int cell value, got %r"
+                                    % (cell[min(bad)],))
+                if cell and not (0 <= min(cell) and max(cell) < dim):
+                    raise ValueError("basis index out of range in table")
+        self._store(name, basis_labels, cells, den, vec(unit),
                     tuple(d % fano_index for d in degrees), fano_index,
                     vec(anticanonical), dim_X)
 
-    def _store(self, name, basis_labels, upper, den, unit, degrees,
+    def _store(self, name, basis_labels, cells, den, unit, degrees,
                fano_index, anticanonical, dim_X):
-        """Store a table as it is given, with no check: upper[i] is the
-        list of cells upper[i][j - i], j >= i, each the tuple of the
-        nonzero (k, int) pairs of den * b_i * b_j sorted by k; den is in
-        lowest terms with the cells; degrees are reduced mod fano_index;
-        unit and anticanonical are tuples of Fractions.  The constructor
-        ends here, and the package's own builders, whose tables are made
-        from checked ints, call it directly:
-        object.__new__(FiniteCommAlgebra)._store(...)."""
+        """Store a table with no check: cells and den as the constructor
+        takes them, ints over any positive den; degrees reduced mod
+        fano_index; unit and anticanonical tuples of Fractions.  Each cell
+        is sorted by k with its zeros dropped, and den and the cells are
+        divided by their gcd.  The constructor ends here, and the
+        package's own builders, whose tables are made from checked ints,
+        call it directly: object.__new__(FiniteCommAlgebra)._store(...)."""
+        upper, self.den = _lowest_terms(
+            [[tuple(sorted([(k, c) for k, c in cell.items() if c]))
+              for cell in row] for row in cells], den)
         self.rows = _square(upper)
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
-        self.den = den
         self.unit = unit
         self.degrees = degrees
         self.fano_index = fano_index
@@ -341,6 +339,42 @@ def _groebner(relations, key):
     return G
 
 
+def _operator_walk(weights, steps):
+    """The upper triangle of a table filled from multiplication operators:
+    cells[i][j - i], j >= i, maps k to the int coefficient of b_k in
+    b_i * b_j.
+
+    The basis runs by weight, weights[i] that of b_i, and b_0 = 1 alone
+    has the lowest.  For i >= 1, steps[i] = (i0, op, terms) gives b_i =
+    op(b_i0) - sum of c * b_b over (b, c) in terms: op[m] lists the
+    (l, s) pairs of op(b_m), b_i0 has a lower weight and each b_b has
+    b_i's weight and a larger index.  So the rows fill by weight and,
+    within a weight, from the last index down; each holds the products
+    with every b_j from the first index of its weight on, which the rows
+    filled after it in that weight read.
+    """
+    dim = len(weights)
+    first = {}
+    lo = [first.setdefault(w, i) for i, w in enumerate(weights)]
+    rows = [None] * dim
+    rows[0] = [{j: 1} for j in range(dim)]
+    for i in sorted(range(1, dim), key=lambda i: (lo[i], -i)):
+        i0, op, terms = steps[i]
+        src, lo0 = rows[i0], lo[i0]
+        row = []
+        for j in range(lo[i], dim):
+            acc = {}
+            for m, c in src[j - lo0].items():
+                for l, s in op[m]:
+                    acc[l] = acc.get(l, 0) + c * s
+            for b, c in terms:
+                for l, s in rows[b][j - lo[b]].items():
+                    acc[l] = acc.get(l, 0) - c * s
+            row.append(acc)
+        rows[i] = row
+    return [row[i - lo[i]:] for i, row in enumerate(rows)]
+
+
 def from_presentation(P):
     """Quotient by the relation ideal, with basis the standard monomials.
 
@@ -348,8 +382,8 @@ def from_presentation(P):
     to normal form: each variable's operator, cleared once over the common
     denominator D.  The standard monomials form an order ideal, so every
     basis monomial but 1 is x * b_i' for a variable x and a basis monomial
-    b_i' of lower weight; the row of b_i is x's operator applied to the
-    row of b_i', on ints, and the upper triangle fills in basis order.
+    b_i' of lower weight, and _operator_walk fills the row of b_i as x's
+    operator applied to the row of b_i', on ints, with no terms taken off.
     """
     nv = len(P.variables)
     weights = tuple(d for _, d in P.variables)
@@ -381,6 +415,7 @@ def from_presentation(P):
                    key=key)
     index = {e: i for i, e in enumerate(basis)}
     d = len(basis)
+    level = [sum(w * x for w, x in zip(weights, e)) for e in basis]
 
     def reduce(poly):
         return {index[e]: c for e, c in _nf(poly, G, key).items()}
@@ -396,30 +431,18 @@ def from_presentation(P):
                             for t in range(nv)])
     ops = [[tuple(cell.items()) for cell in op] for op in ops]
 
-    # rows[i][j - i], j >= i: D^|b_i| b_i * b_j, |b_i| the total degree
-    # (one variable per step); b_0 = 1 and b_i' precedes b_i, so its row
-    # reaches every j >= i
-    rows = [[{j: 1} for j in range(d)]]
-    for i in range(1, d):
-        t = next(t for t, x in enumerate(basis[i]) if x)
-        i0 = index[shift(basis[i], t, -1)]
-        src = rows[i0]
-        op = ops[t]
-        row = []
-        for j in range(i, d):
-            acc = {}
-            for k, c in src[j - i0].items():
-                for l, s in op[k]:
-                    acc[l] = acc.get(l, 0) + c * s
-            row.append(acc)
-        rows.append(row)
-    # the basis runs by weight, so its last monomial need not be the deepest
+    # the walk's row i is D^|b_i| b_i * b_j, |b_i| the total degree (one
+    # variable per step), scaled here to D^top; the basis runs by weight,
+    # so its last monomial need not be the deepest
+    steps = [None]
+    for e in basis[1:]:
+        t = next(t for t, x in enumerate(e) if x)
+        steps.append((index[shift(e, t, -1)], ops[t], ()))
     top = max(map(sum, basis))
-    upper, den = _lowest_terms(
-        [[tuple(sorted([(k, c * s) for k, c in cell.items() if c]))
-          for cell in row]
-         for row, s in zip(rows, (D ** (top - sum(e)) for e in basis))],
-        D ** top)
+    cells = [[{k: c * s for k, c in cell.items()} for cell in row]
+             if s > 1 else row
+             for row, s in zip(_operator_walk(level, steps),
+                               (D ** (top - sum(e)) for e in basis))]
 
     names = [v for v, _ in P.variables]
 
@@ -436,11 +459,10 @@ def from_presentation(P):
     return object.__new__(FiniteCommAlgebra)._store(
         name=P.name,
         basis_labels=[label(e) for e in basis],
-        upper=upper,
-        den=den,
+        cells=cells,
+        den=D ** top,
         unit=dense({0: _ONE}),
-        degrees=tuple(sum(w * x for w, x in zip(weights, e)) % m
-                      for e in basis),
+        degrees=tuple(w % m for w in level),
         fano_index=m,
         anticanonical=dense(reduce(P.anticanonical)),
         dim_X=P.dim_X,

@@ -24,7 +24,7 @@ from .exactlin import charpoly, poly_str
 from .lefschetz import (builtin_collection, check_collection_json,
                         collection_from_json, conjecture_numerology)
 from .schur import qh_grassmannian
-from .spectrum import quantum_spectrum_report
+from .spectrum import kappa_split, point_count, quantum_spectrum_report
 from .varieties import REGISTRY
 
 
@@ -127,7 +127,7 @@ def cmd_check(args):
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         check_collection_json(obj)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError, ValueError) as e:
         return unreadable(e)
     desc = REGISTRY.get(obj["variety"])
     if desc is None:
@@ -261,12 +261,16 @@ def _selftest_checks():
             _require(p(M).is_zero(), vid)
 
     @add("spectrum", "every registry charpoly is rotation-invariant and "
-         "its fiber dimensions are additive")
+         "the report's fibers match the full split")
     def _():
         for desc in REGISTRY.values():
-            r = quantum_spectrum_report(desc.provider())
+            A = desc.provider()
+            r = quantum_spectrum_report(A)
             _require(r.charpoly_rotation_invariant, desc.id)
-            _require(r.dim_zero_part + r.dim_nonzero_part == r.dim_total,
+            zero, nonzero = kappa_split(A)
+            _require((r.dim_zero_part, r.dim_nonzero_part,
+                      r.nonzero_point_count)
+                     == (zero.dim, nonzero.dim, point_count(nonzero)),
                      desc.id)
 
     @add("spectrum", "graded charpoly matches the dense Hessenberg charpoly "

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .algebra import FiniteCommAlgebra
+from .algebra import FiniteCommAlgebra, _operator_walk
 from .exactlin import _ONE, _ZERO
 
 
@@ -178,8 +178,7 @@ def _ring(k, n, shapes, cells):
     return object.__new__(FiniteCommAlgebra)._store(
         name="G(%d,%d)" % (k, n),
         basis_labels=[_label(p) for p in shapes],
-        upper=[[tuple(sorted([(l, c) for l, c in cell.items() if c]))
-                for cell in row] for row in cells],
+        cells=cells,
         den=1,
         unit=tuple(_ONE if i == unit else _ZERO for i in range(len(shapes))),
         degrees=tuple(sum(p) % n for p in shapes),
@@ -225,38 +224,18 @@ def qh_grassmannian(k, n):
     weight and a larger tuple, or folds to zero: lam' has fewer than k
     rows, so the quantum Pieri rule gives it no q-term.  So
     s_lam s_mu = H_{lam_1}(s_{lam'} s_mu) minus those terms times s_mu,
-    and the rows fill by weight and, within a weight, from the largest
-    tuple down.
+    which is the step _operator_walk takes for lam: the rows fill by
+    weight and, within a weight, from the largest tuple down.
     """
     shapes = _box_shapes(k, n)
     index = {p: i for i, p in enumerate(shapes)}
-    dim = len(shapes)
     ops = _pieri_operators(shapes, index, k, n)
-    # row i holds s_lam * s_mu_j for every j from lo[i], the first index
-    # of lam's weight: the terms above need the products with classes of
-    # that weight that come before lam
-    first = {}
-    lo = [first.setdefault(sum(p), i) for i, p in enumerate(shapes)]
-    rows = [None] * dim
-    rows[0] = [{j: 1} for j in range(dim)]
-    for i in sorted(range(1, dim), key=lambda i: (lo[i], -i)):
-        lam = shapes[i]
-        i0 = index[lam[1:]]
+    steps = [None]
+    for i, lam in enumerate(shapes[1:], 1):
         op = ops[lam[0]]
-        terms = [(b, c) for b, c in op[i0] if b != i]
-        src, lo0 = rows[i0], lo[i0]
-        row = []
-        for j in range(lo[i], dim):
-            acc = {}
-            for m, c in src[j - lo0].items():
-                for l, s in op[m]:
-                    acc[l] = acc.get(l, 0) + c * s
-            for b, c in terms:
-                for l, s in rows[b][j - lo[b]].items():
-                    acc[l] = acc.get(l, 0) - c * s
-            row.append(acc)
-        rows[i] = row
-    return _ring(k, n, shapes, [row[i - lo[i]:] for i, row in enumerate(rows)])
+        i0 = index[lam[1:]]
+        steps.append((i0, op, [(b, c) for b, c in op[i0] if b != i]))
+    return _ring(k, n, shapes, _operator_walk(list(map(sum, shapes)), steps))
 
 
 def _qh_grassmannian_pairwise(k, n):

@@ -32,8 +32,7 @@ of scale.
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (FiniteCommAlgebra, _lowest_terms, _nonzero,
-                      jacobi_ring)
+from .algebra import FiniteCommAlgebra, _nonzero, jacobi_ring
 from .exactlin import (
     _ZERO,
     Matrix,
@@ -178,7 +177,7 @@ class _KappaCycle:
 
 def _empty_part(A, name):
     return object.__new__(FiniteCommAlgebra)._store(
-        name=name, basis_labels=(), upper=[], den=1, unit=(), degrees=(),
+        name=name, basis_labels=(), cells=[], den=1, unit=(), degrees=(),
         fano_index=A.fano_index, anticanonical=(), dim_X=A.dim_X)
 
 
@@ -205,27 +204,25 @@ def _quotient(A, name, ideal):
         image[row[0][0]] = [(new[k], -s * x) for k, x in row[1:]]
 
     def reduce(pairs):
-        # pairs are (k, c) with ints c; L times their image, as sorted
-        # nonzero pairs
+        # pairs are (k, c) with ints c; L times their image, as a cell
         out = {}
         for k, c in pairs:
             for i, x in image[k]:
                 out[i] = out.get(i, 0) + c * x
-        return tuple(sorted([(i, x) for i, x in out.items() if x]))
+        return out
 
     def dense(v):
         ints, d = clear_denominators(v)
-        cell = dict(reduce(enumerate(ints)))
+        cell = reduce(enumerate(ints))
         return tuple(Fraction(cell.get(i, 0), d * L)
                      for i in range(len(keep)))
 
-    upper, den = _lowest_terms([[reduce(A.rows[i][k]) for k in keep[a:]]
-                                for a, i in enumerate(keep)], A.den * L)
     return object.__new__(FiniteCommAlgebra)._store(
         name=name,
         basis_labels=[A.basis_labels[k] for k in keep],
-        upper=upper,
-        den=den,
+        cells=[[reduce(A.rows[i][k]) for k in keep[a:]]
+               for a, i in enumerate(keep)],
+        den=A.den * L,
         unit=dense(A.unit),
         degrees=tuple(A.degrees[k] for k in keep),
         fano_index=A.fano_index,
@@ -269,25 +266,21 @@ def _fitting_power(A, a, cycle):
                                images)
 
 
-def kappa_split(A, p=None, cycle=None):
+def kappa_split(A):
     """Split A into the fiber over kappa = 0 and its invertible complement.
 
-    Returns (A_zero, A_nonzero); p, if the caller already has it, is the
-    characteristic polynomial of the anticanonical operator M on A, and
-    cycle the _KappaCycle of A; both are computed here otherwise.  By
-    Fitting's lemma A is the direct sum of the ideals ker M^r and im M^r
-    once r reaches the nilpotency index of M on its generalized kernel,
-    whose dimension a is the order of p at zero; then A_zero = A / im M^r
-    and A_nonzero = A / ker M^r.  The reduced echelon bases of both ideals
-    are collected piece by piece, so both quotients are graded algebras on
-    some of A's own basis elements.  The report builds only A_zero, the
-    same way; this full split is kept as its oracle.
+    Returns (A_zero, A_nonzero).  By Fitting's lemma A is the direct sum
+    of the ideals ker M^r and im M^r, M the anticanonical operator, once r
+    reaches the nilpotency index of M on its generalized kernel, whose
+    dimension a is the order of its characteristic polynomial at zero;
+    then A_zero = A / im M^r and A_nonzero = A / ker M^r.  The reduced
+    echelon bases of both ideals are collected piece by piece, so both
+    quotients are graded algebras on some of A's own basis elements.
+    The report builds only A_zero, the same way; this full split is kept
+    as its oracle.
     """
-    if cycle is None:
-        cycle = _KappaCycle(A)
-    if p is None:
-        p = cycle.charpoly()
-    a, _g = split_at_zero(p)
+    cycle = _KappaCycle(A)
+    a, _g = split_at_zero(cycle.charpoly())
     if a == 0:
         return _empty_part(A, "%s (zero fiber)" % A.name), A
     if a == A.dim:

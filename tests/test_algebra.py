@@ -5,10 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectra import algebra, spectrum
+from qspectra import algebra
 from qspectra.algebra import (
     FiniteCommAlgebra,
     PolyPresentation,
@@ -287,13 +287,13 @@ def test_rows_and_denominator_stay_canonical(monkeypatch):
     # every cell divisible by n, and comes out over 1; D5 given with six
     # times every cell over six times its den comes out as D5
     arrived = []
-    lowest = spectrum._lowest_terms
+    lowest = algebra._lowest_terms
 
     def recorded(upper, den):
         arrived.append(den)
         return lowest(upper, den)
 
-    monkeypatch.setattr(spectrum, "_lowest_terms", recorded)
+    monkeypatch.setattr(algebra, "_lowest_terms", recorded)
     for n in range(2, 6):
         zero, nonzero = kappa_split(qh_ig2(n))
         # the zero fiber's quotient comes first, the invertible fiber's last
@@ -324,23 +324,32 @@ def _fields(A):
 
 def _private_route(fields):
     """The table of fields through the private step alone, brought into
-    its contract here: sorted nonzero int cells in lowest terms with den,
-    degrees reduced, unit and kappa as Fractions."""
-    upper = [[tuple(sorted((k, c) for k, c in cell.items() if c))
-              for cell in row] for row in fields["cells"]]
-    g = math.gcd(fields["den"], *(c for row in upper for cell in row
-                                  for _k, c in cell))
+    its contract here: degrees reduced, unit and kappa as Fractions; the
+    cells and den go as they are."""
     m = fields["fano_index"]
     return object.__new__(FiniteCommAlgebra)._store(
         name=fields["name"], basis_labels=fields["basis_labels"],
-        upper=[[tuple((k, c // g) for k, c in cell) for cell in row]
-               for row in upper],
-        den=fields["den"] // g,
+        cells=fields["cells"], den=fields["den"],
         unit=tuple(map(Fraction, fields["unit"])),
         degrees=tuple(d % m for d in fields["degrees"]),
         fano_index=m,
         anticanonical=tuple(map(Fraction, fields["anticanonical"])),
         dim_X=fields["dim_X"])
+
+
+def _canonical(fields):
+    """The rows and den that the stored form of fields must be, worked
+    out here: each cell's nonzero (k, int) pairs sorted by k, divided with
+    den by their gcd, and mirrored into the square."""
+    upper = [[tuple(sorted((k, c) for k, c in cell.items() if c))
+              for cell in row] for row in fields["cells"]]
+    g = math.gcd(fields["den"], *(c for row in upper for cell in row
+                                  for _k, c in cell))
+    upper = [[tuple((k, c // g) for k, c in cell) for cell in row]
+             for row in upper]
+    rows = tuple(tuple([upper[j][i - j] for j in range(i)] + upper[i])
+                 for i in range(len(upper)))
+    return rows, fields["den"] // g
 
 
 @st.composite
@@ -367,10 +376,14 @@ def _valid_tables(draw):
             "dim_X": dim}
 
 
+# more draws than the suite's profile: the contract is checked only
+# against the form worked out in _canonical
+@settings(max_examples=200)
 @given(_valid_tables())
 def test_public_and_private_routes_store_the_same_table(fields):
     A = FiniteCommAlgebra(**fields)
     assert _stored(A) == _stored(_private_route(fields))
+    assert (A.rows, A.den) == _canonical(fields)
     assert all(type(c) is int for row in A.rows for cell in row
                for _k, c in cell)
     assert all(type(x) is Fraction for x in A.unit + A.anticanonical)
@@ -393,6 +406,7 @@ def test_public_and_private_routes_store_explicit_tables_alike(make):
     fields = _fields(A)
     assert _stored(A) == _stored(_private_route(fields)) \
         == _stored(FiniteCommAlgebra(**fields))
+    assert (A.rows, A.den) == _canonical(fields)
 
 
 def test_the_builders_store_what_the_public_route_would():

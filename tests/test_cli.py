@@ -243,6 +243,17 @@ def test_check_missing_file(capsys, tmp_path):
     assert "cannot read collection" in err
 
 
+def test_check_deeply_nested_file_is_unreadable(capsys, tmp_path):
+    # the JSON decoder gives up on this depth with RecursionError: a bad
+    # file, exit 1, not an internal error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert "cannot read collection %s" % path in err
+    assert "internal error" not in err
+
+
 def test_check_bwb_without_backend_warns(capsys, tmp_path):
     path = tmp_path / "a3.json"
     path.write_text(json.dumps({
@@ -390,6 +401,27 @@ def test_selftest_unknown_filter(capsys):
     code, _, err = run(capsys, "selftest", "--filter", "nosuchmodule")
     assert code == 1
     assert "no selftest entries match" in err
+
+
+def test_selftest_compares_the_report_with_the_full_split(capsys,
+                                                         monkeypatch):
+    # a report whose invertible fiber has one point too many on IG(2,6)
+    # keeps its dimensions additive, and fails against kappa_split
+    good = cli.quantum_spectrum_report
+
+    def perturbed(A):
+        r = good(A)
+        if A.name == "IG(2,6)":
+            r.nonzero_point_count += 1
+        return r
+
+    monkeypatch.setattr(cli, "quantum_spectrum_report", perturbed)
+    code, out, _ = run(capsys, "selftest", "--filter", "spectrum")
+    assert code == 2
+    assert "[fail] spectrum: every registry charpoly is rotation-invariant " \
+        "and the report's fibers match the full split  " \
+        "(AssertionError: IG(2,6))" in out
+    assert "selftest: 1 passed, 1 failed" in out
 
 
 # the unit b_0 times b_1 gains a second b_1: the seed's first violation
@@ -540,6 +572,18 @@ def test_every_public_name_has_a_program_caller():
                        and not re.search(r"`(?:[\w.]*\.)?%s\b"
                                          % re.escape(name), readme)]
     assert unused == []
+
+
+def test_only_algebra_names_the_stored_form_helpers():
+    # the stored row format (sorted nonzero cells in lowest terms, mirrored
+    # into the square) is made in one place: every other module hands
+    # FiniteCommAlgebra._store plain cells
+    named = {path.stem: sorted(_mentioned(ast.parse(
+                 path.read_text(encoding="utf-8")))
+                 & {"_lowest_terms", "_square"})
+             for path in pathlib.Path(qspectra.__file__).parent.glob("*.py")}
+    assert {m: names for m, names in named.items() if names} \
+        == {"algebra": ["_lowest_terms", "_square"]}
 
 
 def test_non_integral_orbit_counts_serialize_as_pairs():

@@ -502,7 +502,7 @@ def test_ig2_16_zero_fiber_is_one_point_of_length_seven():
 def test_invertible_fiber_charpoly_is_the_cofactor_of_x_power(make):
     A = make()
     p = charpoly(mult_matrix(A, A.anticanonical))
-    _, nz = kappa_split(A, p)
+    _, nz = kappa_split(A)
     assert charpoly(mult_matrix(nz, nz.anticanonical)) == split_at_zero(p)[1]
 
 
@@ -709,7 +709,7 @@ def test_graded_route_matches_the_dense_operator(make):
     # the split by kernel and image of a power of kappa, against the
     # quotients by ker M^a and im M^a of the dense operator
     kernel, image = _dense_fitting_ideals(A, p)
-    zero, nonzero = kappa_split(A, p, cycle)
+    zero, nonzero = kappa_split(A)
     if 0 < zero.dim < A.dim:
         assert _fields(zero) == _fields(qspectra.spectrum._quotient(
             A, "%s (zero fiber)" % A.name, _integer_rows(image)))
