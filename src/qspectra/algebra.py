@@ -349,16 +349,22 @@ def _operator_walk(weights, steps):
     op(b_i0) - sum of c * b_b over (b, c) in terms: op[m] lists the
     (l, s) pairs of op(b_m), b_i0 has a lower weight and each b_b has
     b_i's weight and a larger index.  So the rows fill by weight and,
-    within a weight, from the last index down; each holds the products
-    with every b_j from the first index of its weight on, which the rows
-    filled after it in that weight read.
+    within a weight, from the last index down.  Each row holds the
+    products with every b_j from its start on: its own index, or the
+    least start of a row that reads it if that is less.  With no terms
+    every row starts at its own index.
     """
     dim = len(weights)
-    first = {}
-    lo = [first.setdefault(w, i) for i, w in enumerate(weights)]
+    order = sorted(range(1, dim), key=lambda i: (weights[i], -i))
+    # a row's readers fill after it, so walk back to hand their starts down
+    lo = list(range(dim))
+    for i in reversed(order):
+        i0, _, terms = steps[i]
+        for b in (i0, *(b for b, _ in terms)):
+            lo[b] = min(lo[b], lo[i])
     rows = [None] * dim
     rows[0] = [{j: 1} for j in range(dim)]
-    for i in sorted(range(1, dim), key=lambda i: (lo[i], -i)):
+    for i in order:
         i0, op, terms = steps[i]
         src, lo0 = rows[i0], lo[i0]
         row = []

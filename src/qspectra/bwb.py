@@ -12,8 +12,9 @@ identification and the descending sort are pinned by calibration, not
 convention, and frozen by tests: H^0(U*) must be the n-dimensional
 standard representation and H^0(O(1)) must have dimension C(n,k).
 Tensor products expand each block by Littlewood-Richardson, except that
-a det power shifts the other factor; the descriptor parser builds each
-factor's weight once.
+a det power shifts the other factor.  The descriptor parser checks the
+ambient G(k,n) once, reads the text in one pass to one weight per
+factor, and builds each factor's BundleExpr once, for the product.
 
 Restriction to the isotropic Grassmannian IG(2,2n), a hyperplane section
 of G(2,2n), is handled by a sufficient criterion on the two ambient Ext
@@ -73,9 +74,9 @@ def _check_weight(w, k, n):
     if len(w) != n:
         raise ValueError("weight must have %d entries, got %d" % (n, len(w)))
     for what, block in (("U* weight", w[:k]), ("Q* weight", w[k:])):
-        if any(type(x) is not int for x in block):
+        if {*map(type, block)} - {int}:
             raise TypeError("%s entries must be ints, got %r" % (what, block))
-        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+        if any(map(lt, block, block[1:])):
             raise ValueError("%s must be weakly decreasing" % what)
     return w
 
@@ -211,6 +212,9 @@ class BundleExpr:
 #   exps   := int | "(" int ("," int)* ")"
 #   twist  := "(" int ")"
 #
+# The parser pops the tokens off a reversed list whose bottom is the end
+# token; only an error pops that, so a peek at the top always finds one.
+#
 # The weight spread of a factor is first minus last entry of its U* block
 # plus the same of its Q* block; a twist shifts every entry alike and
 # leaves it unchanged.  Spreads add under tensor product (the Cartan
@@ -234,6 +238,9 @@ _TOKEN = re.compile(r"\s*(?:(U\*|Q\*|S\^|O|\(|\)|,|\*|-?[0-9]+)|(\S))")
 
 
 def _tokenize(text):
+    """(token, position) pairs: the end token (None, len(text)) first,
+    then the tokens of text from last to first, so pops read them in
+    order."""
     toks = []
     for m in _TOKEN.finditer(text):
         tok, bad = m.groups()
@@ -241,62 +248,38 @@ def _tokenize(text):
             raise ValueError("parse error at position %d: unexpected %r"
                              % (m.start(2), bad))
         toks.append((tok, m.start(1)))
-    # the end token: peek reads None there, and pos the length of the text
     toks.append((None, len(text)))
+    toks.reverse()
     return toks
 
 
-class _Cursor:
-    __slots__ = ("toks", "i")
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
-
-    def take(self, expected=None):
-        tok, pos = self.toks[self.i]
-        if tok is None:
-            raise ValueError("parse error at position %d: unexpected end of "
-                             "input" % pos)
-        if expected is not None and tok != expected:
-            raise ValueError("parse error at position %d: expected %r, got %r"
-                             % (pos, expected, tok))
-        self.i += 1
-        return tok
-
-    def take_int(self):
-        tok, pos = self.toks[self.i]
-        # of the tokens, only the integers end in a digit
-        if tok is None or tok[-1] not in "0123456789":
-            raise ValueError("parse error at position %d: expected an integer"
-                             % pos)
-        self.i += 1
-        return int(tok)
+def _take(toks, expected=None):
+    """Pop the next token, which may not be the end, nor other than
+    expected when that is given."""
+    tok, pos = toks.pop()
+    if tok is None:
+        raise ValueError("parse error at position %d: unexpected end of "
+                         "input" % pos)
+    if expected is not None and tok != expected:
+        raise ValueError("parse error at position %d: expected %r, got %r"
+                         % (pos, expected, tok))
+    return tok
 
 
-def _parse_exps(cur):
-    if cur.peek() == "(":
-        cur.take("(")
-        exps = [cur.take_int()]
-        while cur.peek() == ",":
-            cur.take(",")
-            exps.append(cur.take_int())
-        cur.take(")")
-        return tuple(exps)
-    return (cur.take_int(),)
+def _take_int(toks):
+    tok, pos = toks.pop()
+    # of the tokens, only the integers end in a digit
+    if tok is None or tok[-1] not in "0123456789":
+        raise ValueError("parse error at position %d: expected an integer"
+                         % pos)
+    return int(tok)
 
 
-def _parse_factor(cur, k, n):
-    """One factor as a BundleExpr: its weight is built once, checked only
-    when a Schur power spells it out, twisted, and made canonical."""
-    pos = cur.pos()
-    tok = cur.take()
+def _parse_factor(toks, k, n):
+    """One factor's weight, off the reversed token list: built once,
+    checked only when a Schur power spells it out, then twisted."""
+    pos = toks[-1][1]
+    tok = _take(toks)
     if tok == "O":
         w = (0,) * n
     elif tok == "U*":
@@ -304,8 +287,16 @@ def _parse_factor(cur, k, n):
     elif tok == "Q*":
         w = (0,) * k + (1,) + (0,) * (n - k - 1)
     elif tok == "S^":
-        exps = _parse_exps(cur)
-        which = cur.take()
+        if toks[-1][0] == "(":
+            toks.pop()
+            exps = [_take_int(toks)]
+            while toks[-1][0] == ",":
+                toks.pop()
+                exps.append(_take_int(toks))
+            _take(toks, ")")
+        else:
+            exps = [_take_int(toks)]
+        which = _take(toks)
         if which not in ("U*", "Q*"):
             raise ValueError("parse error at position %d: expected U* or Q* "
                              "after the Schur power" % pos)
@@ -313,22 +304,18 @@ def _parse_factor(cur, k, n):
         if len(exps) > rank:
             raise ValueError("parse error at position %d: %s weight has more "
                              "than %d entries" % (pos, which, rank))
-        pad = (0,) * (rank - len(exps))
-        w = (exps + pad + (0,) * (n - k) if which == "U*"
-             else (0,) * k + exps + pad)
+        exps = tuple(exps) + (0,) * (rank - len(exps))
+        w = _check_weight(exps + (0,) * (n - k) if which == "U*"
+                          else (0,) * k + exps, k, n)
     else:
         raise ValueError("parse error at position %d: unexpected %r"
                          % (pos, tok))
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    if tok == "S^":
-        _check_weight(w, k, n)
-    if cur.peek() == "(":
-        cur.take("(")
-        t = cur.take_int()
-        cur.take(")")
+    if toks[-1][0] == "(":
+        toks.pop()
+        t = _take_int(toks)
+        _take(toks, ")")
         w = tuple([x + t for x in w[:k]]) + w[k:]
-    return object.__new__(BundleExpr)._canonical(k, n, ((w, 1),))
+    return w
 
 
 def parse_bundle(text, k, n):
@@ -336,23 +323,24 @@ def parse_bundle(text, k, n):
     S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t).  The
     total weight spread may not exceed MAX_SPREAD, nor the summands of
     the product MAX_TERMS; twists are unbounded."""
-    cur = _Cursor(_tokenize(text))
-    factors = [_parse_factor(cur, k, n)]
-    while cur.peek() == "*":
-        cur.take("*")
-        factors.append(_parse_factor(cur, k, n))
-    if cur.peek() is not None:
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    toks = _tokenize(text)
+    weights = [_parse_factor(toks, k, n)]
+    while toks[-1][0] == "*":
+        toks.pop()
+        weights.append(_parse_factor(toks, k, n))
+    tok, pos = toks[-1]
+    if tok is not None:
         raise ValueError("parse error at position %d: trailing %r"
-                         % (cur.pos(), cur.peek()))
-    spread = 0
-    for f in factors:
-        (w,) = f.terms
-        spread += w[0] - w[k - 1] + w[k] - w[-1]
+                         % (pos, tok))
+    spread = sum(w[0] - w[k - 1] + w[k] - w[-1] for w in weights)
     if spread > MAX_SPREAD:
         raise ValueError("descriptor %r has weight spread %d, more than %d"
                          % (text, spread, MAX_SPREAD))
-    expr = factors[0]
-    for f in factors[1:]:
+    expr, *factors = [object.__new__(BundleExpr)._canonical(k, n, ((w, 1),))
+                      for w in weights]
+    for f in factors:
         expr = expr.tensor(f)
         if len(expr.terms) > MAX_TERMS:
             raise ValueError("descriptor %r has more than %d summands"

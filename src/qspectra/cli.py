@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .algebra import mult_matrix, qh_ig2, qh_projective, validate_algebra
@@ -358,7 +359,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process, on first use."""
     parser = _Parser(prog="qspectra", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)

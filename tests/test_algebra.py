@@ -691,6 +691,40 @@ def test_operator_walk_matches_pairwise_normal_forms(P):
     assert A.anticanonical == anticanonical
 
 
+class _CountingOp:
+    """op[m] = ((m, 1),), counting the reads: from b_0 = 1 every cell the
+    walk fills with it holds one entry, so each cell is one read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getitem__(self, m):
+        self.reads += 1
+        return ((m, 1),)
+
+
+@pytest.mark.parametrize("P", (
+    [algebra._jacobi_presentation("E8"), projective_presentation(6)]
+    + [algebra._ig2_presentation(n) for n in (3, 5, 8)]),
+    ids=lambda P: P.name)
+def test_presentation_walk_fills_only_the_upper_triangle(monkeypatch, P):
+    # each step reads a row of lower weight, so the walk fills exactly
+    # the dim * (dim + 1) / 2 cells the table stores
+    seen = []
+    walk = algebra._operator_walk
+
+    def captured(weights, steps):
+        seen.append((weights, steps))
+        return walk(weights, steps)
+
+    monkeypatch.setattr(algebra, "_operator_walk", captured)
+    dim = from_presentation(P).dim
+    (weights, steps), = seen
+    op = _CountingOp()
+    walk(weights, [None] + [(i0, op, terms) for i0, _, terms in steps[1:]])
+    assert dim + op.reads == dim * (dim + 1) // 2
+
+
 # ---------------------------------------------------------------- Jacobi rings
 
 def test_jacobi_a2():

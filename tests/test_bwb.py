@@ -455,6 +455,16 @@ def test_parse_error_messages_are_pinned(text, n, message):
     assert str(err.value) == "parse error at " + message
 
 
+@pytest.mark.parametrize("text,k,n", [
+    ("S^1 Q*", 2, 2), ("", 0, 3), ("O", 3, 3), ("U* * X", 4, 3),
+    ("S^(1,2) U*", -1, 4), ("O(1", 2, 1),
+])
+def test_parse_checks_the_ambient_before_the_text(text, k, n):
+    with pytest.raises(ValueError) as err:
+        parse_bundle(text, k, n)
+    assert str(err.value) == "need 0 < k < n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("S^(1,2) U*()", "U* weight must be weakly decreasing"),
     ("S^(1,2) U*(1", "U* weight must be weakly decreasing"),

@@ -157,6 +157,29 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # one process builds the parser and its three subcommand parsers once,
+    # and the shared parser still reports a usage error as before
+    cli._build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run(capsys, "report", "P1")[0] == 0
+    assert run(capsys, "report", "P2")[0] == 0
+    assert built == ["qspectra", "qspectra report", "qspectra check",
+                     "qspectra selftest"]
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: qspectra ")
+    assert len(built) == 4
+
+
 # --- check --------------------------------------------------------------
 
 @pytest.fixture()

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qspectra.exactlin import (
@@ -194,18 +194,21 @@ def _with_shapes(test):
     return given(rational_rows())(test)
 
 
+@settings(max_examples=200)
 @_with_shapes
 def test_kernel_basis_matches_gauss_jordan(case):
     rows, width = case
     assert kernel_basis(rows, width) == gauss_jordan_kernel(rows, width)
 
 
+@settings(max_examples=200)
 @_with_shapes
 def test_span_basis_matches_gauss_jordan(case):
     rows, width = case
     assert span_basis(rows) == gauss_jordan(rows, width)[0]
 
 
+@settings(max_examples=200)
 @_with_shapes
 def test_rank_matches_gauss_jordan(case):
     rows, width = case
@@ -223,6 +226,7 @@ def systems(draw):
                           max_size=len(rows))))
 
 
+@settings(max_examples=200)
 @given(systems())
 @example(([], 0, [], []))
 @example(([[], []], 0, [], [0, 0]))
@@ -323,6 +327,7 @@ def _span_rank(vectors):
     return len(_reference_span(vectors))
 
 
+@settings(max_examples=200)
 @given(integer_vector_lists(), st.booleans())
 def test_integer_echelon_matches_gauss_jordan(lists, extend):
     basis, vectors = lists
