@@ -227,7 +227,10 @@ class BundleExpr:
 # number is bounded as well.  So is the work of the loop itself: every
 # pair it decides costs at most the product of the two objects' summands,
 # which may not exceed MAX_TERMS, and their sum over all pairs may not
-# exceed what MAX_OBJECTS irreducible objects need.
+# exceed what MAX_OBJECTS irreducible objects need.  One summand pair
+# can still take millions of Littlewood-Richardson steps (the staircase
+# S^(6,5,4,3,2,1) Q* with itself on P10), so each expansion stops after
+# schur.MAX_LR_STEPS of them.
 
 MAX_SPREAD = 256
 MAX_TERMS = 64

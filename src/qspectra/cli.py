@@ -22,8 +22,8 @@ from .bwb import (BundleExpr, check_collection, check_collection_hyperplane,
                   ext_table)
 from .chevalley import grassmann_divisor_matrix, ig2_divisor_matrix
 from .exactlin import charpoly, poly_str
-from .lefschetz import (builtin_collection, check_collection_json,
-                        collection_from_json, conjecture_numerology)
+from .lefschetz import (builtin_collection, conjecture_numerology,
+                        load_collection)
 from .schur import qh_grassmannian
 from .spectrum import kappa_split, point_count, quantum_spectrum_report
 from .varieties import REGISTRY
@@ -119,33 +119,20 @@ def _bwb_lines(verdict, backend):
 
 
 def cmd_check(args):
-    def unreadable(e):
+    try:
+        coll = load_collection(args.file)
+    except (OSError, json.JSONDecodeError, RecursionError, ValueError) as e:
         print("cannot read collection %s: %s" % (args.file, e),
               file=sys.stderr)
         return 1
-
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        check_collection_json(obj)
-    except (OSError, json.JSONDecodeError, RecursionError, ValueError) as e:
-        return unreadable(e)
-    desc = REGISTRY.get(obj["variety"])
+    desc = REGISTRY.get(coll.variety)
     if desc is None:
-        print("collection names unknown variety %r" % obj["variety"],
+        print("collection names unknown variety %r" % coll.variety,
               file=sys.stderr)
         print(_registry_listing(), file=sys.stderr)
         return 1
     t0 = time.monotonic()
     A = desc.provider()
-    # the support is padded to the file's Fano index: compare that first
-    if obj["fano_index"] != A.fano_index:
-        raise ValueError("Fano index mismatch: report %d, collection %d"
-                         % (A.fano_index, obj["fano_index"]))
-    try:
-        coll = collection_from_json(obj)
-    except ValueError as e:
-        return unreadable(e)
     report = quantum_spectrum_report(A)
     verdict = conjecture_numerology(report, coll)
     print("collection on %s: sigma = %r, starting block of %d"

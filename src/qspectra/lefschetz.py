@@ -2,24 +2,25 @@
 
 A collection here is a purely combinatorial object: a starting block of
 opaque bundle descriptors and a non-increasing support partition, stored
-zero-padded to the Fano index so the rectangular-part formula m * sigma[m-1]
-degenerates correctly for short partitions.  Descriptor strings are only
-interpreted by the cohomology backend; the numerology below never looks
-inside them.
+as given and read zero-padded to the Fano index, so the rectangular-part
+formula m * sigma[m-1] degenerates correctly for short partitions while
+reading a collection file, whose format only this module knows, costs the
+same whatever its Fano index.  Descriptor strings are only interpreted by
+the cohomology backend; the numerology below never looks inside them.
 """
 
 import json
 
 
 class LefschetzCollection:
-    """Starting block plus support partition, padded to length fano_index.
+    """Starting block plus support partition, read padded to fano_index.
 
     asserted_full marks the builtin collections, whose fullness is a cited
     theorem; user-built collections leave it False and the total-length
     check is then reported as a bare comparison, not a completeness claim.
     """
 
-    __slots__ = ("variety", "starting_block", "support", "fano_index",
+    __slots__ = ("variety", "starting_block", "_support", "fano_index",
                  "asserted_full")
 
     def __init__(self, variety, starting_block, support, fano_index,
@@ -37,10 +38,10 @@ class LefschetzCollection:
                             % (support,))
         if len(support) > fano_index:
             raise ValueError("support partition longer than the Fano index")
-        support = support + (0,) * (fano_index - len(support))
+        # a tail of zeros after nonnegative entries breaks neither check
         if any(s < 0 for s in support):
             raise ValueError("support partition has negative entries")
-        if any(support[i] < support[i + 1] for i in range(fano_index - 1)):
+        if any(a < b for a, b in zip(support, support[1:])):
             raise ValueError("support partition not non-increasing")
         block = tuple(starting_block)
         if not all(isinstance(e, str) for e in block):
@@ -50,9 +51,14 @@ class LefschetzCollection:
             raise ValueError("support partition exceeds the starting block")
         self.variety = variety
         self.starting_block = block
-        self.support = support
+        self._support = support
         self.fano_index = fano_index
         self.asserted_full = bool(asserted_full)
+
+    @property
+    def support(self):
+        """The support partition, zero-padded to length fano_index."""
+        return self._support + (0,) * (self.fano_index - len(self._support))
 
     def __repr__(self):
         return "LefschetzCollection(%r, sigma=%r)" % (
@@ -197,18 +203,6 @@ def collection_to_json(c):
 
 
 def collection_from_json(obj):
-    check_collection_json(obj)
-    return LefschetzCollection(
-        variety=obj["variety"],
-        starting_block=obj["starting_block"],
-        support=obj["support"],
-        fano_index=obj["fano_index"],
-    )
-
-
-def check_collection_json(obj):
-    """Reject missing keys and wrong-typed fields without building the
-    collection, which pads its support to the object's Fano index."""
     if not isinstance(obj, dict):
         raise ValueError("collection file must hold a JSON object")
     missing = [k for k in ("variety", "fano_index", "starting_block",
@@ -217,8 +211,7 @@ def check_collection_json(obj):
         raise ValueError("collection file missing keys: %s"
                          % ", ".join(missing))
     # the constructor refuses the same types with TypeError; checked here
-    # first so that a bad file exits 1 before the registry lookup and the
-    # Fano-index comparison read these fields
+    # so that a bad file raises ValueError, an input error (exit 1)
     if not isinstance(obj["variety"], str):
         raise ValueError("variety must be a string")
     if type(obj["fano_index"]) is not int:
@@ -229,6 +222,8 @@ def check_collection_json(obj):
     if not isinstance(obj["starting_block"], list) \
             or not all(isinstance(e, str) for e in obj["starting_block"]):
         raise ValueError("starting_block must be a list of strings")
+    return LefschetzCollection(obj["variety"], obj["starting_block"],
+                               obj["support"], obj["fano_index"])
 
 
 def load_collection(path):

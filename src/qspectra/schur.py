@@ -14,26 +14,35 @@ no trailing zeros.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import comb
 
 from .algebra import FiniteCommAlgebra, _operator_walk
 from .exactlin import _ONE, _ZERO
 
+# the search steps one Littlewood-Richardson expansion may take; see the
+# bundle bounds in qspectra.bwb
+MAX_LR_STEPS = 10000
 
-def _strips(shape, size, prev_cum):
+
+def _strips(shape, size, prev_cum, steps=None):
     """Horizontal strips of `size` cells added to `shape`, as
     (new shape, cumulative-count profile) pairs.
 
     prev_cum caps this label's count through row r by the previous label's
     count through row r-1 (the lattice-word condition, batch by batch);
-    None means first label, uncapped.
+    None means first label, uncapped.  steps, when given, is an
+    itertools.count numbering the search's steps; past MAX_LR_STEPS,
+    ValueError.
     """
     R = len(shape)
     out = []
     strip = [0] * R
 
     def rec(r, left, cum):
+        if steps is not None and next(steps) > MAX_LR_STEPS:
+            raise ValueError("Littlewood-Richardson expansion takes more "
+                             "than %d steps" % MAX_LR_STEPS)
         if left == 0:
             new_shape = tuple(s + (strip[i] if i < r else 0)
                               for i, s in enumerate(shape))
@@ -77,10 +86,11 @@ def _lr_table(lam, mu, rows):
     R = max(1, rows)
     start = lam + (0,) * (R - len(lam))
     states = {(start, None): 1}
+    steps = count(1)
     for part in mu:
         nxt = {}
         for (shape, cum), cnt in states.items():
-            for key in _strips(shape, part, cum):
+            for key in _strips(shape, part, cum, steps):
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
     table = {}
@@ -95,7 +105,8 @@ def lr_coeffs(lam, mu, rows):
 
     Partitions are tuples of positive, weakly decreasing ints.  Returns
     the sorted (nu, c) pairs over all nu of weight |lam| + |mu| with
-    c > 0 and at most rows parts.
+    c > 0 and at most rows parts.  An expansion whose search takes more
+    than MAX_LR_STEPS steps raises ValueError and is not cached.
     """
     # no nu has more than len(lam) + len(mu) parts; capping there keeps
     # one cache entry for every rows beyond it

@@ -18,6 +18,7 @@ from qspectra.algebra import (FiniteCommAlgebra, qh_projective,
 from qspectra.cli import REGISTRY, main
 from qspectra.varieties import Variety
 from qspectra.lefschetz import builtin_collection
+from qspectra.schur import MAX_LR_STEPS
 from qspectra.spectrum import quantum_spectrum_report
 
 
@@ -249,8 +250,9 @@ def test_check_unknown_variety(capsys, tmp_path):
     ("Y", "unknown variety"), ("P2", "Fano index mismatch")])
 def test_check_rejects_before_padding_to_fano_index(capsys, tmp_path,
                                                     variety, message):
-    # the support is padded to the file's Fano index only after the
-    # variety and that index are checked against the registry
+    # the collection stores its support as given and pads it only when
+    # read, so a huge Fano index costs nothing before the variety and
+    # that index are checked against the registry
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "variety": variety, "fano_index": 10**12,
@@ -337,6 +339,26 @@ def test_check_bwb_rejects_a_costly_pair_at_once(capsys, tmp_path):
     assert code == 1
     assert "has 55 summands" in err
     assert "3025 summand pairs, more than 64" in err
+
+
+@pytest.mark.parametrize("descriptor", [
+    "S^(6,5,4,3,2,1,0) Q*", "S^(9,8,7,6,5,4,3,2,1,0) Q*",
+    "S^(6,5,4,3,2,1,0) Q* * S^(6,5,4,3,2,1,0) Q*"],
+    ids=["staircase-6", "staircase-9", "staircase-product"])
+def test_check_bwb_rejects_costly_lr_work_at_once(capsys, tmp_path,
+                                                  descriptor):
+    # each passes the spread and summand bounds, but one Littlewood-
+    # Richardson expansion, of the object's Hom with itself or of the
+    # product, would take millions of steps
+    path = tmp_path / "staircase.json"
+    path.write_text(json.dumps({
+        "variety": "P10", "fano_index": 11,
+        "starting_block": [descriptor], "support": [1]}))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "more than %d steps" % MAX_LR_STEPS in err
 
 
 def test_check_bwb_rejects_too_much_pair_work(capsys, tmp_path):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from qspectra.exactlin import (
@@ -131,24 +132,45 @@ def matrices(draw, max_dim=5):
     return Matrix(rows)
 
 
-@st.composite
-def rational_rows(draw, max_dim=6):
+def _seeded(build):
+    """A strategy that draws one seed and builds its value from
+    random.Random(seed), which costs far less than drawing every entry
+    through hypothesis.  Seeds shrink poorly, so a failure prints the
+    seed and the value."""
+    def from_seed(seed):
+        value = build(random.Random(seed))
+        note("seed %d: %r" % (seed, value))
+        return value
+    return st.integers(min_value=0, max_value=2**32 - 1).map(from_seed)
+
+
+def _fraction(rnd, bound, max_denominator):
+    d = rnd.randint(1, max_denominator)
+    return F(rnd.randint(-bound * d, bound * d), d)
+
+
+def _random_rows(rnd, max_dim=6):
     """(rows, width): 0-row, 0-width, wide, tall, zero and rank-deficient
     matrices of ints and Fractions of mixed denominators."""
-    width = draw(st.integers(min_value=0, max_value=max_dim))
-    height = draw(st.integers(min_value=0, max_value=max_dim))
-    entry = st.one_of(st.integers(min_value=-5, max_value=5),
-                      st.fractions(min_value=-4, max_value=4,
-                                   max_denominator=6))
-    row = st.lists(entry, min_size=width, max_size=width)
-    gens = draw(st.lists(row, min_size=1, max_size=3))
-    combination = st.lists(
-        st.fractions(min_value=-2, max_value=2, max_denominator=3),
-        min_size=len(gens), max_size=len(gens)).map(
-            lambda cs: [sum((c * g[k] for c, g in zip(cs, gens)), F(0))
-                        for k in range(width)])
-    vector = st.one_of(row, combination, st.just([0] * width))
-    return draw(st.lists(vector, min_size=height, max_size=height)), width
+    width = rnd.randint(0, max_dim)
+    height = rnd.randint(0, max_dim)
+
+    def row():
+        return [rnd.randint(-5, 5) if rnd.random() < 0.5
+                else _fraction(rnd, 4, 6) for _ in range(width)]
+
+    gens = [row() for _ in range(rnd.randint(1, 3))]
+
+    def combination():
+        cs = [_fraction(rnd, 2, 3) for _ in gens]
+        return [sum((c * g[k] for c, g in zip(cs, gens)), F(0))
+                for k in range(width)]
+
+    return [rnd.choice((row, combination, lambda: [0] * width))()
+            for _ in range(height)], width
+
+
+rational_rows = _seeded(_random_rows)
 
 
 polys = st.builds(Poly, st.lists(rationals, min_size=0, max_size=6))
@@ -191,7 +213,7 @@ shapes = [([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0], [0, 0, 0]], 3),
 def _with_shapes(test):
     for case in shapes:
         test = example(case)(test)
-    return given(rational_rows())(test)
+    return given(rational_rows)(test)
 
 
 @settings(max_examples=200)
@@ -215,19 +237,16 @@ def test_rank_matches_gauss_jordan(case):
     assert rank(Matrix(rows, cols=width)) == len(gauss_jordan(rows, width)[1])
 
 
-@st.composite
-def systems(draw):
-    """(rows, width, x, b): a matrix S as in rational_rows, a vector x of
+def _random_system(rnd):
+    """(rows, width, x, b): a matrix S as in _random_rows, a vector x of
     its width and a vector b of its height."""
-    rows, width = draw(rational_rows())
-    return (rows, width, draw(st.lists(rationals, min_size=width,
-                                       max_size=width)),
-            draw(st.lists(rationals, min_size=len(rows),
-                          max_size=len(rows))))
+    rows, width = _random_rows(rnd)
+    return (rows, width, [_fraction(rnd, 4, 4) for _ in range(width)],
+            [_fraction(rnd, 4, 4) for _ in rows])
 
 
 @settings(max_examples=200)
-@given(systems())
+@given(_seeded(_random_system))
 @example(([], 0, [], []))
 @example(([[], []], 0, [], [0, 0]))
 @example(([[], []], 0, [], [1, 0]))
@@ -300,23 +319,26 @@ def test_integer_echelon_examples():
     assert integer_echelon([]) == ([], [])
 
 
-@st.composite
-def integer_vector_lists(draw):
+def _random_integer_lists(rnd):
     """(basis, vectors) of one width: random, zero, and integer
     combinations of at most four generators, so often rank-deficient,
     and wide when the width passes the count."""
-    width = draw(st.integers(min_value=1, max_value=7))
-    row = st.lists(st.integers(min_value=-9, max_value=9),
-                   min_size=width, max_size=width)
-    gens = draw(st.lists(row, min_size=1, max_size=4))
-    combination = st.lists(
-        st.integers(min_value=-3, max_value=3),
-        min_size=len(gens), max_size=len(gens)).map(
-            lambda cs: [sum(c * g[k] for c, g in zip(cs, gens))
-                        for k in range(width)])
-    vector = st.one_of(combination, row, st.just([0] * width))
-    return (draw(st.lists(vector, max_size=3)),
-            draw(st.lists(vector, max_size=8)))
+    width = rnd.randint(1, 7)
+
+    def row():
+        return [rnd.randint(-9, 9) for _ in range(width)]
+
+    gens = [row() for _ in range(rnd.randint(1, 4))]
+
+    def combination():
+        cs = [rnd.randint(-3, 3) for _ in gens]
+        return [sum(c * g[k] for c, g in zip(cs, gens)) for k in range(width)]
+
+    def vector():
+        return rnd.choice((combination, row, lambda: [0] * width))()
+
+    return ([vector() for _ in range(rnd.randint(0, 3))],
+            [vector() for _ in range(rnd.randint(0, 8))])
 
 
 def _reference_span(vectors):
@@ -328,7 +350,7 @@ def _span_rank(vectors):
 
 
 @settings(max_examples=200)
-@given(integer_vector_lists(), st.booleans())
+@given(_seeded(_random_integer_lists), st.booleans())
 def test_integer_echelon_matches_gauss_jordan(lists, extend):
     basis, vectors = lists
     if not extend:

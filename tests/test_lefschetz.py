@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,11 @@ def report_ig6():
 def test_support_zero_padded_to_fano_index():
     c = LefschetzCollection("X", ("O",), (1, 1), fano_index=4)
     assert c.support == (1, 1, 0, 0)
+
+
+def test_support_read_padded_after_its_given_entries():
+    c = LefschetzCollection("X", ("O", "U*"), [2, 2, 1], fano_index=4)
+    assert c.support == (2, 2, 1, 0)
 
 
 def test_support_must_be_non_increasing():
@@ -226,6 +233,18 @@ def test_collection_json_roundtrip(collection_file):
     assert back.fano_index == c.fano_index
     # fullness is not part of the file format
     assert not back.asserted_full
+
+
+def test_reading_costs_the_same_whatever_the_fano_index(tmp_path):
+    # the support is stored as given: padding it to 10**12 entries would
+    # not fit in memory
+    obj = {"variety": "P2", "fano_index": 10**12, "starting_block": ["O"],
+           "support": [1, 1]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    for c in (collection_from_json(obj), load_collection(path)):
+        assert c.fano_index == 10**12
+        assert c.starting_block == ("O",)
 
 
 def test_collection_json_missing_keys():

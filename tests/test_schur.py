@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from qspectra.algebra import mult_matrix, qh_projective, validate_algebra
 from qspectra.exactlin import charpoly
 from qspectra.schur import (
+    MAX_LR_STEPS,
     _box_shapes,
+    _lr_table,
     _qh_grassmannian_pairwise,
     _ring,
     lr_coeffs,
@@ -124,6 +126,19 @@ def test_lr_row_case_is_multiplicity_free(lam, r):
         # horizontal strip: interlacing with the original rows
         assert all(ps[i] >= lam_padded[i] >= ps[i + 1]
                    for i in range(len(lam_padded) - 1))
+
+
+def test_lr_refuses_a_costly_expansion_and_caches_nothing():
+    # (4,3,2,1) squared on 5 rows takes 2,412 steps, the staircase
+    # (6,5,4,3,2,1) squared on 10 rows 1,356,741
+    staircase = (6, 5, 4, 3, 2, 1)
+    before = _lr_table.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="more than %d steps" % MAX_LR_STEPS):
+            lr_coeffs(staircase, staircase, 10)
+    assert _lr_table.cache_info().currsize == before
+    assert len(lr_coeffs((4, 3, 2, 1), (4, 3, 2, 1), 5)) > 0
 
 
 # ---------------------------------------------------------------- rim hooks
