@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactlin import _ONE, _ZERO, Matrix, _q, clear_denominators, vec
+from .exactlin import (_ONE, _ZERO, Matrix, _lead, _q, clear_denominators,
+                       integer_echelon, vec)
 
 
 def integer_cells(cells):
@@ -174,7 +175,7 @@ def validate_algebra(A):
 
     Returns a tuple of every violated invariant; empty means valid.
 
-    The sweeps run over the algebra's integer rows, which hold D times each
+    The checks run over the algebra's integer rows, which hold D times each
     structure constant for the common denominator D = A.den.  Scaling by D
     changes no zero pattern, so grading and the unit identity read the
     same on the scaled table (the unit vector is cleared by its own
@@ -182,6 +183,18 @@ def validate_algebra(A):
     sides of an associativity test are products of two structure
     constants, so both scale by D^2 and one side equals the other exactly
     when it does before scaling.
+
+    Associativity is proved on a few generators first, by Light's lemma
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2): the
+    elements a with (x a) y = x (a y) for all x and y form a subspace that
+    is closed under the product, and it holds the unit.  So when the unit
+    holds and the basis elements b_g, g in G, generate A, A is associative
+    as soon as (b_x b_g) b_y = b_x (b_g b_y) for every g in G and x < y:
+    the table is commutative, so the pair (y, x) is the same equation with
+    its sides swapped, and at x = y both sides read (b_x b_g) b_x.  That
+    costs O(|G| dim^2) products, against O(dim^3) for every triple.  When
+    the unit fails or a generator equation does, every triple i <= j <= l
+    is tested, in order, and each failure listed.
     """
     out = []
     m = A.fano_index
@@ -198,14 +211,8 @@ def validate_algebra(A):
         if times(unit, ((i, 1),)) != want:
             out.append("unit fails on basis element %d" % i)
 
-    for i in range(n):
-        for j in range(i, n):
-            pij = sparse[i][j]
-            for l in range(j, n):
-                t1 = times(pij, ((l, 1),))
-                t2 = times(sparse[i][l], ((j, 1),))
-                if t1 != t2 or t1 != times(sparse[j][l], ((i, 1),)):
-                    out.append("associativity fails at (%d, %d, %d)" % (i, j, l))
+    if out or not _associates_with(A, _generators(A)):
+        out.extend(_associativity_sweep(A))
 
     for i in range(n):
         for j in range(i, n):
@@ -221,6 +228,69 @@ def validate_algebra(A):
             out.append("anticanonical vector not in degree 1 (component %d)" % k)
 
     return tuple(out)
+
+
+def _generators(A):
+    """Basis indices G whose elements generate A with its unit, chosen
+    greedily: while the span of the unit, closed under multiplication by
+    each b_g so far, is not all of A, the first basis index outside it.
+    The span is kept as integer echelon rows; each new frontier of
+    products is reduced in one call.  Assumes the unit holds, so that each
+    b_g lies in the span it closes."""
+    n = A.dim
+    times = A.sparse_product
+    rows, _ = integer_echelon([clear_denominators(A.unit)[0]])
+    G = []
+    while len(rows) < n:
+        # an index that is no row's pivot lies outside the span, so the
+        # first one outside is at most the first such index
+        pivots = {_lead(r) for r in rows}
+        last = next(i for i in range(n) if i not in pivots)
+        _, raised = integer_echelon(
+            [[int(i == j) for j in range(n)] for i in range(last + 1)], rows)
+        g = raised[0]
+        G.append(g)
+        products = [times(_nonzero(r), ((g, 1),)) for r in rows]
+        while products:
+            kept = len(rows)
+            rows, _ = integer_echelon(products, rows)
+            products = [times(_nonzero(r), ((h, 1),))
+                        for r in rows[kept:] for h in G]
+    return G
+
+
+def _associates_with(A, G):
+    """Whether (b_x b_g) b_y = b_x (b_g b_y) for every g in G and x < y;
+    at x = y both sides are (b_x b_g) b_x by commutativity."""
+    n = A.dim
+    sparse = A.rows
+    times = A.sparse_product
+    for g in G:
+        row = sparse[g]
+        for x in range(n):
+            xg = sparse[x][g]
+            for y in range(x + 1, n):
+                if times(xg, ((y, 1),)) != times(row[y], ((x, 1),)):
+                    return False
+    return True
+
+
+def _associativity_sweep(A):
+    """A failure line for each triple i <= j <= l on which (b_i b_j) b_l,
+    (b_i b_l) b_j and (b_j b_l) b_i are not all equal."""
+    out = []
+    n = A.dim
+    sparse = A.rows
+    times = A.sparse_product
+    for i in range(n):
+        for j in range(i, n):
+            pij = sparse[i][j]
+            for l in range(j, n):
+                t1 = times(pij, ((l, 1),))
+                t2 = times(sparse[i][l], ((j, 1),))
+                if t1 != t2 or t1 != times(sparse[j][l], ((i, 1),)):
+                    out.append("associativity fails at (%d, %d, %d)" % (i, j, l))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +701,10 @@ def _json_fraction(num, den):
 
 
 # the largest dimension algebra_from_json reads: every ring the package
-# builds fits, the largest being G(5,10) of dimension 252, and the table
-# it allocates and the validation it runs grow as dim^2 and dim^3
+# builds fits, the largest being G(5,10) of dimension 252; the table it
+# allocates grows as dim^2, validation tests O(|G| dim^2) products on a
+# few generators G, and only a table that fails them is swept over
+# every triple, which grows as dim^3
 JSON_MAX_DIM = 256
 
 

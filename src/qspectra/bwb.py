@@ -427,6 +427,12 @@ def _check(c, backend, ext):
     found = parse_variety(c.variety)
     if found is None or found.backend != backend:
         raise ValueError(_NO_BACKEND[backend] % (c.variety,))
+    # the support is read padded to the collection's Fano index, so refuse
+    # one that is not the variety's (IG(2,n) has n - 1) before reading it
+    fano_index = found.n - (backend == "hyperplane")
+    if c.fano_index != fano_index:
+        raise ValueError("Fano index mismatch: variety %d, collection %d"
+                         % (fano_index, c.fano_index))
     # the support counts the objects: refuse a long one before building it
     if sum(c.support) > MAX_OBJECTS:
         raise ValueError("collection has %d objects, more than %d"

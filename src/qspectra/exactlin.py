@@ -8,6 +8,7 @@ only charpoly's Hessenberg reduction works in Fractions.
 """
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -141,20 +142,22 @@ def integer_echelon(vectors, basis=()):
     rows, pivots, raised = [], [], []
     offset = len(basis)
     for i, v in enumerate([*basis, *vectors]):
-        for p, r in zip(pivots, rows):
-            c = v[p]
-            if c:
-                a = r[p]
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                v = [a * x - c * y for x, y in zip(v, r)]
-        p = next((k for k, x in enumerate(v) if x), None)
+        # a row of an echelon handed back as basis needs no reduction
+        if any(map(v.__getitem__, pivots)):
+            for p, r in zip(pivots, rows):
+                c = v[p]
+                if c:
+                    a = r[p]
+                    g = gcd(a, c)
+                    a, c = a // g, c // g
+                    v = [a * x - c * y for x, y in zip(v, r)]
+        p = next(compress(count(), v), None)
         if p is None:
             continue
         g = gcd(*v)
         if v[p] < 0:
             g = -g
-        rows.append([x // g for x in v])
+        rows.append(list(v) if g == 1 else [x // g for x in v])
         pivots.append(p)
         if i >= offset:
             raised.append(i - offset)

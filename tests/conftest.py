@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, note, settings
+from hypothesis import strategies as st
 
 from qspectra.algebra import FiniteCommAlgebra
 from qspectra.lefschetz import collection_to_json
@@ -14,6 +16,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def _seeded(build):
+    """A strategy that draws one seed and builds its value from
+    random.Random(seed), which costs far less than drawing every entry
+    through hypothesis.  Seeds shrink poorly, so a failure prints the
+    seed and the value."""
+    def from_seed(seed):
+        value = build(random.Random(seed))
+        note("seed %d: %r" % (seed, value))
+        return value
+    return st.integers(min_value=0, max_value=2**32 - 1).map(from_seed)
 
 
 @pytest.fixture()

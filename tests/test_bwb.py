@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import product
 from math import comb
 
@@ -854,6 +855,27 @@ def test_object_count_is_checked_before_the_objects_are_built(monkeypatch):
     with pytest.raises(ValueError,
                        match="collection has 2200 objects, more than 128"):
         check_collection(c)
+
+
+@pytest.mark.parametrize("check, c, message", [
+    (check_collection, LefschetzCollection("P2", ("O",), (1, 1), 10**12),
+     "variety 3, collection 1000000000000"),
+    (check_collection, LefschetzCollection("G(2,5)", ("O",), (1,), 4),
+     "variety 5, collection 4"),
+    (check_collection_hyperplane,
+     LefschetzCollection("IG(2,8)", ("O",), (1,), 10**12),
+     "variety 7, collection 1000000000000"),
+    (check_collection_hyperplane,
+     LefschetzCollection("IG(2,8)", ("O",), (1,), 8),
+     "variety 7, collection 8"),
+])
+def test_fano_index_mismatch_is_refused_before_the_support_is_read(
+        check, c, message):
+    # padding the support to 10**12 entries would run out of memory
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^Fano index mismatch: " + message):
+        check(c)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unsupported_variety():

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, note, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qspectra.exactlin import (
@@ -20,6 +19,8 @@ from qspectra.exactlin import (
     split_at_zero,
     vec,
 )
+
+from conftest import _seeded
 
 F = Fraction
 
@@ -130,18 +131,6 @@ def matrices(draw, max_dim=5):
         st.lists(rationals, min_size=c, max_size=c),
         min_size=r, max_size=r))
     return Matrix(rows)
-
-
-def _seeded(build):
-    """A strategy that draws one seed and builds its value from
-    random.Random(seed), which costs far less than drawing every entry
-    through hypothesis.  Seeds shrink poorly, so a failure prints the
-    seed and the value."""
-    def from_seed(seed):
-        value = build(random.Random(seed))
-        note("seed %d: %r" % (seed, value))
-        return value
-    return st.integers(min_value=0, max_value=2**32 - 1).map(from_seed)
 
 
 def _fraction(rnd, bound, max_denominator):
