@@ -233,25 +233,22 @@ def validate_algebra(A):
 def _generators(A):
     """Basis indices G whose elements generate A with its unit, chosen
     greedily: while the span of the unit, closed under multiplication by
-    each b_g so far, is not all of A, the first basis index outside it.
-    The span is kept as integer echelon rows; each new frontier of
-    products is reduced in one call.  Assumes the unit holds, so that each
-    b_g lies in the span it closes."""
+    each b_g so far, is not all of A, the first index that is no pivot of
+    its integer echelon rows.  Those rows lead at distinct pivots, so every
+    vector of the span leads at a pivot and b_g lies outside it.  Each new
+    frontier of products is reduced in one call, until the rank reaches
+    dim.  Assumes the unit holds, so that each b_g lies in the span it
+    closes."""
     n = A.dim
     times = A.sparse_product
     rows, _ = integer_echelon([clear_denominators(A.unit)[0]])
     G = []
     while len(rows) < n:
-        # an index that is no row's pivot lies outside the span, so the
-        # first one outside is at most the first such index
         pivots = {_lead(r) for r in rows}
-        last = next(i for i in range(n) if i not in pivots)
-        _, raised = integer_echelon(
-            [[int(i == j) for j in range(n)] for i in range(last + 1)], rows)
-        g = raised[0]
+        g = next(i for i in range(n) if i not in pivots)
         G.append(g)
         products = [times(_nonzero(r), ((g, 1),)) for r in rows]
-        while products:
+        while products and len(rows) < n:
             kept = len(rows)
             rows, _ = integer_echelon(products, rows)
             products = [times(_nonzero(r), ((h, 1),))
@@ -700,11 +697,11 @@ def _json_fraction(num, den):
     return Fraction(num, den)
 
 
-# the largest dimension algebra_from_json reads: every ring the package
-# builds fits, the largest being G(5,10) of dimension 252; the table it
-# allocates grows as dim^2, validation tests O(|G| dim^2) products on a
-# few generators G, and only a table that fails them is swept over
-# every triple, which grows as dim^3
+# the largest dimension algebra_from_json reads: it covers every registry
+# ring and G(5,10) of dimension 252, not every ring the builders make
+# (G(6,12) has dimension 924); the table it allocates grows as dim^2,
+# validation tests O(|G| dim^2) products on a few generators G, and only
+# a table that fails them is swept over every triple, as dim^3
 JSON_MAX_DIM = 256
 
 

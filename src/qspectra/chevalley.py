@@ -1,40 +1,41 @@
 """Divisor multiplication on coset spaces from the Chevalley formula.
 
-Works over minimal-length coset representatives for a maximal parabolic in
-Weyl groups of types A and C, grown from the identity by the simple
-reflections; each root's reflection and pairing is computed once.  When
-the divisor operator has a full Krylov space, every basis class is a
-polynomial in the divisor applied to the unit, and one matrix rebuilds the
-complete multiplication table; that is how grassmannian_algebra recovers
-the cyclic cases such as G(2,5) and the projective spaces G(1,n).  The
-divisor does not always generate (on IG(2,2n) with n >= 3 it annihilates
-the whole nilpotent summand), but its matrix is exact regardless, so the
-operators here double as independent oracles for rings built by other
-routes: characteristic polynomials are basis independent and can be
-compared directly.
+Works in integers over minimal-length coset representatives for a maximal
+parabolic in Weyl groups of types A and C, grown from the identity by the
+simple reflections.  An element is the signed permutation of its images
+of e_1, ..., e_n; a root's reflection is read off the root (e_i - e_j
+swaps e_i and e_j, e_i + e_j sends e_i to -e_j, 2 e_i negates e_i), and a
+root is negative exactly when its first nonzero entry is.  The divisor
+operator is a list of integer columns, wrapped in a Matrix only by the
+two public functions.  When it has a full Krylov space, every basis class
+is a polynomial in the divisor applied to the unit, and the integer
+images M^l b_j rebuild the complete table: grassmannian_algebra recovers
+the cyclic G(k,n), such as G(2,5), G(2,7), G(3,7), G(2,9) and the
+projective spaces G(1,n), and refuses the others, such as G(2,4) and
+G(3,8), each in well under a second.  The divisor does not always
+generate (on IG(2,2n) with n >= 3 it annihilates the whole nilpotent
+summand), but its matrix is exact regardless, so the operators here
+double as independent oracles for rings built by other routes:
+characteristic polynomials are basis independent and can be compared
+directly.
 """
 
-from fractions import Fraction
 from math import comb
 
 from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
-from .exactlin import _ONE, _ZERO, Matrix, Solver
+from .exactlin import Matrix, Solver
 from .schur import _label, _trim
 
 
 def _reflection(alpha):
-    # signed-image tuple of the reflection in a type A/C root
-    n = len(alpha)
-    norm = sum(a * a for a in alpha)
-    images = []
-    for i in range(n):
-        coef = Fraction(2 * alpha[i], norm)
-        vec = [(_ONE if j == i else _ZERO) - coef * alpha[j] for j in range(n)]
-        nz = [(j, c) for j, c in enumerate(vec) if c != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1):
-            raise AssertionError("reflection is not a signed permutation")
-        j, c = nz[0]
-        images.append(j + 1 if c == 1 else -(j + 1))
+    # signed-image tuple of the reflection in a type A/C root, in closed
+    # form: with i <= j its nonzero places, e_i and e_j are swapped, and
+    # negated as well unless the root is +-(e_i - e_j)
+    i, *rest = [t for t, a in enumerate(alpha) if a]
+    j = rest[0] if rest else i
+    sign = 1 if alpha[i] * alpha[j] < 0 else -1
+    images = list(range(1, len(alpha) + 1))
+    images[i], images[j] = sign * (j + 1), sign * (i + 1)
     return tuple(images)
 
 
@@ -63,11 +64,10 @@ class _CosetModel:
     and its pairing with the crossed fundamental weight.  Lengths are
     cached on demand."""
 
-    __slots__ = ("positive", "pos_set", "levi", "roots", "reps", "_lengths")
+    __slots__ = ("positive", "levi", "roots", "reps", "_lengths")
 
     def __init__(self, positive, simples, k):
         self.positive = tuple(positive)
-        self.pos_set = frozenset(self.positive)
         refls = [_reflection(root) for root in simples]
         self.levi = tuple((root, refl) for i, (root, refl)
                           in enumerate(zip(simples, refls)) if i != k - 1)
@@ -96,8 +96,12 @@ class _CosetModel:
             layer = list(grown)
         self.reps = tuple(reps)
 
-    def is_negative(self, vec):
-        return tuple(-x for x in vec) in self.pos_set
+    @staticmethod
+    def is_negative(vec):
+        # every positive root of types A and C leads with a positive entry
+        for x in vec:
+            if x:
+                return x < 0
 
     def length(self, w):
         got = self._lengths.get(w)
@@ -144,8 +148,9 @@ def _type_c(n, k):
     return _CosetModel(positive, simples + [_root(n, n - 1, n - 1, 1)], k)
 
 
-def _divisor_matrix(model, reps, m):
-    """Multiplication by the degree-1 coset class, columns over reps."""
+def _divisor_columns(model, reps, m):
+    """Multiplication by the degree-1 coset class: its integer columns
+    over reps."""
     idx = {w: i for i, w in enumerate(reps)}
     cols = []
     for w in reps:
@@ -160,23 +165,26 @@ def _divisor_matrix(model, reps, m):
                 if model.length(v) == lw + 1 - m * c:
                     col[idx[v]] += c
         cols.append(col)
-    return Matrix.from_columns(cols)
+    return cols
 
 
 def _ring_from_divisor(name, model, reps, m, dim_X, labels):
     """Rebuild the full product table from the divisor operator alone."""
     n = len(reps)
-    M = _divisor_matrix(model, reps, m)
-    basis = [tuple(_ONE if i == j else _ZERO for i in range(n))
-             for j in range(n)]
-    unit = basis[0]
-    # iterated images M^l b_j, reused across all rows; those of the unit
-    # span the Krylov space
+    cols = [[(t, x) for t, x in enumerate(col) if x]
+            for col in _divisor_columns(model, reps, m)]
+    # iterated integer images M^l b_j, reused across all rows; those of
+    # the unit span the Krylov space
     images = []
-    for b in basis:
-        seq = [b]
+    for j in range(n):
+        seq = [[int(t == j) for t in range(n)]]
         for _ in range(n - 1):
-            seq.append(M.apply(seq[-1]))
+            image = [0] * n
+            for s, c in enumerate(seq[-1]):
+                if c:
+                    for t, x in cols[s]:
+                        image[t] += c * x
+            seq.append(image)
         images.append(seq)
     try:
         solver = Solver(Matrix.from_columns(images[0]))
@@ -184,7 +192,7 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
         raise AssertionError(
             "divisor class does not generate %s; table not reconstructible"
             % name) from None
-    in_krylov = [solver.solve(b) for b in basis]
+    in_krylov = [solver.solve(seq[0]) for seq in images]
 
     def product(i, j):
         acc = {}
@@ -193,7 +201,7 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
                 continue
             for t, x in enumerate(images[j][l]):
                 if x != 0:
-                    acc[t] = acc.get(t, _ZERO) + c * x
+                    acc[t] = acc.get(t, 0) + c * x
         return acc
 
     cells, den = integer_cells([[product(i, j) for j in range(i, n)]
@@ -202,11 +210,10 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
     if lengths[1] != 1 or lengths.count(1) != 1:
         raise AssertionError("degree-1 line is not where expected")
     degrees = [l % m for l in lengths]
-    anticanonical = tuple(Fraction(m) if i == 1 else _ZERO for i in range(n))
     return FiniteCommAlgebra(
-        name=name, basis_labels=labels, cells=cells, den=den, unit=unit,
-        degrees=degrees, fano_index=m, anticanonical=anticanonical,
-        dim_X=dim_X)
+        name=name, basis_labels=labels, cells=cells, den=den,
+        unit=images[0][0], degrees=degrees, fano_index=m,
+        anticanonical=[m * x for x in images[1][0]], dim_X=dim_X)
 
 
 def _grassmann_partition(w, k):
@@ -252,7 +259,7 @@ def grassmann_divisor_matrix(k, n):
     so this works in the non-cyclic cases too (G(2,4) for one).
     """
     model, reps = _grassmann_reps(k, n)
-    M = _divisor_matrix(model, reps, n)
+    M = Matrix.from_columns(_divisor_columns(model, reps, n))
     return M, [model.length(w) for w in reps]
 
 
@@ -271,5 +278,5 @@ def ig2_divisor_matrix(n):
     reps = sorted(model.reps, key=lambda w: (model.length(w), w))
     if len(reps) != 2 * n * (n - 1):
         raise AssertionError("coset count mismatch for IG(2,%d)" % (2 * n))
-    M = _divisor_matrix(model, reps, 2 * n - 1)
+    M = Matrix.from_columns(_divisor_columns(model, reps, 2 * n - 1))
     return M, [model.length(w) for w in reps]

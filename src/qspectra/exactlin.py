@@ -3,8 +3,9 @@
 Matrices, univariate polynomials, characteristic polynomials and kernels:
 the arithmetic kernel everything else is built on.  Entries are ints or
 fractions.Fraction; floating point never enters.  Kernels, spans, ranks
-and solves all run on one division-free elimination, integer_echelon;
-only charpoly's Hessenberg reduction works in Fractions.
+and solves all run on one division-free elimination, integer_echelon.
+Matrix arithmetic, a Poly evaluated at a Matrix, charpoly's Hessenberg
+reduction and the coordinates a Solver returns work in Fractions.
 """
 
 from fractions import Fraction
@@ -69,17 +70,11 @@ class Matrix:
         return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
-    def from_columns(cls, columns, height=None):
+    def from_columns(cls, columns):
         columns = [tuple(c) for c in columns]
-        if columns:
-            if any(len(c) != len(columns[0]) for c in columns):
-                raise ValueError("ragged columns")
-            if height is not None and height != len(columns[0]):
-                raise ValueError("columns of height %d, not %d"
-                                 % (len(columns[0]), height))
-            height = len(columns[0])
-        elif height is None:
-            height = 0
+        if any(len(c) != len(columns[0]) for c in columns):
+            raise ValueError("ragged columns")
+        height = len(columns[0]) if columns else 0
         return cls([[c[i] for c in columns] for i in range(height)], cols=len(columns))
 
     def column(self, j):

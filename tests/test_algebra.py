@@ -22,10 +22,11 @@ from qspectra.algebra import (
     save_algebra,
     validate_algebra,
 )
-from qspectra.exactlin import Matrix, charpoly
+from qspectra.exactlin import (Matrix, charpoly, clear_denominators,
+                               integer_echelon)
 from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import kappa_split
-from qspectra.varieties import REGISTRY
+from qspectra.varieties import REGISTRY, parse_variety
 
 from conftest import _seeded
 
@@ -162,6 +163,30 @@ def test_valid_rings_never_reach_the_full_sweep(monkeypatch):
         A = desc.provider()
         assert not validate_algebra(A), desc.id
         assert len(algebra._generators(A)) <= 3, desc.id
+
+
+def _closed_span(A, G):
+    """Integer echelon rows of the span of the unit closed under
+    multiplication by every b_g, g in G, grown until the rank settles."""
+    rows, _ = integer_echelon([clear_denominators(A.unit)[0]])
+    while True:
+        grown, _ = integer_echelon(
+            [A.sparse_product([(i, x) for i, x in enumerate(r) if x],
+                              ((g, 1),)) for r in rows for g in G], rows)
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+@pytest.mark.parametrize("vid", [*REGISTRY, "G(4,8)", "IG(2,12)"])
+def test_each_generator_lies_outside_the_span_before_it(vid):
+    A = parse_variety(vid).provider()
+    G = algebra._generators(A)
+    for i, g in enumerate(G):
+        _, raised = integer_echelon([_basis_vector(A, g)],
+                                    _closed_span(A, G[:i]))
+        assert raised == [0], (A.name, G, g)
+    assert len(_closed_span(A, G)) == A.dim
 
 
 def test_a_nonassociative_table_with_a_unit_falls_back_to_the_sweep():

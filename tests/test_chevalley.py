@@ -1,6 +1,7 @@
 """Cross-validation between the coset-model route and the other constructions."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ from hypothesis import given, strategies as st
 from qspectra.algebra import (algebra_to_json, mult_matrix, qh_ig2,
                               qh_projective)
 from qspectra.chevalley import (
+    _act,
+    _reflection,
     _type_a,
+    _type_c,
     grassmann_divisor_matrix,
     grassmannian_algebra,
     ig2_divisor_matrix,
@@ -86,13 +90,69 @@ def test_type_a_length_counts_inversions(p):
     assert model.length(w) == inversions
 
 
-def test_grassmannian_cross_check_g25():
-    A = grassmannian_algebra(2, 5)
-    B = qh_grassmannian(2, 5)
-    assert A.basis_labels == B.basis_labels
-    assert A.degrees == B.degrees
-    assert A.structure == B.structure
-    assert A.anticanonical == B.anticanonical
+def _reference_reflection(alpha):
+    """The signed-image tuple of v - 2 (v, alpha) / (alpha, alpha) alpha,
+    read off the images of e_1, ..., e_n in Fractions."""
+    n = len(alpha)
+    norm = sum(a * a for a in alpha)
+    images = []
+    for i in range(n):
+        coef = Fraction(2 * alpha[i], norm)
+        v = [int(j == i) - coef * alpha[j] for j in range(n)]
+        nz = [(j, c) for j, c in enumerate(v) if c]
+        assert len(nz) == 1 and nz[0][1] in (1, -1), (alpha, v)
+        j, c = nz[0]
+        images.append(int(c) * (j + 1))
+    return tuple(images)
+
+
+def _signed_roots(n):
+    """Every root of C_n: +-e_i +- e_j for i < j, and +-2 e_i."""
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [0] * n
+                    v[i] += si
+                    v[j] += sj
+                    if any(v):
+                        out.append(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reflection_matches_the_defining_formula(n):
+    roots = _signed_roots(n)
+    # the roots of A_{n-1} are the e_i - e_j among them
+    type_a = [r for r in roots if sum(r) == 0]
+    assert len(type_a) == n * (n - 1)
+    assert len(roots) == 2 * n * n
+    for alpha in roots:
+        assert _reflection(alpha) == _reference_reflection(alpha), alpha
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_type_c_length_counts_positive_roots_made_negative(n):
+    model = _type_c(n, 2)
+    positive = set(model.positive)
+    assert len(positive) == n * n
+    for p in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            w = tuple(s * t for s, t in zip(signs, p))
+            made_negative = sum(
+                1 for a in positive
+                if tuple(-x for x in _act(w, a)) in positive)
+            assert model.length(w) == made_negative, w
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 7), (3, 7), (2, 9)])
+def test_grassmannian_cross_check(k, n):
+    A = grassmannian_algebra(k, n)
+    B = qh_grassmannian(k, n)
+    for name in ("rows", "den", "unit", "anticanonical", "degrees",
+                 "basis_labels"):
+        assert getattr(A, name) == getattr(B, name), name
 
 
 def test_grassmannian_cross_check_projective():
@@ -115,8 +175,9 @@ def test_grassmann_divisor_matrix_is_pinned(k, n):
 
 
 def test_non_cyclic_case_raises():
-    with pytest.raises(AssertionError, match="does not generate"):
-        grassmannian_algebra(2, 4)
+    for k, n in ((2, 4), (3, 8)):
+        with pytest.raises(AssertionError, match="does not generate"):
+            grassmannian_algebra(k, n)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7),
