@@ -20,10 +20,11 @@ characteristic polynomials are basis independent and can be compared
 directly.
 """
 
+from fractions import Fraction
 from math import comb
 
 from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
-from .exactlin import Matrix, Solver
+from .exactlin import Matrix, Solver, clear_denominators
 from .schur import _label, _trim
 
 
@@ -192,17 +193,22 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
         raise AssertionError(
             "divisor class does not generate %s; table not reconstructible"
             % name) from None
-    in_krylov = [solver.solve(seq[0]) for seq in images]
+    # b_i = p_i(M) 1 with p_i's coefficients ints over one denominator,
+    # so b_i b_j = p_i(M) b_j sums in ints and divides once per entry
+    in_krylov = [clear_denominators(solver.solve(seq[0])) for seq in images]
 
     def product(i, j):
+        coeffs, d = in_krylov[i]
         acc = {}
-        for l, c in enumerate(in_krylov[i]):
+        for l, c in enumerate(coeffs):
             if c == 0:
                 continue
             for t, x in enumerate(images[j][l]):
                 if x != 0:
                     acc[t] = acc.get(t, 0) + c * x
-        return acc
+        if d == 1:
+            return acc
+        return {t: Fraction(x, d) for t, x in acc.items()}
 
     cells, den = integer_cells([[product(i, j) for j in range(i, n)]
                                 for i in range(n)])

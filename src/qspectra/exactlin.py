@@ -4,13 +4,16 @@ Matrices, univariate polynomials, characteristic polynomials and kernels:
 the arithmetic kernel everything else is built on.  Entries are ints or
 fractions.Fraction; floating point never enters.  Kernels, spans, ranks
 and solves all run on one division-free elimination, integer_echelon.
-Matrix arithmetic, a Poly evaluated at a Matrix, charpoly's Hessenberg
-reduction and the coordinates a Solver returns work in Fractions.
+A Matrix product and a Poly evaluated at a Matrix (Cayley-Hamilton) run
+in integers over one denominator, dividing once at the end.  charpoly's
+Hessenberg reduction, which touches only nonzero entries, and the
+coordinates a Solver returns work in Fractions.
 """
 
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
+from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,6 +43,25 @@ def clear_denominators(v):
     if d == 1:
         return tuple(c if type(c) is int else c.numerator for c in v), 1
     return tuple(c.numerator * (d // c.denominator) for c in v), d
+
+
+def _int_rows(M):
+    """Integer rows N and a denominator d, with M equal to N / d."""
+    flat, d = clear_denominators(x for row in M.data for x in row)
+    c = M.cols
+    return [flat[i * c:(i + 1) * c] for i in range(M.rows)], d
+
+
+def _product(X, Y, width):
+    """The product of integer matrices, as lists of rows; Y has width
+    columns, which its rows cannot tell when there are none."""
+    cols = list(zip(*Y)) if Y else [()] * width
+    return [[sum(map(mul, row, col)) for col in cols] for row in X]
+
+
+def _over(rows, d, cols):
+    """The Matrix rows / d."""
+    return Matrix([[Fraction(x, d) for x in row] for row in rows], cols=cols)
 
 
 class Matrix:
@@ -97,11 +119,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            cols = [other.column(j) for j in range(other.cols)]
-            return Matrix(
-                [[sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols]
-                 for row in self.data],
-                cols=other.cols)
+            X, d = _int_rows(self)
+            Y, e = _int_rows(other)
+            return _over(_product(X, Y, other.cols), d * e, other.cols)
         return Matrix([[_q(other) * x for x in row] for row in self.data],
                       cols=self.cols)
 
@@ -274,16 +294,31 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a Fraction, int, or square Matrix."""
+        """Evaluate by Horner; x may be a Fraction, int, or square Matrix.
+
+        At a Matrix N / d, with coefficients a_i / e, Horner runs in
+        integers on H <- H N + a_i d^(deg - i) I, and H is divided by
+        e d^deg once at the end.
+        """
         if isinstance(x, Matrix):
             if not x.is_square():
                 raise ValueError("evaluation at a non-square matrix")
             n = x.rows
-            acc = Matrix.zeros(n, n)
-            eye = Matrix.identity(n)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c * eye
-            return acc
+            if not self.coeffs:
+                return Matrix.zeros(n, n)
+            N, d = _int_rows(x)
+            a, e = clear_denominators(self.coeffs)
+            deg = len(a) - 1
+            H = [[a[deg] if i == j else 0 for j in range(n)]
+                 for i in range(n)]
+            scale = 1
+            for c in reversed(a[:deg]):
+                scale *= d
+                H = _product(H, N, n)
+                if c:
+                    for i, row in enumerate(H):
+                        row[i] += c * scale
+            return _over(H, e * scale, n)
         x = _q(x)
         acc = _ZERO
         for c in reversed(self.coeffs):
@@ -342,12 +377,19 @@ def charpoly(M):
             H[piv], H[c + 1] = H[c + 1], H[piv]
             for row in H:
                 row[piv], row[c + 1] = row[c + 1], row[piv]
+        # row r -= f * row c+1, then column c+1 += f * column r, each on
+        # the nonzero entries alone; the column update changes the pivot
+        # row, so its nonzeros are read afresh for every r
+        pivot = H[c + 1]
         for r in range(c + 2, n):
             if H[r][c] != 0:
-                f = H[r][c] / H[c + 1][c]
-                H[r] = [a - f * b for a, b in zip(H[r], H[c + 1])]
+                f = H[r][c] / pivot[c]
+                row_r = H[r]
+                for j in [j for j, b in enumerate(pivot) if b]:
+                    row_r[j] -= f * pivot[j]
                 for row in H:
-                    row[c + 1] += f * row[r]
+                    if row[r]:
+                        row[c + 1] += f * row[r]
     # cofactor recurrence along last columns of leading blocks, on
     # coefficient lists (index = degree); zero coefficients are skipped,
     # since the charpolys of the divisor operators are mostly zero

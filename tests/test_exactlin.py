@@ -43,6 +43,32 @@ def faddeev_charpoly(M):
     return Poly(coeffs)
 
 
+def reference_product(X, Y, width):
+    """The product of the row lists X and Y, Y of the given width, by the
+    plain triple loop over Fractions."""
+    return [[sum((F(x) * Y[l][j] for l, x in enumerate(row)), F(0))
+             for j in range(width)] for row in X]
+
+
+def reference_horner(coeffs, M):
+    """p(M) by Horner over Fractions, one triple-loop product a step."""
+    n = M.rows
+    acc = [[F(0)] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = reference_product(acc, M.data, n)
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def poly_product(p, q):
+    coeffs = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            coeffs[i + j] += a * b
+    return Poly(coeffs)
+
+
 def bareiss_det(M):
     n = M.rows
     if n == 0:
@@ -104,38 +130,46 @@ def gauss_jordan_kernel(rows, width):
 # ---------------------------------------------------------------- strategies
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-# three entries in four are 0, so charpoly meets zero coefficients and
-# zero subdiagonal products (reducible blocks)
-sparse_rationals = st.integers(min_value=0, max_value=3).flatmap(
-    lambda k: rationals if k == 0 else st.just(F(0)))
-
-
-@st.composite
-def square_matrices(draw, max_dim=5, entries=rationals):
-    n = draw(st.integers(min_value=1, max_value=max_dim))
-    rows = draw(st.lists(
-        st.lists(entries, min_size=n, max_size=n),
-        min_size=n, max_size=n))
-    return Matrix(rows)
-
-
-dense_or_sparse = st.one_of(square_matrices(),
-                            square_matrices(max_dim=7, entries=sparse_rationals))
-
-
-@st.composite
-def matrices(draw, max_dim=5):
-    r = draw(st.integers(min_value=1, max_value=max_dim))
-    c = draw(st.integers(min_value=1, max_value=max_dim))
-    rows = draw(st.lists(
-        st.lists(rationals, min_size=c, max_size=c),
-        min_size=r, max_size=r))
-    return Matrix(rows)
 
 
 def _fraction(rnd, bound, max_denominator):
     d = rnd.randint(1, max_denominator)
     return F(rnd.randint(-bound * d, bound * d), d)
+
+
+def _rational(rnd):
+    # what rationals draws: in -4..4, denominator at most 4
+    return _fraction(rnd, 4, 4)
+
+
+def _sparse_rational(rnd):
+    # three entries in four are 0, so charpoly meets zero coefficients and
+    # zero subdiagonal products (reducible blocks)
+    return _rational(rnd) if rnd.randint(0, 3) == 0 else F(0)
+
+
+def _random_matrix(rnd, rows, cols, entry=_rational):
+    return Matrix([[entry(rnd) for _ in range(cols)] for _ in range(rows)],
+                  cols=cols)
+
+
+def square_matrices(max_dim=5, entry=_rational):
+    def build(rnd):
+        n = rnd.randint(1, max_dim)
+        return _random_matrix(rnd, n, n, entry)
+    return _seeded(build)
+
+
+dense_or_sparse = st.one_of(square_matrices(),
+                            square_matrices(max_dim=7,
+                                            entry=_sparse_rational))
+
+
+def matrices(max_dim=5):
+    def build(rnd):
+        return _random_matrix(rnd, rnd.randint(1, max_dim),
+                              rnd.randint(1, max_dim))
+    return _seeded(build)
 
 
 def _random_rows(rnd, max_dim=6):
@@ -160,6 +194,34 @@ def _random_rows(rnd, max_dim=6):
 
 
 rational_rows = _seeded(_random_rows)
+
+
+def _entry_law(rnd):
+    """One draw's entries: ints only, or ints, zeros and Fractions given
+    with denominators of either sign."""
+    if rnd.random() < 0.3:
+        return lambda rnd: rnd.randint(-6, 6)
+    return lambda rnd: rnd.choice((
+        0, rnd.randint(-6, 6),
+        F(rnd.randint(-9, 9), rnd.choice((-6, -4, -3, -1, 2, 3, 5)))))
+
+
+def _random_product(rnd):
+    """(A, B) with A.cols == B.rows, each dimension 0 to 5."""
+    r, m, k = (rnd.randint(0, 5) for _ in range(3))
+    entry = _entry_law(rnd)
+    return (_random_matrix(rnd, r, m, entry),
+            _random_matrix(rnd, m, k, entry))
+
+
+def _random_poly_at_matrix(rnd):
+    """(M, p): a square M of size 0 to 5, and p the zero polynomial, a
+    constant, or of degree at most 6."""
+    n = rnd.randint(0, 5)
+    entry = _entry_law(rnd)
+    M = _random_matrix(rnd, n, n, entry)
+    length = rnd.choice((0, 1, rnd.randint(2, 7)))
+    return M, Poly([entry(rnd) for _ in range(length)])
 
 
 polys = st.builds(Poly, st.lists(rationals, min_size=0, max_size=6))
@@ -359,6 +421,51 @@ def test_integer_echelon_matches_gauss_jordan(lists, extend):
                       > _span_rank(basis + vectors[:i])]
 
 
+# ---------------------------------------------------------------- products
+
+def _is_fraction_matrix(M, rows, cols):
+    return (M.rows, M.cols) == (rows, cols) and all(
+        type(x) is F for row in M.data for x in row)
+
+
+@settings(max_examples=200)
+@given(_seeded(_random_product))
+@example((Matrix([], cols=3), Matrix.zeros(3, 2)))
+@example((Matrix.zeros(2, 0), Matrix([], cols=4)))
+@example((Matrix([[F(1, -2), 3]]), Matrix([[4], [F(-5, 3)]])))
+def test_matrix_product_matches_triple_loop(pair):
+    A, B = pair
+    P = A * B
+    assert _is_fraction_matrix(P, A.rows, B.cols)
+    assert [list(row) for row in P.data] \
+        == reference_product(A.data, B.data, B.cols)
+
+
+@settings(max_examples=200)
+@given(_seeded(_random_poly_at_matrix))
+@example((Matrix([[1, 2], [3, 4]]), Poly([1, 1])))
+@example((Matrix([[F(1, 2), 0], [0, F(1, -3)]]), Poly([0, 0, 6])))
+@example((Matrix([[1, 2], [3, 4]]), Poly([])))
+@example((Matrix([], cols=0), Poly([F(3, 2)])))
+def test_poly_at_matrix_matches_fraction_horner(case):
+    M, p = case
+    value = p(M)
+    assert _is_fraction_matrix(value, M.rows, M.cols)
+    assert [list(row) for row in value.data] \
+        == reference_horner(p.coeffs, M)
+
+
+def test_poly_at_matrix_examples():
+    M = Matrix([[1, 2], [3, 4]])
+    assert Poly([1, 1])(M) == Matrix([[2, 2], [3, 5]])
+    assert Poly([0, 0, 1])(M) == Matrix([[7, 10], [15, 22]])
+    assert Poly([F(3, 2)])(M) == Matrix([[F(3, 2), 0], [0, F(3, 2)]])
+    assert Poly([])(M) == Matrix.zeros(2, 2)
+    assert Poly([-2, -5, 1])(M).is_zero()
+    D = Matrix([[F(1, 2), 0], [0, F(-1, 3)]])
+    assert Poly([0, 0, 6])(D) == Matrix([[F(3, 2), 0], [0, F(2, 3)]])
+
+
 # ---------------------------------------------------------------- charpoly
 
 def test_charpoly_one_by_one():
@@ -381,6 +488,59 @@ def test_charpoly_rejects_non_square():
 
 def test_charpoly_empty_matrix_is_one():
     assert charpoly(Matrix([], cols=0)) == Poly([1])
+
+
+def _permutation_matrix(images):
+    # the matrix sending e_j to e_images[j]
+    n = len(images)
+    return Matrix([[int(images[j] == i) for j in range(n)]
+                   for i in range(n)])
+
+
+def _block_diagonal(*blocks):
+    n = sum(B.rows for B in blocks)
+    rows, at = [], 0
+    for B in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - B.cols)
+                 for row in B.data]
+        at += B.cols
+    return Matrix(rows, cols=n)
+
+
+_X2_5X_2 = Poly([-2, -5, 1])      # charpoly of [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("M, want", [
+    # nilpotent: strictly upper triangular, and chains e1 -> e0 -> e2 and
+    # e0 -> e3 -> e1 -> e2 whose first subdiagonal entry is 0
+    (Matrix([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]]),
+     Poly([0, 0, 0, 0, 1])),
+    (Matrix([[0, 1, 0], [0, 0, 0], [1, 0, 0]]), Poly([0, 0, 0, 1])),
+    (Matrix([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]),
+     Poly([0, 0, 0, 0, 1])),
+    # permutations: a product over the cycles of x^length - 1
+    (_permutation_matrix([0, 1, 2]), Poly([-1, 3, -3, 1])),
+    (_permutation_matrix([3, 2, 0, 1]), Poly([-1, 0, 0, 0, 1])),
+    (_permutation_matrix([2, 3, 0, 4, 1]), Poly([1, 0, -1, -1, 0, 1])),
+    (_permutation_matrix([1, 2, 0]), Poly([-1, 0, 0, 1])),
+    # block diagonal: a product over the blocks, no pivot below a block
+    (_block_diagonal(Matrix([[1, 2], [3, 4]]), Matrix([[0, -1], [1, 0]]),
+                     Matrix([[F(5, 2)]])),
+     poly_product(poly_product(_X2_5X_2, Poly([1, 0, 1])),
+                  Poly([F(-5, 2), 1]))),
+    (_block_diagonal(Matrix([[F(1, 3)]]), Matrix([[1, 2], [3, 4]])),
+     poly_product(Poly([F(-1, 3), 1]), _X2_5X_2)),
+    # zero subdiagonal entries with nonzeros below them: pivot swaps
+    (Matrix([[1, 2, 0], [0, 3, 1], [4, 0, 5]]), Poly([-23, 23, -9, 1])),
+    (Matrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [5, 0, 0, 4]]),
+     Poly([24, -50, 35, -10, 1])),
+    (Matrix([[1, 7, 0], [0, 2, 0], [0, 0, 3]]), Poly([-6, 11, -6, 1])),
+], ids=["strict-upper", "chain-3", "chain-4", "identity", "cycle-4",
+        "cycles-2-3", "cycle-3", "blocks-2-2-1", "blocks-1-2",
+        "swap-3", "swap-4", "upper-triangular"])
+def test_charpoly_pins(M, want):
+    assert charpoly(M) == want
+    assert faddeev_charpoly(M) == want
 
 
 @given(dense_or_sparse)

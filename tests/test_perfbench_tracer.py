@@ -6,8 +6,8 @@ rather than only in the traced benchmark."""
 import importlib.util
 from pathlib import Path
 
-import qspectra.cli  # noqa: F401  (imports every module the tracer patches)
-from qspectra import algebra, spectrum, varieties
+# cli imports every module the tracer patches
+from qspectra import algebra, cli, spectrum, varieties
 from qspectra.bwb import check_collection_hyperplane
 from qspectra.lefschetz import builtin_collection
 from qspectra.schur import _qh_grassmannian_pairwise
@@ -91,4 +91,23 @@ def test_tracer_sees_the_report_through_exactlin_names():
     per_name = tracer.per_name()
     for name in ("exactlin.kernel_basis", "exactlin.span_basis",
                  "exactlin.charpoly"):
+        assert per_name.get(name, (0,))[0] > 0, name
+
+
+def test_tracer_sees_cayley_hamilton_through_exactlin_names():
+    # the exactlin selftest row evaluates a charpoly at its operator; the
+    # layer metrics exactlin.poly_at_matrix_s and charpoly_s read these
+    rows = [fn for module, _d, fn in cli._selftest_checks()
+            if module == "exactlin"]
+    assert rows
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        for fn in rows:
+            fn()
+    finally:
+        tracer.uninstall()
+    per_name = tracer.per_name()
+    for name in ("exactlin.poly_at_matrix", "exactlin.charpoly"):
         assert per_name.get(name, (0,))[0] > 0, name
