@@ -1,11 +1,17 @@
 """Divisor multiplication on coset spaces from the Chevalley formula.
 
 Works in integers over minimal-length coset representatives for a maximal
-parabolic in Weyl groups of types A and C, grown from the identity by the
-simple reflections.  An element is the signed permutation of its images
-of e_1, ..., e_n; a root's reflection is read off the root (e_i - e_j
-swaps e_i and e_j, e_i + e_j sends e_i to -e_j, 2 e_i negates e_i), and a
-root is negative exactly when its first nonzero entry is.  The divisor
+parabolic in Weyl groups of types A and C.  An element w is written in
+one-line notation, w_i being the signed image of e_i, and a root's
+reflection is read off the root (e_i - e_j swaps e_i and e_j, e_i + e_j
+sends e_i to -e_j, 2 e_i negates e_i).  A root is positive when its first
+nonzero entry is, so with the signed images ordered e_1 < ... < e_n <
+-e_n < ... < -e_1, w makes e_i - e_j negative exactly when w_j < w_i, and
+the rest is closed form: the length is #{i < j : w_j < w_i}, plus
+#{i <= j : -w_j < w_i} in type C; the minimal representative of w W_P
+has its first k images in that order and the rest increasing (taken as
+absolute values in type C); and the representatives are listed directly,
+a (signed) k-subset followed by its complement.  The divisor
 operator is a list of integer columns, wrapped in a Matrix only by the
 two public functions.  When it has a full Krylov space, every basis class
 is a polynomial in the divisor applied to the unit, and the integer
@@ -21,6 +27,7 @@ directly.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
@@ -49,80 +56,61 @@ def _compose(w, s):
     return tuple(out)
 
 
-def _act(w, vec):
-    out = [0] * len(vec)
-    for i, t in enumerate(w):
-        if t > 0:
-            out[t - 1] += vec[i]
-        else:
-            out[-t - 1] -= vec[i]
-    return tuple(out)
-
-
 class _CosetModel:
-    """Root data of one crossed node, built once: the minimal coset
-    representatives and, per positive root outside the Levi, its reflection
-    and its pairing with the crossed fundamental weight.  Lengths are
-    cached on demand."""
+    """W/W_P for the crossed node k of type A_{n-1} (signed False) or C_n
+    (signed True), in one-line notation: the minimal coset representatives
+    and, per positive root outside the Levi, its reflection and its pairing
+    with the crossed fundamental weight."""
 
-    __slots__ = ("positive", "levi", "roots", "reps", "_lengths")
+    __slots__ = ("k", "signed", "mod", "roots", "reps")
 
-    def __init__(self, positive, simples, k):
-        self.positive = tuple(positive)
-        refls = [_reflection(root) for root in simples]
-        self.levi = tuple((root, refl) for i, (root, refl)
-                          in enumerate(zip(simples, refls)) if i != k - 1)
-        self._lengths = {}
+    def __init__(self, n, k, signed):
+        self.k, self.signed = k, signed
+        # t % mod ranks the signed images e_1 < ... < e_n < -e_n < ...
+        # < -e_1, and w(e_i - e_j) is negative exactly when w_j ranks
+        # below w_i
+        self.mod = 2 * n + 1
+        positive = [_root(n, i, j, -1)
+                    for i in range(n) for j in range(i + 1, n)]
+        if signed:
+            positive += [_root(n, i, j, 1)
+                         for i in range(n) for j in range(i, n)]
         roots = []
-        for alpha in self.positive:
+        for alpha in positive:
             twice, norm = 2 * sum(alpha[:k]), sum(a * a for a in alpha)
             if twice % norm:
                 raise AssertionError("non-integral pairing")
             if twice:
                 roots.append((_reflection(alpha), twice // norm))
         self.roots = tuple(roots)
-        # removing a left descent from a minimal representative leaves a
-        # minimal one, so each length layer grows from the one before
-        layer = [tuple(range(1, len(self.positive[0]) + 1))]
+        # a (signed) k-subset in rank order, then its complement increasing
         reps = []
-        while layer:
-            reps.extend(layer)
-            grown = {}
-            for w in layer:
-                lw = self.length(w)
-                for refl in refls:
-                    u = _compose(refl, w)
-                    if self.length(u) == lw + 1 and self.is_minimal(u):
-                        grown[u] = None
-            layer = list(grown)
+        everything = range(1, n + 1)
+        for head in combinations(everything, k):
+            tail = tuple(t for t in everything if t not in head)
+            for signs in product((1, -1), repeat=k) if signed else [(1,) * k]:
+                reps.append(self.to_minimal(
+                    tuple(s * t for s, t in zip(signs, head)) + tail))
         self.reps = tuple(reps)
 
-    @staticmethod
-    def is_negative(vec):
-        # every positive root of types A and C leads with a positive entry
-        for x in vec:
-            if x:
-                return x < 0
-
     def length(self, w):
-        got = self._lengths.get(w)
-        if got is None:
-            got = sum(1 for a in self.positive if self.is_negative(_act(w, a)))
-            self._lengths[w] = got
+        # positive roots made negative: e_i - e_j for i < j, and in type C
+        # e_i + e_j for i <= j, which is e_i - (-e_j)
+        r = [t % self.mod for t in w]
+        got = sum(a > b for i, a in enumerate(r) for b in r[i + 1:])
+        if self.signed:
+            got += sum(a + b > self.mod
+                       for i, a in enumerate(r) for b in r[i:])
         return got
 
-    def is_minimal(self, w):
-        return not any(self.is_negative(_act(w, root)) for root, _ in self.levi)
-
     def to_minimal(self, w):
-        # strip the Levi part on the right; greedy descent terminates
-        while True:
-            for root, refl in self.levi:
-                if self.is_negative(_act(w, root)):
-                    w = _compose(w, refl)
-                    break
-            else:
-                return w
+        # the Levi permutes the first k places, and the last n - k (with
+        # signs in type C); the minimal element of w W_P has both runs in
+        # rank order
+        k = self.k
+        tail = map(abs, w[k:]) if self.signed else w[k:]
+        head = sorted(w[:k], key=lambda t: t % self.mod)
+        return tuple(head) + tuple(sorted(tail))
 
 
 def _root(n, i, j, sign):
@@ -131,22 +119,6 @@ def _root(n, i, j, sign):
     v[i] += 1
     v[j] += sign
     return tuple(v)
-
-
-def _a_roots(n):
-    positive = [_root(n, i, j, -1) for i in range(n) for j in range(i + 1, n)]
-    simples = [_root(n, i, i + 1, -1) for i in range(n - 1)]
-    return positive, simples
-
-
-def _type_a(n, k):
-    return _CosetModel(*_a_roots(n), k)
-
-
-def _type_c(n, k):
-    positive, simples = _a_roots(n)
-    positive += [_root(n, i, j, 1) for i in range(n) for j in range(i, n)]
-    return _CosetModel(positive, simples + [_root(n, n - 1, n - 1, 1)], k)
 
 
 def _divisor_columns(model, reps, m):
@@ -159,12 +131,11 @@ def _divisor_columns(model, reps, m):
         col = [0] * len(reps)
         for refl, c in model.roots:
             u = _compose(w, refl)
-            if model.length(u) == lw + 1 and model.is_minimal(u):
+            v = model.to_minimal(u)
+            if u == v and model.length(u) == lw + 1:
                 col[idx[u]] += c
-            else:
-                v = model.to_minimal(u)
-                if model.length(v) == lw + 1 - m * c:
-                    col[idx[v]] += c
+            elif model.length(v) == lw + 1 - m * c:
+                col[idx[v]] += c
         cols.append(col)
     return cols
 
@@ -233,7 +204,7 @@ def _grassmann_reps(k, n):
     ordered like the box model: by length, then by partition."""
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
-    model = _type_a(n, k)
+    model = _CosetModel(n, k, False)
     reps = sorted(model.reps,
                   key=lambda w: (model.length(w), _grassmann_partition(w, k)))
     if len(reps) != comb(n, k):
@@ -280,7 +251,7 @@ def ig2_divisor_matrix(n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    model = _type_c(n, 2)
+    model = _CosetModel(n, 2, True)
     reps = sorted(model.reps, key=lambda w: (model.length(w), w))
     if len(reps) != 2 * n * (n - 1):
         raise AssertionError("coset count mismatch for IG(2,%d)" % (2 * n))

@@ -84,10 +84,6 @@ class Matrix:
         self.cols = width
 
     @classmethod
-    def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows, cols):
         return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
 
@@ -98,9 +94,6 @@ class Matrix:
             raise ValueError("ragged columns")
         height = len(columns[0]) if columns else 0
         return cls([[c[i] for c in columns] for i in range(height)], cols=len(columns))
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
 
     def is_square(self):
         return self.rows == self.cols
@@ -127,14 +120,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def apply(self, v):
-        """Matrix times column vector, as a tuple."""
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        v = vec(v)
-        return tuple(sum((a * b for a, b in zip(row, v)), _ZERO)
-                     for row in self.data)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)

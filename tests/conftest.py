@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, note, settings
 from hypothesis import strategies as st
 
 from qspectra.algebra import FiniteCommAlgebra
+from qspectra.exactlin import Matrix
 from qspectra.lefschetz import collection_to_json
 
 settings.register_profile(
@@ -28,6 +29,11 @@ def _seeded(build):
         note("seed %d: %r" % (seed, value))
         return value
     return st.integers(min_value=0, max_value=2**32 - 1).map(from_seed)
+
+
+def identity(n):
+    """The n x n identity Matrix."""
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 @pytest.fixture()

@@ -28,7 +28,7 @@ from qspectra.schur import qh_grassmannian
 from qspectra.spectrum import kappa_split
 from qspectra.varieties import REGISTRY, parse_variety
 
-from conftest import _seeded
+from conftest import _seeded, identity
 
 F = Fraction
 
@@ -216,7 +216,7 @@ def test_a_nonassociative_table_with_a_unit_falls_back_to_the_sweep():
 
 def test_mult_by_unit_is_identity():
     A = qh_projective(3)
-    assert mult_matrix(A, A.unit) == Matrix.identity(4)
+    assert mult_matrix(A, A.unit) == identity(4)
 
 
 def test_mult_matrix_projective_line_swap():

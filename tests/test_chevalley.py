@@ -6,15 +6,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from qspectra.algebra import (algebra_to_json, mult_matrix, qh_ig2,
                               qh_projective)
 from qspectra.chevalley import (
-    _act,
+    _CosetModel,
+    _compose,
     _reflection,
-    _type_a,
-    _type_c,
     grassmann_divisor_matrix,
     grassmannian_algebra,
     ig2_divisor_matrix,
@@ -81,15 +79,6 @@ def sigma1_vector(A):
     return tuple(c / m for c in A.anticanonical)
 
 
-@given(st.permutations(list(range(1, 6))))
-def test_type_a_length_counts_inversions(p):
-    model = _type_a(5, 2)
-    w = tuple(p)
-    inversions = sum(1 for i in range(5) for j in range(i + 1, 5)
-                     if w[i] > w[j])
-    assert model.length(w) == inversions
-
-
 def _reference_reflection(alpha):
     """The signed-image tuple of v - 2 (v, alpha) / (alpha, alpha) alpha,
     read off the images of e_1, ..., e_n in Fractions."""
@@ -132,18 +121,138 @@ def test_reflection_matches_the_defining_formula(n):
         assert _reflection(alpha) == _reference_reflection(alpha), alpha
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_type_c_length_counts_positive_roots_made_negative(n):
-    model = _type_c(n, 2)
-    positive = set(model.positive)
-    assert len(positive) == n * n
+# the root action, kept here as the reference for the closed forms: an
+# element acts on a root through its signed images, and a root is
+# positive exactly when its first nonzero entry is
+
+def _act(w, vec):
+    out = [0] * len(vec)
+    for i, t in enumerate(w):
+        if t > 0:
+            out[t - 1] += vec[i]
+        else:
+            out[-t - 1] -= vec[i]
+    return tuple(out)
+
+
+def _is_negative(vec):
+    return next(x for x in vec if x) < 0
+
+
+def _positive_roots(n, signed):
+    """The positive roots of C_n, or of A_{n-1} (the e_i - e_j)."""
+    return [r for r in _signed_roots(n)
+            if not _is_negative(r) and (signed or sum(r) == 0)]
+
+
+def _simple_roots(n, signed):
+    """e_i - e_{i+1}, and 2 e_n in type C, in the order of the nodes."""
+    out = []
+    for i in range(n - 1):
+        v = [0] * n
+        v[i], v[i + 1] = 1, -1
+        out.append(tuple(v))
+    if signed:
+        out.append((0,) * (n - 1) + (2,))
+    return out
+
+
+def _levi_roots(n, k, signed):
+    """The simple roots other than the crossed one, the k-th."""
+    simples = _simple_roots(n, signed)
+    return simples[:k - 1] + simples[k:]
+
+
+def _made_negative(w, positive):
+    return sum(1 for a in positive if _is_negative(_act(w, a)))
+
+
+def _elements(n, signed):
+    signs = list(itertools.product((1, -1), repeat=n)) if signed \
+        else [(1,) * n]
     for p in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            w = tuple(s * t for s, t in zip(signs, p))
-            made_negative = sum(
-                1 for a in positive
-                if tuple(-x for x in _act(w, a)) in positive)
-            assert model.length(w) == made_negative, w
+        for sign in signs:
+            yield tuple(s * t for s, t in zip(sign, p))
+
+
+def _models(n, signed):
+    # type A needs 0 < k < n; type C allows k = n
+    for k in range(1, n + 1 if signed else n):
+        yield k, _CosetModel(n, k, signed)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_type_a_length_counts_positive_roots_made_negative(n):
+    positive = _positive_roots(n, False)
+    assert len(positive) == n * (n - 1) // 2
+    models = list(_models(n, False))
+    for w in _elements(n, False):
+        want = _made_negative(w, positive)
+        # the inversion count, read straight off the one-line notation
+        assert want == sum(1 for i in range(n) for j in range(i + 1, n)
+                           if w[i] > w[j])
+        for k, model in models:
+            assert model.length(w) == want, (w, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_type_c_length_counts_positive_roots_made_negative(n):
+    positive = _positive_roots(n, True)
+    assert len(positive) == n * n
+    models = list(_models(n, True))
+    for w in _elements(n, True):
+        want = _made_negative(w, positive)
+        for k, model in models:
+            assert model.length(w) == want, (w, k)
+
+
+def _greedy_minimal(w, levi):
+    # strip the Levi part on the right: while some Levi root is made
+    # negative, apply its reflection; the descent terminates
+    while True:
+        for root in levi:
+            if _is_negative(_act(w, root)):
+                w = _compose(w, _reflection(root))
+                break
+        else:
+            return w
+
+
+@pytest.mark.parametrize("signed,n,k", [
+    (signed, n, k) for signed in (False, True) for n in (2, 3, 4, 5)
+    for k in range(1, n + 1 if signed else n)])
+def test_minimal_representative_is_greedy_levi_descent(signed, n, k):
+    model = _CosetModel(n, k, signed)
+    levi = _levi_roots(n, k, signed)
+    assert len(levi) == (n - 1 if signed else n - 2)
+    for w in _elements(n, signed):
+        assert model.to_minimal(w) == _greedy_minimal(w, levi), w
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["A", "C"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_representatives_grow_from_the_identity(n, signed):
+    # removing a left descent from a minimal representative leaves a
+    # minimal one, so each length layer grows from the one before by the
+    # simple reflections
+    positive = _positive_roots(n, signed)
+    simples = _simple_roots(n, signed)
+    for k, model in _models(n, signed):
+        levi = _levi_roots(n, k, signed)
+        layer, grown_all = [tuple(range(1, n + 1))], []
+        while layer:
+            grown_all.extend(layer)
+            grown = {}
+            for w in layer:
+                lw = _made_negative(w, positive)
+                for root in simples:
+                    u = _compose(_reflection(root), w)
+                    if _made_negative(u, positive) == lw + 1 and not any(
+                            _is_negative(_act(u, a)) for a in levi):
+                        grown[u] = None
+            layer = list(grown)
+        assert len(model.reps) == len(set(model.reps))
+        assert set(model.reps) == set(grown_all), k
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 7), (3, 7), (2, 9)])

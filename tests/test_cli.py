@@ -1,4 +1,5 @@
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -616,6 +617,42 @@ def test_every_public_name_has_a_program_caller():
                        and name not in used and name not in here
                        and not re.search(r"`(?:[\w.]*\.)?%s\b"
                                          % re.escape(name), readme)]
+    assert unused == []
+
+
+def test_every_public_method_has_a_program_caller():
+    # the same rule one level down: a public method or property of a public
+    # class counts as used when the package reads it as an attribute
+    # outside its own body, the benchmark names it, or README documents it
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(qspectra.__file__).parent.glob("*.py")]
+    bench = set()
+    for path in (repo / "perfbench").glob("*.py"):
+        bench |= _mentioned(ast.parse(path.read_text(encoding="utf-8")),
+                            strings=True)
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+
+    def reads(tree):
+        return collections.Counter(node.attr for node in ast.walk(tree)
+                                   if isinstance(node, ast.Attribute))
+
+    everywhere = sum(map(reads, trees), collections.Counter())
+    unused = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) \
+                        or node.name.startswith("_"):
+                    continue
+                name = node.name
+                if everywhere[name] == reads(node)[name] \
+                        and name not in bench \
+                        and not re.search(r"`(?:[\w.]*\.)?%s\b"
+                                          % re.escape(name), readme):
+                    unused.append("%s.%s" % (cls.name, name))
     assert unused == []
 
 

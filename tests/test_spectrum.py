@@ -41,6 +41,8 @@ from qspectra.spectrum import (
     quantum_spectrum_report,
 )
 
+from conftest import identity
+
 
 def _basis_vector(A, i):
     """The coordinates of b_i in A's basis."""
@@ -364,7 +366,7 @@ def distinct_root_count(p):
 
 def minimal_polynomial_degree(M):
     """dim span{I, M, ..., M^(n-1)}."""
-    powers, P = [], Matrix.identity(M.rows)
+    powers, P = [], identity(M.rows)
     for _ in range(M.rows):
         powers.append([x for row in P.data for x in row])
         P = P * M
