@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qspectra.algebra import (algebra_to_json, mult_matrix, qh_ig2,
                               qh_projective)
@@ -77,6 +78,15 @@ def _sha256_repr(obj):
 def sigma1_vector(A):
     m = A.fano_index
     return tuple(c / m for c in A.anticanonical)
+
+
+@given(st.permutations(list(range(1, 6))))
+def test_type_a_length_counts_inversions(p):
+    model = _CosetModel(5, 2, False)
+    w = tuple(p)
+    inversions = sum(1 for i in range(5) for j in range(i + 1, 5)
+                     if w[i] > w[j])
+    assert model.length(w) == inversions
 
 
 def _reference_reflection(alpha):
