@@ -2,65 +2,47 @@
 
 Works in integers over minimal-length coset representatives for a maximal
 parabolic in Weyl groups of types A and C.  An element w is written in
-one-line notation, w_i being the signed image of e_i, and a root's
-reflection is read off the root (e_i - e_j swaps e_i and e_j, e_i + e_j
-sends e_i to -e_j, 2 e_i negates e_i).  A root is positive when its first
-nonzero entry is, so with the signed images ordered e_1 < ... < e_n <
--e_n < ... < -e_1, w makes e_i - e_j negative exactly when w_j < w_i, and
-the rest is closed form: the length is #{i < j : w_j < w_i}, plus
-#{i <= j : -w_j < w_i} in type C; the minimal representative of w W_P
-has its first k images in that order and the rest increasing (taken as
-absolute values in type C); and the representatives are listed directly,
-a (signed) k-subset followed by its complement.  The divisor
-operator is a list of integer columns, wrapped in a Matrix only by the
-two public functions.  When it has a full Krylov space, every basis class
-is a polynomial in the divisor applied to the unit, and the integer
-images M^l b_j rebuild the complete table: grassmannian_algebra recovers
-the cyclic G(k,n), such as G(2,5), G(2,7), G(3,7), G(2,9) and the
-projective spaces G(1,n), and refuses the others, such as G(2,4) and
-G(3,8), each in well under a second.  The divisor does not always
-generate (on IG(2,2n) with n >= 3 it annihilates the whole nilpotent
-summand), but its matrix is exact regardless, so the operators here
-double as independent oracles for rings built by other routes:
-characteristic polynomials are basis independent and can be compared
-directly.
+one-line notation, w_i being the signed image of e_i.  A positive root
+alpha is stored as (i, j, s, c) with i <= j: s = 1 for e_i - e_j, and
+s = -1 for e_i + e_j and for 2 e_i (i = j), so that w s_alpha is w with
+places i and j swapped and both multiplied by s; c = <omega_k, alpha^vee>
+= ([i < k] - s [j < k]) / (1 + [i = j]) is an integer.  A root is
+positive when its first nonzero entry is, so with the signed images
+ordered e_1 < ... < e_n < -e_n < ... < -e_1, w makes e_i - e_j negative
+exactly when w_j < w_i, and the rest is closed form: the length is
+#{i < j : w_j < w_i}, plus #{i <= j : -w_j < w_i} in type C; the minimal
+representative of w W_P has its first k images in that order and the
+rest increasing (taken as absolute values in type C); and the
+representatives are listed directly, a (signed) k-subset followed by its
+complement.  The divisor operator is a list of integer columns, wrapped
+in a Matrix only by the two public functions.  When it has a full Krylov
+space, every basis class is a polynomial in the divisor applied to the
+unit, and the integer images M^l b_j rebuild the complete table in
+integers over one denominator, the lcm of those of the polynomials:
+grassmannian_algebra recovers the cyclic G(k,n), such as G(2,5), G(2,7),
+G(3,7), G(2,9) and the projective spaces G(1,n), and refuses the others,
+such as G(2,4) and G(3,8), each in well under a second.  The divisor
+does not always generate (on IG(2,2n) with n >= 3 it annihilates the
+whole nilpotent summand), but its matrix is exact regardless, so the
+operators here double as independent oracles for rings built by other
+routes: characteristic polynomials are basis independent and can be
+compared directly.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
-from .algebra import FiniteCommAlgebra, integer_cells, validate_algebra
+from .algebra import FiniteCommAlgebra, validate_algebra
 from .exactlin import Matrix, Solver, clear_denominators
 from .schur import _label, _trim
-
-
-def _reflection(alpha):
-    # signed-image tuple of the reflection in a type A/C root, in closed
-    # form: with i <= j its nonzero places, e_i and e_j are swapped, and
-    # negated as well unless the root is +-(e_i - e_j)
-    i, *rest = [t for t, a in enumerate(alpha) if a]
-    j = rest[0] if rest else i
-    sign = 1 if alpha[i] * alpha[j] < 0 else -1
-    images = list(range(1, len(alpha) + 1))
-    images[i], images[j] = sign * (j + 1), sign * (i + 1)
-    return tuple(images)
-
-
-def _compose(w, s):
-    # (w . s)(e_i) = w(s(e_i))
-    out = []
-    for t in s:
-        r = w[abs(t) - 1]
-        out.append(r if t > 0 else -r)
-    return tuple(out)
 
 
 class _CosetModel:
     """W/W_P for the crossed node k of type A_{n-1} (signed False) or C_n
     (signed True), in one-line notation: the minimal coset representatives
-    and, per positive root outside the Levi, its reflection and its pairing
-    with the crossed fundamental weight."""
+    and the positive roots outside the Levi, each as (i, j, s, c): w s_alpha
+    is w with places i and j swapped and both multiplied by s, and c is
+    the pairing of the crossed fundamental weight with alpha's coroot."""
 
     __slots__ = ("k", "signed", "mod", "roots", "reps")
 
@@ -70,18 +52,18 @@ class _CosetModel:
         # < -e_1, and w(e_i - e_j) is negative exactly when w_j ranks
         # below w_i
         self.mod = 2 * n + 1
-        positive = [_root(n, i, j, -1)
-                    for i in range(n) for j in range(i + 1, n)]
+        # (i, j, s) for e_i - s e_j with i <= j: s = 1 for e_i - e_j, and
+        # s = -1 for e_i + e_j and (at i = j) for 2 e_i
+        positive = [(i, j, 1) for i in range(n) for j in range(i + 1, n)]
         if signed:
-            positive += [_root(n, i, j, 1)
-                         for i in range(n) for j in range(i, n)]
+            positive += [(i, j, -1) for i in range(n) for j in range(i, n)]
+        # c = <omega_k, alpha^vee>, halved for the long roots 2 e_i; the
+        # roots with c = 0 are those of the Levi
         roots = []
-        for alpha in positive:
-            twice, norm = 2 * sum(alpha[:k]), sum(a * a for a in alpha)
-            if twice % norm:
-                raise AssertionError("non-integral pairing")
-            if twice:
-                roots.append((_reflection(alpha), twice // norm))
+        for i, j, s in positive:
+            c = ((i < k) - s * (j < k)) // (1 + (i == j))
+            if c:
+                roots.append((i, j, s, c))
         self.roots = tuple(roots)
         # a (signed) k-subset in rank order, then its complement increasing
         reps = []
@@ -113,14 +95,6 @@ class _CosetModel:
         return tuple(head) + tuple(sorted(tail))
 
 
-def _root(n, i, j, sign):
-    # e_i + sign * e_j; with i == j and sign 1 this is 2 e_i
-    v = [0] * n
-    v[i] += 1
-    v[j] += sign
-    return tuple(v)
-
-
 def _divisor_columns(model, reps, m):
     """Multiplication by the degree-1 coset class: its integer columns
     over reps."""
@@ -129,8 +103,11 @@ def _divisor_columns(model, reps, m):
     for w in reps:
         lw = model.length(w)
         col = [0] * len(reps)
-        for refl, c in model.roots:
-            u = _compose(w, refl)
+        for i, j, s, c in model.roots:
+            # w s_alpha: places i and j swapped, both times s
+            u = list(w)
+            u[i], u[j] = s * w[j], s * w[i]
+            u = tuple(u)
             v = model.to_minimal(u)
             if u == v and model.length(u) == lw + 1:
                 col[idx[u]] += c
@@ -164,25 +141,22 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
         raise AssertionError(
             "divisor class does not generate %s; table not reconstructible"
             % name) from None
-    # b_i = p_i(M) 1 with p_i's coefficients ints over one denominator,
-    # so b_i b_j = p_i(M) b_j sums in ints and divides once per entry
+    # b_i = p_i(M) 1, p_i's coefficients ints over d_i; scaled up to
+    # den = lcm(d_i), b_i b_j = p_i(M) b_j sums in ints over den
     in_krylov = [clear_denominators(solver.solve(seq[0])) for seq in images]
+    den = lcm(*[d for _coeffs, d in in_krylov])
+    scaled = [[(l, c * (den // d)) for l, c in enumerate(coeffs) if c]
+              for coeffs, d in in_krylov]
 
     def product(i, j):
-        coeffs, d = in_krylov[i]
         acc = {}
-        for l, c in enumerate(coeffs):
-            if c == 0:
-                continue
+        for l, c in scaled[i]:
             for t, x in enumerate(images[j][l]):
                 if x != 0:
                     acc[t] = acc.get(t, 0) + c * x
-        if d == 1:
-            return acc
-        return {t: Fraction(x, d) for t, x in acc.items()}
+        return acc
 
-    cells, den = integer_cells([[product(i, j) for j in range(i, n)]
-                                for i in range(n)])
+    cells = [[product(i, j) for j in range(i, n)] for i in range(n)]
     lengths = [model.length(w) for w in reps]
     if lengths[1] != 1 or lengths.count(1) != 1:
         raise AssertionError("degree-1 line is not where expected")

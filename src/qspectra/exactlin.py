@@ -272,9 +272,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -346,8 +343,6 @@ def charpoly(M):
     if not M.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    if n == 0:
-        return Poly([1])
     H = [list(row) for row in M.data]
     # similarity reduction to upper Hessenberg form
     for c in range(n - 2):

@@ -874,6 +874,21 @@ def test_load_rejects_corrupted_data():
         algebra_from_json(obj)
 
 
+@pytest.mark.parametrize("where", ["unit", "middle", "last"])
+def test_json_refuses_a_spoiled_table_without_the_sweep(where):
+    # one structure constant of IG(2,16) (dim 112) raised by 1: the unit
+    # check or a generator equation decides it, and the O(dim^3) sweep
+    # that would list every failing triple (seconds here) never runs
+    obj = algebra_to_json(qh_ig2(8))
+    triples = obj["triples"]
+    triples[{"unit": 0, "middle": len(triples) // 2, "last": -1}[where]][3] \
+        += 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="invalid algebra data 'IG.2,16.'"):
+        algebra_from_json(obj)
+    assert time.perf_counter() - start < 0.5
+
+
 def _json_p2():
     return algebra_to_json(qh_projective(2))
 

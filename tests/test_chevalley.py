@@ -1,19 +1,21 @@
 """Cross-validation between the coset-model route and the other constructions."""
 
+import ast
 import hashlib
 import itertools
 import json
+import pathlib
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qspectra.algebra import (algebra_to_json, mult_matrix, qh_ig2,
                               qh_projective)
+import qspectra.chevalley
 from qspectra.chevalley import (
     _CosetModel,
-    _compose,
-    _reflection,
     grassmann_divisor_matrix,
     grassmannian_algebra,
     ig2_divisor_matrix,
@@ -120,6 +122,19 @@ def _signed_roots(n):
     return out
 
 
+def _compose(w, v):
+    """(w . v)(e_i) = w(v(e_i)) on signed-image tuples."""
+    return tuple(w[t - 1] if t > 0 else -w[-t - 1] for t in v)
+
+
+def _swapped(w, i, j, s):
+    # the model's action of a root on the right: places i and j swapped,
+    # both multiplied by s
+    u = list(w)
+    u[i], u[j] = s * w[j], s * w[i]
+    return tuple(u)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_reflection_matches_the_defining_formula(n):
     roots = _signed_roots(n)
@@ -127,8 +142,47 @@ def test_reflection_matches_the_defining_formula(n):
     type_a = [r for r in roots if sum(r) == 0]
     assert len(type_a) == n * (n - 1)
     assert len(roots) == 2 * n * n
-    for alpha in roots:
-        assert _reflection(alpha) == _reference_reflection(alpha), alpha
+    identity = tuple(range(1, n + 1))
+    for signed in (False, True):
+        positive = _positive_roots(n, signed)
+        covered = set()
+        for k, model in _models(n, signed):
+            omega = [int(t < k) for t in range(n)]
+            seen = []
+            for i, j, s, c in model.roots:
+                alpha = [0] * n
+                alpha[i] += 1
+                alpha[j] -= s
+                alpha = tuple(alpha)
+                seen.append(alpha)
+                # w s_alpha is the swap, at the identity and elsewhere
+                assert _swapped(identity, i, j, s) \
+                    == _reference_reflection(alpha), (signed, k, alpha)
+                w = identity[::-1]
+                assert _swapped(w, i, j, s) \
+                    == _compose(w, _reference_reflection(alpha))
+                norm = sum(a * a for a in alpha)
+                assert c == Fraction(2 * sum(map(mul, omega, alpha)), norm)
+            # every positive root outside the Levi, each once
+            want = [a for a in positive if sum(map(mul, omega, a))]
+            assert len(seen) == len(set(seen))
+            assert set(seen) == set(want), (signed, k)
+            covered |= set(seen)
+        # every positive root lies outside some Levi
+        assert covered == set(positive), signed
+
+
+def test_chevalley_imports_no_fractions():
+    tree = ast.parse(pathlib.Path(qspectra.chevalley.__file__)
+                     .read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"fractions", "Fraction", "integer_cells"}
 
 
 # the root action, kept here as the reference for the closed forms: an
@@ -222,7 +276,7 @@ def _greedy_minimal(w, levi):
     while True:
         for root in levi:
             if _is_negative(_act(w, root)):
-                w = _compose(w, _reflection(root))
+                w = _compose(w, _reference_reflection(root))
                 break
         else:
             return w
@@ -256,7 +310,7 @@ def test_representatives_grow_from_the_identity(n, signed):
             for w in layer:
                 lw = _made_negative(w, positive)
                 for root in simples:
-                    u = _compose(_reflection(root), w)
+                    u = _compose(_reference_reflection(root), w)
                     if _made_negative(u, positive) == lw + 1 and not any(
                             _is_negative(_act(u, a)) for a in levi):
                         grown[u] = None

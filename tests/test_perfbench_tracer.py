@@ -111,3 +111,26 @@ def test_tracer_sees_cayley_hamilton_through_exactlin_names():
     per_name = tracer.per_name()
     for name in ("exactlin.poly_at_matrix", "exactlin.charpoly"):
         assert per_name.get(name, (0,))[0] > 0, name
+
+
+def test_tracer_sees_the_divisor_rows_through_chevalley_names():
+    # the crosscheck benchmark runs the schur and algebra selftest rows;
+    # the layer metrics chevalley.divisor_matrix_s and
+    # chevalley.grassmannian_algebra_s read these spans, so a row that went
+    # round the public names would leave them at 0 without failing
+    rows = [fn for module, _d, fn in cli._selftest_checks()
+            if module in ("schur", "algebra")]
+    assert rows
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        for fn in rows:
+            fn()
+    finally:
+        tracer.uninstall()
+    per_name = tracer.per_name()
+    for name in ("chevalley.divisor_matrix",
+                 "chevalley.grassmannian_algebra"):
+        calls, incl, _self = per_name.get(name, (0, 0.0, 0.0))
+        assert calls > 0 and incl > 0, name
