@@ -15,6 +15,13 @@ Tensor products expand each block by Littlewood-Richardson, except that
 a det power shifts the other factor.  The descriptor parser checks the
 ambient G(k,n) once, reads the text in one pass to one weight per
 factor, and builds each factor's BundleExpr once, for the product.
+Each (text, k, n) is parsed once per process: a memo keeps the
+immutable canonical terms, and every call builds a new BundleExpr from
+them, so no caller can change what a later one gets.  Refusals are not
+memoized, and k and n must be ints (1.0 and True would find the entry
+of 1).  Hom(E, F) feeds E's dual weights straight into the tensor step,
+and the hyperplane reduction reads its two ambient tables in one pass
+over Hom's summands.
 
 Restriction to the isotropic Grassmannian IG(2,2n), a hyperplane section
 of G(2,2n), is handled by a sufficient criterion on the two ambient Ext
@@ -23,6 +30,7 @@ the answer is reported as inconclusive, never guessed.
 """
 
 import re
+from functools import lru_cache
 from itertools import combinations, starmap
 from math import factorial, prod
 from operator import add, lt, sub
@@ -49,16 +57,24 @@ def weyl_dim(delta):
     return _weyl_quotient(tuple(map(add, delta, range(n - 1, -1, -1))))
 
 
+def _check_ambient(k, n):
+    """k and n as ints (bools refused: the parse memo would take True for
+    1) with 0 < k < n."""
+    if type(k) is not int or type(n) is not int:
+        raise TypeError("k and n must be ints, got %r and %r" % (k, n))
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+
+
 def bott(w, k, n):
     """Cohomology table {degree: dim} of the irreducible bundle with
     GL(n) weight w on G(k,n); empty when the dotted weight degenerates."""
+    _check_ambient(k, n)
     w = tuple(w)
     if {*map(type, w)} - {int}:
         raise TypeError("weight entries must be ints, got %r" % (w,))
     if len(w) != n:
         raise ValueError("weight length %d, expected %d" % (len(w), n))
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
     dotted = tuple(map(add, w, range(n - 1, -1, -1)))
     if len(set(dotted)) < n:
         return {}
@@ -109,6 +125,28 @@ def _lr_restricted(a, b, rows):
     return out
 
 
+def _dual_weight(w, k):
+    """The weight of the dual of the irreducible bundle with weight w:
+    each block reversed and negated."""
+    return tuple([-x for x in w[:k][::-1] + w[k:][::-1]])
+
+
+def _tensor(k, n, left, right):
+    """The canonical BundleExpr of the product of two formal sums given
+    as (weight, mult) pairs on G(k,n), block by block by
+    Littlewood-Richardson.  A weight need not end in 0: a central shift
+    of a factor shifts every product alike, and the canonical form
+    drops it."""
+    out = []
+    for a, ca in left:
+        for b, cb in right:
+            us = _lr_restricted(a[:k], b[:k], k)
+            qs = _lr_restricted(a[k:], b[k:], n - k)
+            out += [(u + q, ca * cb * cu * cq)
+                    for u, cu in us.items() for q, cq in qs.items()]
+    return object.__new__(BundleExpr)._canonical(k, n, out)
+
+
 class BundleExpr:
     """Formal sum of bundles S^lam U* tensor S^mu Q* on one G(k,n); terms
     maps each weight lam | mu, a tuple of n ints, to its multiplicity.
@@ -122,8 +160,7 @@ class BundleExpr:
     __slots__ = ("k", "n", "terms")
 
     def __init__(self, k, n, terms):
-        if not 0 < k < n:
-            raise ValueError("need 0 < k < n")
+        _check_ambient(k, n)
         checked = []
         for w, mult in terms.items():
             if type(mult) is not int:
@@ -153,6 +190,7 @@ class BundleExpr:
 
     @classmethod
     def structure_sheaf(cls, k, n):
+        _check_ambient(k, n)
         return cls(k, n, {(0,) * n: 1})
 
     def twist(self, t):
@@ -161,9 +199,9 @@ class BundleExpr:
             for w, m in self.terms.items()))
 
     def dual(self):
-        return object.__new__(BundleExpr)._canonical(self.k, self.n, (
-            (tuple(-x for x in w[:self.k][::-1] + w[self.k:][::-1]), m)
-            for w, m in self.terms.items()))
+        k = self.k
+        return object.__new__(BundleExpr)._canonical(k, self.n, (
+            (_dual_weight(w, k), m) for w, m in self.terms.items()))
 
     def __add__(self, other):
         self._same_ambient(other)
@@ -172,15 +210,8 @@ class BundleExpr:
 
     def tensor(self, other):
         self._same_ambient(other)
-        k, n = self.k, self.n
-        out = []
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                us = _lr_restricted(a[:k], b[:k], k)
-                qs = _lr_restricted(a[k:], b[k:], n - k)
-                out += [(u + q, ca * cb * cu * cq)
-                        for u, cu in us.items() for q, cq in qs.items()]
-        return object.__new__(BundleExpr)._canonical(k, n, out)
+        return _tensor(self.k, self.n, self.terms.items(),
+                       other.terms.items())
 
     def _same_ambient(self, other):
         if not isinstance(other, BundleExpr):
@@ -275,7 +306,13 @@ def _take_int(toks):
     if tok is None or tok[-1] not in "0123456789":
         raise ValueError("parse error at position %d: expected an integer"
                          % pos)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        # the only refusal left is CPython's limit on the digits of an
+        # integer read from a string
+        raise ValueError("parse error at position %d: integer has too many "
+                         "digits" % pos) from None
 
 
 def _parse_factor(toks, k, n):
@@ -325,9 +362,22 @@ def parse_bundle(text, k, n):
     """Parse a bundle descriptor on G(k,n): O, O(t), U*, Q*, S^a U*,
     S^(a,b) U*, S^(..) Q*, tensor written as *, twist suffix (t).  The
     total weight spread may not exceed MAX_SPREAD, nor the summands of
-    the product MAX_TERMS; twists are unbounded."""
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
+    the product MAX_TERMS; twists are unbounded.  Each call returns a
+    new BundleExpr, built from the memo of its canonical terms."""
+    _check_ambient(k, n)
+    expr = object.__new__(BundleExpr)
+    expr.k = k
+    expr.n = n
+    expr.terms = dict(_parsed(text, k, n))
+    return expr
+
+
+@lru_cache(maxsize=None)
+def _parsed(text, k, n):
+    """The canonical ((weight, mult), ...) terms of a descriptor on a
+    checked G(k,n): immutable, so one parse serves every later call on
+    the same text; a refused text raises again, since no exception is
+    cached."""
     toks = _tokenize(text)
     weights = [_parse_factor(toks, k, n)]
     while toks[-1][0] == "*":
@@ -348,31 +398,39 @@ def parse_bundle(text, k, n):
         if len(expr.terms) > MAX_TERMS:
             raise ValueError("descriptor %r has more than %d summands"
                              % (text, MAX_TERMS))
-    return expr
+    return tuple(expr.terms.items())
 
 
 def hom_bundle(E, F):
-    """Decomposition of E* tensor F into irreducibles."""
-    return E.dual().tensor(F)
+    """Decomposition of E* tensor F into irreducibles.  The dual weights
+    of E go straight into the tensor step; no canonical E* is built."""
+    E._same_ambient(F)
+    k = E.k
+    return _tensor(k, E.n, [(_dual_weight(w, k), m)
+                            for w, m in E.terms.items()], F.terms.items())
 
 
-def _cohomology(H):
-    """Cohomology table {i: dim} of a formal sum of irreducible bundles,
-    summing the Bott table of every summand."""
-    top = H.k * (H.n - H.k)
-    table = {}
+def _cohomology(H, twists=(0,)):
+    """Cohomology tables {i: dim} of H(t), one for each t in twists, in
+    one pass over the summands of H, summing the Bott table of each.  A
+    twist shifts the U* block of a weight and keeps it ending in 0."""
+    k, n = H.k, H.n
+    top = k * (n - k)
+    tables = [{} for _ in twists]
     for w, mult in H.terms.items():
-        for deg, d in bott(w, H.k, H.n).items():
-            if not 0 <= deg <= top:
-                raise AssertionError("degree outside [0, dim]")
-            table[deg] = table.get(deg, 0) + mult * d
-    return table
+        for t, table in zip(twists, tables):
+            wt = tuple([x + t for x in w[:k]]) + w[k:] if t else w
+            for deg, d in bott(wt, k, n).items():
+                if not 0 <= deg <= top:
+                    raise AssertionError("degree outside [0, dim]")
+                table[deg] = table.get(deg, 0) + mult * d
+    return tables
 
 
 def ext_table(E, F):
     """Ext table {i: dim} between E and F: the cohomology of
     hom_bundle(E, F)."""
-    return _cohomology(hom_bundle(E, F))
+    return _cohomology(hom_bundle(E, F))[0]
 
 
 def collection_backend(variety):
@@ -488,15 +546,13 @@ def ext_hyperplane(E, F):
     restricted Ext in degree i is T0[i] + T1[i+1] whenever no degree
     carries both tables at once; any overlap leaves a connecting map
     undetermined and the verdict is inconclusive.  Both tables come from
-    one decomposition of Hom(E, F).
+    one pass over one decomposition of Hom(E, F).
     """
     E._same_ambient(F)
     if E.k != 2 or E.n % 2 != 0 or E.n < 4:
         raise ValueError("hyperplane reduction needs ambient G(2,2n)")
-    H = hom_bundle(E, F)
-    t0 = _cohomology(H)
     # Hom(E, F(-1)) = Hom(E, F)(-1): tensor commutes with det twists
-    t1 = _cohomology(H.twist(-1))
+    t0, t1 = _cohomology(hom_bundle(E, F), (0, -1))
     overlap = sorted(set(t0) & set(t1))
     if overlap:
         return {"verdict": "inconclusive", "table": None,

@@ -449,6 +449,11 @@ def test_parse_errors_carry_positions():
     # integers are ASCII digits, and the tokenizer already refuses others
     ("S^\u0662 U*", 4, "position 2: unexpected '\u0662'"),
     ("O(\u0662)", 4, "position 2: unexpected '\u0662'"),
+    # past CPython's limit on the digits of an int read from a string
+    pytest.param("O(" + "9" * 5000 + ")", 4,
+                 "position 2: integer has too many digits", id="long-twist"),
+    pytest.param("S^(1," + "9" * 5000 + ") U*", 4,
+                 "position 5: integer has too many digits", id="long-exponent"),
 ])
 def test_parse_error_messages_are_pinned(text, n, message):
     with pytest.raises(ValueError) as err:
@@ -490,6 +495,65 @@ def test_parse_bounds_the_weight_spread():
                  "S^200 U* * S^(57,0) Q*", "S^(0,-257) U*"):
         with pytest.raises(ValueError, match="weight spread"):
             parse_bundle(text, 2, 4)
+
+
+def test_parse_returns_a_fresh_object_each_call():
+    # the memo holds immutable terms; each call builds its own BundleExpr
+    E = parse_bundle("S^(2,1) U* * Q*(3)", 2, 5)
+    F = parse_bundle("S^(2,1) U* * Q*(3)", 2, 5)
+    assert E == F and E is not F and E.terms is not F.terms
+    want = dict(E.terms)
+    E.terms.clear()
+    E.terms[(9, 9, 0, 0, 0)] = 1
+    E.k = 1
+    assert parse_bundle("S^(2,1) U* * Q*(3)", 2, 5).terms == want
+
+
+@pytest.mark.parametrize("text,message", [
+    ("U* U*", "parse error at position 3: trailing 'U*'"),
+    ("S^(1,2) U*", "U* weight must be weakly decreasing"),
+    ("S^257 U*", "descriptor 'S^257 U*' has weight spread 257, more than 256"),
+])
+def test_parse_refusal_repeats_on_the_next_call(text, message):
+    # a refusal is never cached: each call raises it anew
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            parse_bundle(text, 2, 4)
+        assert str(err.value) == message
+
+
+NON_INT_ENTRY_POINTS = {
+    "parse_bundle": lambda k, n: parse_bundle("O", k, n),
+    "BundleExpr": lambda k, n: BundleExpr(k, n, {}),
+    "structure_sheaf": BundleExpr.structure_sheaf,
+    "bott": lambda k, n: bott((0, 0, 0), k, n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_INT_ENTRY_POINTS))
+@pytest.mark.parametrize("where", ["k", "n"])
+@pytest.mark.parametrize("bad", [1.0, True, "2"], ids=["float", "bool", "str"])
+def test_non_int_ambient_is_refused(entry, where, bad):
+    # 1.0 and True hash and compare like 1, so the parse memo would hand
+    # back the G(1,3) terms; refuse them before it is asked, whether or
+    # not the text is cached
+    k, n = (bad, 3) if where == "k" else (1, bad)
+    bwb._parsed.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="^k and n must be ints"):
+            NON_INT_ENTRY_POINTS[entry](k, n)
+        parse_bundle("O", 1, 3)
+
+
+@given(st.sampled_from([(1, 3), (2, 4), (2, 5), (3, 6)]), st.data())
+def test_hom_is_the_tensor_of_the_dual(kn, data):
+    # hom_bundle feeds the dual weights straight into the tensor step
+    k, n = kn
+    E = _small_expr(data, k, n)
+    F = _small_expr(data, k, n)
+    H = hom_bundle(E, F)
+    assert H.terms == E.dual().tensor(F).terms
+    assert list(H.terms) == sorted(H.terms)
 
 
 def test_parse_case_sensitive():

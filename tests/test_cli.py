@@ -207,6 +207,17 @@ def test_check_kapranov_shape_reported_not_failed(capsys, collection_file):
     assert "[differs] residual_vs_zero_fiber" in out
 
 
+def test_check_bwb_refuses_an_over_long_integer(capsys, tmp_path):
+    # longer than CPython's limit on reading an int from a string
+    path = tmp_path / "long_twist.json"
+    path.write_text(json.dumps({
+        "variety": "G(2,4)", "fano_index": 4,
+        "starting_block": ["O(" + "9" * 5000 + ")"], "support": [1]}))
+    code, _, err = run(capsys, "check", str(path), "--bwb")
+    assert code == 1
+    assert "parse error at position 2: integer has too many digits" in err
+
+
 def test_check_bwb_reads_ascii_digits_only(capsys, tmp_path):
     path = tmp_path / "kapranov.json"
     path.write_text(json.dumps({

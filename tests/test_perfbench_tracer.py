@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 # cli imports every module the tracer patches
-from qspectra import algebra, cli, spectrum, varieties
+from qspectra import algebra, bwb, cli, spectrum, varieties
 from qspectra.bwb import check_collection_hyperplane
 from qspectra.lefschetz import builtin_collection
 from qspectra.schur import _qh_grassmannian_pairwise
@@ -75,6 +75,19 @@ def test_tracer_sees_the_collection_check_through_bwb_names():
     assert per_name["bwb.ext_hyperplane"][0] == 33
     assert per_name["bwb.bott"][0] >= 1
     assert tracer.undecided == 0
+
+
+def test_tracer_counts_every_parse_call():
+    # the parse memo is private: bwb.parse_s still counts each public call
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        for _ in range(3):
+            bwb.parse_bundle("S^(2,1) U* * Q*(1)", 2, 5)
+    finally:
+        tracer.uninstall()
+    assert tracer.per_name()["bwb.parse"][0] == 3
 
 
 def test_tracer_sees_the_report_through_exactlin_names():
