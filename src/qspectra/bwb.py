@@ -50,13 +50,6 @@ def _weyl_quotient(dotted):
     return num // den
 
 
-def weyl_dim(delta):
-    """Dimension of the GL(n) irrep with highest weight delta, as the
-    product over positive roots of (delta_i - delta_j + j - i)/(j - i)."""
-    n = len(delta)
-    return _weyl_quotient(tuple(map(add, delta, range(n - 1, -1, -1))))
-
-
 def _check_ambient(k, n):
     """k and n as ints (bools refused: the parse memo would take True for
     1) with 0 < k < n."""
@@ -198,16 +191,6 @@ class BundleExpr:
             (tuple(x + t for x in w[:self.k]) + w[self.k:], m)
             for w, m in self.terms.items()))
 
-    def dual(self):
-        k = self.k
-        return object.__new__(BundleExpr)._canonical(k, self.n, (
-            (_dual_weight(w, k), m) for w, m in self.terms.items()))
-
-    def __add__(self, other):
-        self._same_ambient(other)
-        return object.__new__(BundleExpr)._canonical(
-            self.k, self.n, [*self.terms.items(), *other.terms.items()])
-
     def tensor(self, other):
         self._same_ambient(other)
         return _tensor(self.k, self.n, self.terms.items(),
@@ -219,12 +202,6 @@ class BundleExpr:
         if (self.k, self.n) != (other.k, other.n):
             raise ValueError("mismatched ambient Grassmannian: G(%d,%d) vs "
                              "G(%d,%d)" % (self.k, self.n, other.k, other.n))
-
-    @property
-    def rank(self):
-        k = self.k
-        return sum(m * weyl_dim(w[:k]) * weyl_dim(w[k:])
-                   for w, m in self.terms.items())
 
     def __eq__(self, other):
         return (isinstance(other, BundleExpr)

@@ -121,7 +121,7 @@ def _bwb_lines(verdict, backend):
 def cmd_check(args):
     try:
         coll = load_collection(args.file)
-    except (OSError, json.JSONDecodeError, RecursionError, ValueError) as e:
+    except (OSError, RecursionError, ValueError) as e:
         print("cannot read collection %s: %s" % (args.file, e),
               file=sys.stderr)
         return 1

@@ -102,24 +102,14 @@ class Matrix:
         return isinstance(other, Matrix) and self.data == other.data \
             and self.cols == other.cols
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(r, s)]
-                       for r, s in zip(self.data, other.data)], cols=self.cols)
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            X, d = _int_rows(self)
-            Y, e = _int_rows(other)
-            return _over(_product(X, Y, other.cols), d * e, other.cols)
-        return Matrix([[_q(other) * x for x in row] for row in self.data],
-                      cols=self.cols)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        X, d = _int_rows(self)
+        Y, e = _int_rows(other)
+        return _over(_product(X, Y, other.cols), d * e, other.cols)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -276,36 +266,32 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a Fraction, int, or square Matrix.
+        """Evaluate by Horner at a square Matrix.
 
         At a Matrix N / d, with coefficients a_i / e, Horner runs in
         integers on H <- H N + a_i d^(deg - i) I, and H is divided by
         e d^deg once at the end.
         """
-        if isinstance(x, Matrix):
-            if not x.is_square():
-                raise ValueError("evaluation at a non-square matrix")
-            n = x.rows
-            if not self.coeffs:
-                return Matrix.zeros(n, n)
-            N, d = _int_rows(x)
-            a, e = clear_denominators(self.coeffs)
-            deg = len(a) - 1
-            H = [[a[deg] if i == j else 0 for j in range(n)]
-                 for i in range(n)]
-            scale = 1
-            for c in reversed(a[:deg]):
-                scale *= d
-                H = _product(H, N, n)
-                if c:
-                    for i, row in enumerate(H):
-                        row[i] += c * scale
-            return _over(H, e * scale, n)
-        x = _q(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not isinstance(x, Matrix):
+            raise TypeError("expected a Matrix, got %r" % (x,))
+        if not x.is_square():
+            raise ValueError("evaluation at a non-square matrix")
+        n = x.rows
+        if not self.coeffs:
+            return Matrix.zeros(n, n)
+        N, d = _int_rows(x)
+        a, e = clear_denominators(self.coeffs)
+        deg = len(a) - 1
+        H = [[a[deg] if i == j else 0 for j in range(n)]
+             for i in range(n)]
+        scale = 1
+        for c in reversed(a[:deg]):
+            scale *= d
+            H = _product(H, N, n)
+            if c:
+                for i, row in enumerate(H):
+                    row[i] += c * scale
+        return _over(H, e * scale, n)
 
     def __repr__(self):
         return "Poly(%s)" % (poly_str(self),)

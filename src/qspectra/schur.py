@@ -116,17 +116,15 @@ def lr_coeffs(lam, mu, rows):
 def rim_hook_reduce(parts, k, n):
     """Fold a partition with at most k parts into the k x (n-k) box.
 
-    Removes rim hooks of n cells until the class fits, tracking the sign
-    and the number of removals; returns (box partition, sign, removals),
-    None when the class collapses to zero, and raises on more than k
-    parts.
+    Removes rim hooks of n cells until the class fits, tracking the
+    sign; returns (box partition, sign), None when the class collapses
+    to zero, and raises on more than k parts.
     """
     if len(parts) > k:
         raise ValueError("partition has more than %d parts" % k)
     beta = [parts[i] if i < len(parts) else 0 for i in range(k)]
     beta = [b + (k - 1 - i) for i, b in enumerate(beta)]
     sign = 1
-    d = 0
     while True:
         b = max(beta)
         if b < n:
@@ -138,10 +136,9 @@ def rim_hook_reduce(parts, k, n):
         if (k - height) % 2:
             sign = -sign
         beta[beta.index(b)] = t
-        d += 1
     beta.sort(reverse=True)
     box = _trim(tuple(x - (k - 1 - i) for i, x in enumerate(beta)))
-    return box, sign, d
+    return box, sign
 
 
 def quantum_product(lam, mu, k, n):
@@ -155,7 +152,7 @@ def quantum_product(lam, mu, k, n):
         red = rim_hook_reduce(nu, k, n)
         if red is None:
             continue
-        box, sign, _ = red
+        box, sign = red
         out[box] = out.get(box, 0) + sign * c
     if any(c < 0 for c in out.values()):
         raise AssertionError("negative structure constant in G(%d,%d) product"

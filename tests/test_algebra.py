@@ -230,7 +230,8 @@ def test_mult_matrix_is_linear_and_commuting():
     w = (F(0), F(1, 3), F(5), F(2))
     Mu, Mw = mult_matrix(A, u), mult_matrix(A, w)
     s = tuple(a + b for a, b in zip(u, w))
-    assert mult_matrix(A, s) == Mu + Mw
+    assert mult_matrix(A, s) == Matrix([[a + b for a, b in zip(r, q)]
+                                       for r, q in zip(Mu.data, Mw.data)])
     assert Mu * Mw == Mw * Mu
 
 
@@ -905,11 +906,34 @@ def _json_p2():
     lambda obj: obj["triples"].append(list(obj["triples"][0])),
     lambda obj: obj["unit"][0].__setitem__(1, 0),
     lambda obj: obj["anticanonical"][1].__setitem__(0, 3.0),
+    lambda obj: obj.update(degrees=[0, True, 2]),
+    lambda obj: obj.update(dim_X="two"),
+    lambda obj: obj.update(dim_X=None),
+    lambda obj: obj.update(dim_X=True),
+    lambda obj: obj.update(name=["x"]),
+    lambda obj: obj.update(fano_index=True),
+    lambda obj: obj.pop("dim_X"),
+    lambda obj: obj.pop("triples"),
 ])
 def test_json_rejects_malformed_entries(spoil):
     obj = _json_p2()
     spoil(obj)
     with pytest.raises(ValueError):
+        algebra_from_json(obj)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("degrees", [0, True, 2]), ("dim_X", "two"), ("dim_X", None),
+    ("dim_X", True), ("name", ["x"]), ("fano_index", True), ("unit", None),
+])
+def test_json_refusal_names_the_field(key, value):
+    # None stands for a missing field
+    obj = _json_p2()
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ValueError, match=key):
         algebra_from_json(obj)
 
 

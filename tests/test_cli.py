@@ -1,5 +1,6 @@
 import ast
 import collections
+import importlib
 import json
 import os
 import pathlib
@@ -446,12 +447,51 @@ def test_selftest_filter_runs_subset(capsys):
     assert "selftest: 1 passed, 0 failed" in out
 
 
-def test_selftest_runs_every_row(capsys):
+# the operator methods that the dead-name tests, which skip names with a
+# leading underscore, cannot see
+OPERATORS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+             "__call__")
+
+
+def _public_classes():
+    """The public classes that the qspectra modules define."""
+    for path in sorted(pathlib.Path(qspectra.__file__).parent.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module("qspectra." + path.stem)
+        yield from (obj for name, obj in sorted(vars(module).items())
+                    if isinstance(obj, type) and not name.startswith("_")
+                    and obj.__module__ == module.__name__)
+
+
+def _counting(calls, key, method):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return method(*args, **kwargs)
+    return counted
+
+
+def test_selftest_runs_every_row(capsys, monkeypatch):
     # the whole cross-validation suite, including the bwb rows that run
-    # Kuznetsov's IG(2,6) collection through the hyperplane checker
+    # Kuznetsov's IG(2,6) collection through the hyperplane checker.  It
+    # runs every operator method of a public class, unless the benchmark
+    # names that method, as the dead-name tests below allow
+    calls = collections.Counter()
+    defined = []
+    for cls in _public_classes():
+        for op in OPERATORS:
+            if op in vars(cls):
+                key = "%s.%s" % (cls.__name__, op)
+                defined.append((key, op))
+                monkeypatch.setattr(cls, op,
+                                    _counting(calls, key, vars(cls)[op]))
+    assert defined
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "selftest: 12 passed, 0 failed" in out
+    bench = _benchmark_names()
+    assert [key for key, op in defined
+            if not calls[key] and op not in bench] == []
 
 
 def test_selftest_unknown_filter(capsys):
@@ -587,6 +627,17 @@ def _mentioned(tree, strings=False):
     return out
 
 
+def _benchmark_names():
+    """Every name the benchmark's scripts read, import or give as a string
+    (the tracer names some functions and methods by string)."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    names = set()
+    for path in (repo / "perfbench").glob("*.py"):
+        names |= _mentioned(ast.parse(path.read_text(encoding="utf-8")),
+                            strings=True)
+    return names
+
+
 def _taken_from(tree, module):
     """Names the tree imports from the sibling module, or reads as
     module.<name>."""
@@ -608,10 +659,7 @@ def test_every_public_name_has_a_program_caller():
     repo = pathlib.Path(__file__).resolve().parent.parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(qspectra.__file__).parent.glob("*.py")}
-    bench = set()
-    for path in (repo / "perfbench").glob("*.py"):
-        bench |= _mentioned(ast.parse(path.read_text(encoding="utf-8")),
-                            strings=True)
+    bench = _benchmark_names()
     readme = (repo / "README.md").read_text(encoding="utf-8")
     unused = []
     for module, tree in sorted(trees.items()):
@@ -638,10 +686,7 @@ def test_every_public_method_has_a_program_caller():
     repo = pathlib.Path(__file__).resolve().parent.parent
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(qspectra.__file__).parent.glob("*.py")]
-    bench = set()
-    for path in (repo / "perfbench").glob("*.py"):
-        bench |= _mentioned(ast.parse(path.read_text(encoding="utf-8")),
-                            strings=True)
+    bench = _benchmark_names()
     readme = (repo / "README.md").read_text(encoding="utf-8")
 
     def reads(tree):

@@ -144,11 +144,11 @@ def test_lr_refuses_a_costly_expansion_and_caches_nothing():
 # ---------------------------------------------------------------- rim hooks
 
 def test_reduce_identity_inside_box():
-    assert rim_hook_reduce((1,), 2, 4) == ((1,), 1, 0)
+    assert rim_hook_reduce((1,), 2, 4) == ((1,), 1)
 
 
 def test_reduce_single_hook():
-    assert rim_hook_reduce((3, 1), 2, 4) == ((), 1, 1)
+    assert rim_hook_reduce((3, 1), 2, 4) == ((), 1)
 
 
 def test_reduce_rejects_too_many_parts():

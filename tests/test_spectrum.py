@@ -128,7 +128,7 @@ def test_split_g24_dimensions_match_valuation_oracle():
     assert a == 2
     z, nz = kappa_split(A)
     assert (z.dim, nz.dim) == (2, 4)
-    assert g(Fraction(0)) != 0
+    assert g.coeffs[0] != 0
 
 
 def test_split_ig6_dimensions():
@@ -159,7 +159,7 @@ def test_split_parts_are_valid_ideal_algebras(make):
         assert pz.coeffs[:z.dim] == (Fraction(0),) * z.dim
     if nz.dim:
         pn = charpoly(mult_matrix(nz, nz.anticanonical))
-        assert pn(Fraction(0)) != 0
+        assert pn.coeffs[0] != 0
     assert point_count(A) == point_count(z) + point_count(nz)
 
 
