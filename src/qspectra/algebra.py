@@ -76,6 +76,13 @@ class FiniteCommAlgebra:
                             % (fano_index,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
+        bad = [d for d in degrees if type(d) is not int]
+        if bad:
+            raise TypeError("degrees must be ints, got %r" % (bad[0],))
+        if type(name) is not str:
+            raise TypeError("name must be a str, got %r" % (name,))
+        if type(dim_X) is not int:
+            raise TypeError("dim_X must be an int, got %r" % (dim_X,))
 
         for row in cells:
             for cell in row:

@@ -95,24 +95,23 @@ class _CosetModel:
         return tuple(head) + tuple(sorted(tail))
 
 
-def _divisor_columns(model, reps, m):
+def _divisor_columns(model, reps, lengths, m):
     """Multiplication by the degree-1 coset class: its integer columns
-    over reps."""
+    over reps, with lengths[i] the length of reps[i]."""
     idx = {w: i for i, w in enumerate(reps)}
     cols = []
-    for w in reps:
-        lw = model.length(w)
+    for w, lw in zip(reps, lengths):
         col = [0] * len(reps)
         for i, j, s, c in model.roots:
             # w s_alpha: places i and j swapped, both times s
             u = list(w)
             u[i], u[j] = s * w[j], s * w[i]
             u = tuple(u)
-            v = model.to_minimal(u)
-            if u == v and model.length(u) == lw + 1:
-                col[idx[u]] += c
-            elif model.length(v) == lw + 1 - m * c:
-                col[idx[v]] += c
+            t = idx[model.to_minimal(u)]
+            # u is a representative exactly when it is its own minimal one
+            if (reps[t] == u and lengths[t] == lw + 1
+                    or lengths[t] == lw + 1 - m * c):
+                col[t] += c
         cols.append(col)
     return cols
 
@@ -120,8 +119,9 @@ def _divisor_columns(model, reps, m):
 def _ring_from_divisor(name, model, reps, m, dim_X, labels):
     """Rebuild the full product table from the divisor operator alone."""
     n = len(reps)
+    lengths = [model.length(w) for w in reps]
     cols = [[(t, x) for t, x in enumerate(col) if x]
-            for col in _divisor_columns(model, reps, m)]
+            for col in _divisor_columns(model, reps, lengths, m)]
     # iterated integer images M^l b_j, reused across all rows; those of
     # the unit span the Krylov space
     images = []
@@ -157,7 +157,6 @@ def _ring_from_divisor(name, model, reps, m, dim_X, labels):
         return acc
 
     cells = [[product(i, j) for j in range(i, n)] for i in range(n)]
-    lengths = [model.length(w) for w in reps]
     if lengths[1] != 1 or lengths.count(1) != 1:
         raise AssertionError("degree-1 line is not where expected")
     degrees = [l % m for l in lengths]
@@ -210,8 +209,9 @@ def grassmann_divisor_matrix(k, n):
     so this works in the non-cyclic cases too (G(2,4) for one).
     """
     model, reps = _grassmann_reps(k, n)
-    M = Matrix.from_columns(_divisor_columns(model, reps, n))
-    return M, [model.length(w) for w in reps]
+    lengths = [model.length(w) for w in reps]
+    M = Matrix.from_columns(_divisor_columns(model, reps, lengths, n))
+    return M, lengths
 
 
 def ig2_divisor_matrix(n):
@@ -229,5 +229,6 @@ def ig2_divisor_matrix(n):
     reps = sorted(model.reps, key=lambda w: (model.length(w), w))
     if len(reps) != 2 * n * (n - 1):
         raise AssertionError("coset count mismatch for IG(2,%d)" % (2 * n))
-    M = Matrix.from_columns(_divisor_columns(model, reps, 2 * n - 1))
-    return M, [model.length(w) for w in reps]
+    lengths = [model.length(w) for w in reps]
+    M = Matrix.from_columns(_divisor_columns(model, reps, lengths, 2 * n - 1))
+    return M, lengths

@@ -82,8 +82,7 @@ def cmd_report(args):
         doc = {"meta": {"tool": "qspectra", "version": __version__},
                "spectrum": report.to_dict()}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print("computed in %.3f s" % elapsed, file=sys.stderr)
     return 0
 

@@ -199,7 +199,11 @@ def kernel_basis(rows, width):
     of ints or Fractions of length width, as a list of tuples.
 
     Canonical: one vector per free column of the reduced row echelon form,
-    scaled so the first nonzero coordinate is 1.
+    scaled so the first nonzero coordinate is 1.  Only the nonzero
+    entries are divided.  Before scaling, the vector is 1 at the free
+    column and -r[free] / r[p] at the pivot p of each row r nonzero
+    there, all left of it; so its first nonzero entry is at the least
+    such pivot, if any, and is the 1 at the free column otherwise.
     """
     if any(len(r) != width for r in rows):
         raise ValueError("rows of a width other than %d" % width)
@@ -207,12 +211,17 @@ def kernel_basis(rows, width):
     basis = []
     for free in sorted(set(range(width)).difference(pivots)):
         v = [_ZERO] * width
-        v[free] = _ONE
-        for r, p in zip(rows, pivots):
-            if r[free]:
-                v[p] = Fraction(-r[free], r[p])
-        lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
+        hits = [(p, r) for r, p in zip(rows, pivots) if r[free]]
+        if hits:
+            # the lead is -b / a; entry -r[free] / r[p] over it
+            p, r = hits[0]
+            a, b = r[p], r[free]
+            v[free] = Fraction(-a, b)
+            for p, r in hits:
+                v[p] = Fraction(r[free] * a, r[p] * b)
+        else:
+            v[free] = _ONE
+        basis.append(tuple(v))
     return basis
 
 

@@ -21,7 +21,8 @@ the product of the blocks around the cycle on the smallest piece, the
 powers of M are products of blocks from one piece to another, so their
 kernels and images are found piece by piece, and the trace form pairs
 V_d only with V_-d, so the nilradical is the sum of the kernels of those
-small blocks.  The rings of index 1 are the case of a single block.
+small blocks and the point count the sum of their ranks.  The rings of
+index 1 are the case of a single block.
 
 kappa is taken to be the anticanonical multiplication itself, not a
 primitive-root rescaling of it; every quantity reported here (dimensions,
@@ -67,19 +68,12 @@ def _last_nonzero(v):
     return max(i for i, x in enumerate(v) if x)
 
 
-def nilradical(A):
-    """Basis of the ideal of nilpotents: the kernel of the trace form.
+def _trace_blocks(A):
+    """The trace form's blocks, one per nonempty piece V_d: the indices
+    of V_d and den^2 times the form's integer rows from V_d to V_-d.
 
-    In characteristic zero the radical of (a, b) -> trace of multiplication
-    by ab is exactly the nilradical, so symmetric matrix kernels find it
-    without any factoring.  The form is built from the integer rows, so
-    it comes out scaled by den^2, which leaves its kernel as it is.  An
-    element of nonzero degree shifts every piece and has trace 0, so the
-    form pairs V_d only with V_-d, and its kernel is the sum over d of the
-    kernels of the blocks from V_d to V_-d.  Each block's kernel basis is
-    the canonical one on its own piece; sorted by free column, which is
-    each vector's last nonzero entry, the embedded vectors form the
-    canonical kernel basis of the whole form.
+    An element of nonzero degree shifts every piece and has trace 0, so
+    the form pairs V_d only with V_-d and is the sum of these blocks.
     """
     pieces = _pieces(A)
     rows = A.rows
@@ -88,22 +82,40 @@ def nilradical(A):
     for l in pieces[0]:
         tau[l] = sum(c for j, cell in enumerate(rows[l])
                      for k, c in cell if k == j)
-    basis = []
     for d, idx in enumerate(pieces):
-        if not idx:
-            continue
-        block = [[sum(c * tau[l] for l, c in rows[i][j]) for j in idx]
-                 for i in pieces[-d % A.fano_index]]
-        basis.extend(_embed(A.dim, idx, v)
-                     for v in kernel_basis(block, len(idx)))
+        if idx:
+            yield idx, [[sum(c * tau[l] for l, c in rows[i][j]) for j in idx]
+                        for i in pieces[-d % A.fano_index]]
+
+
+def nilradical(A):
+    """Basis of the ideal of nilpotents: the kernel of the trace form.
+
+    In characteristic zero the radical of (a, b) -> trace of multiplication
+    by ab is exactly the nilradical, so symmetric matrix kernels find it
+    without any factoring.  The form is built from the integer rows, so
+    it comes out scaled by den^2, which leaves its kernel as it is; its
+    kernel is the sum over d of the kernels of the blocks from V_d to
+    V_-d.  Each block's kernel basis is the canonical one on its own
+    piece; sorted by free column, which is each vector's last nonzero
+    entry, the embedded vectors form the canonical kernel basis of the
+    whole form.
+    """
+    basis = [_embed(A.dim, idx, v) for idx, block in _trace_blocks(A)
+             for v in kernel_basis(block, len(idx))]
     basis.sort(key=_last_nonzero)
     return basis
 
 
 def point_count(A):
     """Number of geometric points of Spec A: the dimension after killing
-    nilpotents (finite reduced algebras in characteristic 0 are etale)."""
-    return A.dim - len(nilradical(A))
+    nilpotents (finite reduced algebras in characteristic 0 are etale).
+
+    That is the rank of the trace form, the sum of its blocks' ranks, so
+    by rank-nullity A.dim less the length of the nilradical.
+    """
+    return sum(len(integer_echelon(block)[0])
+               for _idx, block in _trace_blocks(A))
 
 
 def _apply(block, w):
@@ -166,8 +178,8 @@ class _KappaCycle:
         S = self.scale ** m
         cols = [self.around([int(r == c) for r in range(n)], j)
                 for c in range(n)]
-        q = charpoly(Matrix([[Fraction(col[r], S) for col in cols]
-                             for r in range(n)], cols=n))
+        q = charpoly(Matrix([[Fraction(col[r], S) if col[r] else _ZERO
+                              for col in cols] for r in range(n)], cols=n))
         N = sum(sizes)
         coeffs = [_ZERO] * (N + 1)
         for i, b in enumerate(q.coeffs):
@@ -424,7 +436,9 @@ def quantum_spectrum_report(A):
 
     Only the zero fiber A / im kappa^r is built: the invertible fiber has
     the ring's dimension and points less the zero fiber's, and kappa's
-    charpoly on it is p with the factor x^a removed.
+    charpoly on it is p with the factor x^a removed.  The ring's points
+    are the ranks of its trace-form blocks, so its nilradical is never
+    built.
     """
     cycle = _KappaCycle(A)
     p = cycle.charpoly()

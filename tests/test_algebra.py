@@ -547,10 +547,17 @@ def _bad(field, value):
      "expected int or Fraction, got True"),
     (_bad("anticanonical", (0, 0.5, 0)), TypeError,
      "expected int or Fraction, got 0.5"),
+    (_bad("degrees", (0, True, 2)), TypeError,
+     "degrees must be ints, got True"),
+    (_bad("degrees", (0, 1.0, 2)), TypeError, "degrees must be ints, got 1.0"),
+    (_bad("name", ["x"]), TypeError, "name must be a str, got ['x']"),
+    (_bad("dim_X", "two"), TypeError, "dim_X must be an int, got 'two'"),
+    (_bad("dim_X", True), TypeError, "dim_X must be an int, got True"),
 ], ids=["short-triangle", "long-rows", "short-unit", "long-kappa",
         "short-degrees", "den-0", "den-float", "den-bool", "m-float", "m-0",
         "cell-float", "cell-fraction", "cell-bool", "index-high",
-        "index-negative", "unit-bool", "kappa-float"])
+        "index-negative", "unit-bool", "kappa-float", "degree-bool",
+        "degree-float", "name-list", "dim_X-str", "dim_X-bool"])
 def test_public_route_refuses_each_bad_table_as_before(make, error, message):
     with pytest.raises(error) as caught:
         FiniteCommAlgebra(**make())

@@ -276,6 +276,13 @@ def _with_shapes(test):
 
 
 @settings(max_examples=200)
+# kernel vectors led by a pivot left of the free column, with the leads
+# -3/2; -2; 5/3 (the lesser of two pivots nonzero at the free column) and
+# -2/3: (1, -2/3); (1, 0, 0), (0, 1, -1/2); (1, -6/5, 3/5, 0),
+# (1, 0, 0, -3/2)
+@example(([[2, 3]], 2))
+@example(([[0, 1, 2]], 3))
+@example(([[3, 0, -5, 2], [0, 2, 4, 0]], 4))
 @_with_shapes
 def test_kernel_basis_matches_gauss_jordan(case):
     rows, width = case

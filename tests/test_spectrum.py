@@ -113,6 +113,30 @@ def test_nilradical_vectors_are_nilpotent(make):
     assert rank(trace_gram(A)) == A.dim - len(N)
 
 
+_POINT_COUNT_RINGS = (
+    [pytest.param(lambda d=d: d.provider(), id=vid)
+     for vid, d in REGISTRY.items()]
+    + [pytest.param(lambda k=k, n=n: qh_grassmannian(k, n),
+                    id="G(%d,%d)" % (k, n))
+       for k, n in ((3, 7), (4, 8))]
+    + [pytest.param(lambda n=n: qh_ig2(n), id="IG(2,%d)" % (2 * n))
+       for n in (6, 8)])
+
+
+@pytest.mark.parametrize("make", _POINT_COUNT_RINGS)
+def test_point_count_is_the_rank_of_the_trace_form(make):
+    # the blocks' ranks against the nilradical's length by rank-nullity,
+    # and against the whole form read from every cell
+    A = make()
+    assert point_count(A) == A.dim - len(nilradical(A))
+    assert point_count(A) == rank(trace_gram(A))
+
+
+def test_point_count_of_the_stalled_table(stalled_radical_ring):
+    A = stalled_radical_ring
+    assert point_count(A) == A.dim - len(nilradical(A)) == 1
+
+
 # --- kappa split -----------------------------------------------------------
 
 def test_split_projective_space_is_all_invertible():
@@ -509,7 +533,7 @@ def test_invertible_fiber_charpoly_is_the_cofactor_of_x_power(make):
 
 
 def _invariant_calls(monkeypatch, A):
-    calls = {"charpoly": 0, "nilradical": 0, "rank": 0}
+    calls = {"charpoly": 0, "nilradical": 0, "point_count": 0, "rank": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -517,7 +541,7 @@ def _invariant_calls(monkeypatch, A):
             return fn(*args)
         return wrapper
 
-    for name in ("charpoly", "nilradical"):
+    for name in ("charpoly", "nilradical", "point_count"):
         monkeypatch.setattr(qspectra.spectrum, name,
                             counted(name, getattr(qspectra.spectrum, name)))
     # one counter under both names, so a call through either counts once
@@ -532,15 +556,19 @@ def _invariant_calls(monkeypatch, A):
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = _invariant_calls(monkeypatch, qh_ig2(3))
     # one charpoly (the whole ring's, which also gives the invertible
-    # fiber's) and one nilradical per fiber
-    assert calls == {"charpoly": 1, "nilradical": 2, "rank": 0}
+    # fiber's), one nilradical (the zero fiber's) and one point count (the
+    # whole ring's, from ranks alone)
+    assert calls == {"charpoly": 1, "nilradical": 1, "point_count": 1,
+                     "rank": 0}
 
 
 def test_report_with_empty_zero_fiber_reuses_the_charpoly(monkeypatch):
     calls = _invariant_calls(monkeypatch, qh_projective(3))
     # the invertible fiber is the whole ring, so its charpoly is the ring's,
-    # and the empty zero fiber has no nilradical to compute
-    assert calls == {"charpoly": 1, "nilradical": 1, "rank": 0}
+    # its points are counted from ranks, and the empty zero fiber has no
+    # nilradical to compute
+    assert calls == {"charpoly": 1, "nilradical": 0, "point_count": 1,
+                     "rank": 0}
 
 
 # --- rational tables against a plain Fraction reference --------------------
