@@ -313,7 +313,9 @@ class PolyPresentation:
     Relations and the anticanonical class are multivariate polynomials given
     as {exponent tuple: coefficient} maps over the declared variables, both
     checked alike: one nonnegative int exponent per variable, int or
-    Fraction coefficients.  Variable degrees are positive ints.
+    Fraction coefficients.  Variable degrees are positive ints.  The name
+    and dim_X are checked as FiniteCommAlgebra checks them, since
+    from_presentation stores them unchecked.
     """
 
     __slots__ = ("name", "variables", "relations", "fano_index",
@@ -347,6 +349,10 @@ class PolyPresentation:
                             % (fano_index,))
         if fano_index < 1:
             raise ValueError("fano_index must be positive")
+        if type(name) is not str:
+            raise TypeError("name must be a str, got %r" % (name,))
+        if type(dim_X) is not int:
+            raise TypeError("dim_X must be an int, got %r" % (dim_X,))
         self.name = name
         self.fano_index = fano_index
         self.anticanonical = parse(anticanonical or {})

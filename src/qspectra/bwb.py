@@ -19,9 +19,13 @@ Each (text, k, n) is parsed once per process: a memo keeps the
 immutable canonical terms, and every call builds a new BundleExpr from
 them, so no caller can change what a later one gets.  Refusals are not
 memoized, and k and n must be ints (1.0 and True would find the entry
-of 1).  Hom(E, F) feeds E's dual weights straight into the tensor step,
-and the hyperplane reduction reads its two ambient tables in one pass
-over Hom's summands.
+of 1).  The tensor step adds each Littlewood-Richardson product straight
+into the canonical terms and sorts them once.  Hom(E, F) feeds E's dual
+weights straight into it, and the hyperplane reduction reads its two
+ambient tables in one pass over Hom's summands.  An Ext table reads each
+summand's Bott table from a second memo, also kept for the life of the
+process and also immutable: the public bott runs once per distinct
+weight, and every table is a new dict summed in the order of Hom's terms.
 
 Restriction to the isotropic Grassmannian IG(2,2n), a hyperplane section
 of G(2,2n), is handled by a sufficient criterion on the two ambient Ext
@@ -129,15 +133,26 @@ def _tensor(k, n, left, right):
     as (weight, mult) pairs on G(k,n), block by block by
     Littlewood-Richardson.  A weight need not end in 0: a central shift
     of a factor shifts every product alike, and the canonical form
-    drops it."""
-    out = []
+    drops it.  Each product goes straight into the canonical dict,
+    shifted by its Q* block's last entry; every multiplicity here is
+    positive, so none is dropped, and the terms are sorted once."""
+    canon = {}
     for a, ca in left:
         for b, cb in right:
-            us = _lr_restricted(a[:k], b[:k], k)
-            qs = _lr_restricted(a[k:], b[k:], n - k)
-            out += [(u + q, ca * cb * cu * cq)
-                    for u, cu in us.items() for q, cq in qs.items()]
-    return object.__new__(BundleExpr)._canonical(k, n, out)
+            us = _lr_restricted(a[:k], b[:k], k).items()
+            for q, cq in _lr_restricted(a[k:], b[k:], n - k).items():
+                c = q[-1]
+                if c:
+                    q = tuple([x - c for x in q])
+                m = ca * cb * cq
+                for u, cu in us:
+                    w = (tuple([x - c for x in u]) if c else u) + q
+                    canon[w] = canon.get(w, 0) + m * cu
+    expr = object.__new__(BundleExpr)
+    expr.k = k
+    expr.n = n
+    expr.terms = dict(sorted(canon.items()))
+    return expr
 
 
 class BundleExpr:
@@ -387,19 +402,28 @@ def hom_bundle(E, F):
                             for w, m in E.terms.items()], F.terms.items())
 
 
+@lru_cache(maxsize=None)
+def _bott_table(w, k, n):
+    """The Bott table of a stored weight as ((degree, dim),): immutable,
+    so one evaluation serves every later summand with the same weight.
+    A miss calls the public bott, which keeps its checks."""
+    table = tuple(bott(w, k, n).items())
+    for deg, _ in table:
+        if not 0 <= deg <= k * (n - k):
+            raise AssertionError("degree outside [0, dim]")
+    return table
+
+
 def _cohomology(H, twists=(0,)):
     """Cohomology tables {i: dim} of H(t), one for each t in twists, in
     one pass over the summands of H, summing the Bott table of each.  A
     twist shifts the U* block of a weight and keeps it ending in 0."""
     k, n = H.k, H.n
-    top = k * (n - k)
     tables = [{} for _ in twists]
     for w, mult in H.terms.items():
         for t, table in zip(twists, tables):
             wt = tuple([x + t for x in w[:k]]) + w[k:] if t else w
-            for deg, d in bott(wt, k, n).items():
-                if not 0 <= deg <= top:
-                    raise AssertionError("degree outside [0, dim]")
+            for deg, d in _bott_table(wt, k, n):
                 table[deg] = table.get(deg, 0) + mult * d
     return tables
 

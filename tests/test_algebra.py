@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -706,6 +707,24 @@ def test_presentation_refuses_a_fano_index_that_is_not_an_int(bad):
         PolyPresentation(
             name="line", variables=(("x", 1),), relations=({(2,): 1},),
             fano_index=bad)
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("name", ["x"], "name must be a str, got ['x']"),
+    ("name", None, "name must be a str, got None"),
+    ("dim_X", "two", "dim_X must be an int, got 'two'"),
+    ("dim_X", True, "dim_X must be an int, got True"),
+    ("dim_X", 1.0, "dim_X must be an int, got 1.0"),
+])
+def test_presentation_refuses_what_the_constructor_refuses(field, bad,
+                                                           message):
+    # from_presentation stores name and dim_X unchecked, so the
+    # presentation must refuse what FiniteCommAlgebra refuses
+    fields = dict(name="x", variables=(("x", 1),), relations=({(2,): 1},),
+                  fano_index=1, dim_X=0)
+    fields[field] = bad
+    with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+        PolyPresentation(**fields)
 
 
 def test_presentation_rejects_unit_ideal():

@@ -579,6 +579,74 @@ def test_hom_is_the_tensor_of_the_dual(kn, data):
     assert list(H.terms) == sorted(H.terms)
 
 
+def _two_pass_tensor(k, n, left, right):
+    """The tensor step as a list of every product, then one canonical
+    pass over it."""
+    out = []
+    for a, ca in left:
+        for b, cb in right:
+            us = bwb._lr_restricted(a[:k], b[:k], k)
+            qs = bwb._lr_restricted(a[k:], b[k:], n - k)
+            out += [(u + q, ca * cb * cu * cq)
+                    for u, cu in us.items() for q, cq in qs.items()]
+    return object.__new__(BundleExpr)._canonical(k, n, out)
+
+
+ORDER_AMBIENTS = [(1, 3), (2, 4), (2, 5), (3, 6), (2, 8)]
+
+
+@given(st.sampled_from(ORDER_AMBIENTS), st.data())
+def test_one_pass_tensor_matches_the_two_pass_reference(kn, data):
+    # the dual weights Hom feeds in need not end in 0, so both kinds of
+    # left factor are compared, terms and their order alike
+    k, n = kn
+    E = _small_expr(data, k, n)
+    F = _small_expr(data, k, n)
+    for left in (E.terms.items(),
+                 [(bwb._dual_weight(w, k), m) for w, m in E.terms.items()]):
+        got = bwb._tensor(k, n, left, F.terms.items())
+        want = _two_pass_tensor(k, n, left, F.terms.items())
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _summed_bott(H, t=0):
+    """The cohomology of H(t), summing the public bott over H's terms in
+    their order."""
+    k, n = H.k, H.n
+    table = {}
+    for w, mult in H.terms.items():
+        for deg, d in bott(tuple(x + t for x in w[:k]) + w[k:], k, n).items():
+            table[deg] = table.get(deg, 0) + mult * d
+    return table
+
+
+@given(st.sampled_from(ORDER_AMBIENTS), st.data())
+def test_tables_match_the_public_bott_in_order(kn, data):
+    # the Bott memo returns what bott does, and the tables fill in the
+    # order of Hom's terms: check --bwb prints them with %r
+    k, n = kn
+    E = _small_expr(data, k, n)
+    F = _small_expr(data, k, n)
+    H = hom_bundle(E, F)
+    want = list(_summed_bott(H).items())
+    table = ext_table(E, F)
+    assert list(table.items()) == want
+    # a caller that changes a table changes no later one
+    table[0] = -1
+    table[k * (n - k) + 1] = 1
+    assert list(ext_table(E, F).items()) == want
+    if k == 2 and n % 2 == 0:
+        ambient = ext_hyperplane(E, F)["ambient"]
+        want_twisted = list(_summed_bott(H, -1).items())
+        assert list(ambient["hom"].items()) == want
+        assert list(ambient["hom_twisted"].items()) == want_twisted
+        ambient["hom"][0] = -1
+        ambient["hom_twisted"].clear()
+        ambient = ext_hyperplane(E, F)["ambient"]
+        assert list(ambient["hom"].items()) == want
+        assert list(ambient["hom_twisted"].items()) == want_twisted
+
+
 def test_parse_case_sensitive():
     with pytest.raises(ValueError):
         parse_bundle("o", 2, 4)
